@@ -2,7 +2,7 @@
 
 Subpackages are organized by concern:
 
-* ``linalg``     dense eigen/SVD/tensor-train kernels (float64, deterministic)
+* ``linalg``     eigen/SVD via LAPACK with fixed order and signs, tensor-train
 * ``stats``      streaming first/second moment accumulators and activation taps
 * ``nn``         a numpy DeepFM with manual gradients
 * ``checkpoint`` binary model serialization

@@ -31,6 +31,8 @@ from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
 from .metrics import bench_throughput
 from .nn import forward, param_count
 from .train import (
+    EMB_METHODS,
+    MLP_METHODS,
     TrainConfig,
     _run_compress,
     calibrate,
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         required=True,
-        choices=["afm-mlp", "svd-mlp", "afm-emb", "svd-emb", "tt-emb"],
+        choices=MLP_METHODS + EMB_METHODS,
     )
     p.add_argument("--rank", type=int)
     p.add_argument("--no-insert-relu", action="store_true",

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import NumericError, RankError, ShapeError
 from .linalg import (
-    low_rank_factors_svd,
     plan_tt_factors,
+    svd_factors,
     svd_thin,
     sym_eigen,
     tt_decompose_matrix,
@@ -98,6 +98,12 @@ def _check_rank(k: int, dim: int) -> int:
     return k
 
 
+def _retained_fraction(spectrum: np.ndarray, k: int) -> float:
+    """Share of the spectrum's total mass held by its top k entries."""
+    total = float(spectrum.sum())
+    return float(spectrum[:k].sum() / total) if total > 0 else 1.0
+
+
 def afm_plan_fc(tap: ActivationTap, k: int) -> FcCompressionPlan:
     """Plan an output-PCA split of one dense layer from calibration taps."""
     acc = tap.accumulator
@@ -132,20 +138,26 @@ def afm_split_fc(layer: DenseLayer, plan: FcCompressionPlan, insert_relu: bool =
         raise ShapeError(
             f"plan dimension {u.shape[0]} does not match layer output {m}"
         )
-    dtype = layer.weight.dtype
     w64 = layer.weight.astype(np.float64)
     b64 = layer.bias.astype(np.float64)
-    inner = u.T @ w64  # (k, n)
     bias_b = plan.mean + u @ (u.T @ (b64 - plan.mean))
+    return _split_layers(layer, u.T @ w64, u, bias_b, insert_relu)
+
+
+def _split_layers(layer: DenseLayer, inner, outer, bias_b, insert_relu: bool):
+    """Layer A holds ``inner`` with zero bias, and a relu of its own when
+    ``insert_relu``; layer B holds ``outer`` and ``bias_b`` with the original
+    activation and dropout.  Weights are cast to the layer's dtype."""
+    dtype = layer.weight.dtype
     layer_a = DenseLayer(
         inner.astype(dtype),
-        np.zeros(u.shape[1], dtype=dtype),
+        np.zeros(inner.shape[0], dtype=dtype),
         activation="relu" if insert_relu else "none",
         dropout_rate=0.0,
         dropout_site=False,
     )
     layer_b = DenseLayer(
-        u.astype(dtype),
+        outer.astype(dtype),
         bias_b.astype(dtype),
         activation=layer.activation,
         dropout_rate=layer.dropout_rate,
@@ -161,25 +173,16 @@ def svd_split_fc(layer: DenseLayer, k: int, insert_relu: bool = True):
     sqrt(S_k) V_k^T with zero bias, layer B holds U_k sqrt(S_k) with the
     original bias.
     """
-    m, n = layer.weight.shape
-    k = _check_rank(k, min(m, n))
-    m1, m2 = low_rank_factors_svd(layer.weight.astype(np.float64), k)
-    dtype = layer.weight.dtype
-    layer_a = DenseLayer(
-        m2.astype(dtype),
-        np.zeros(k, dtype=dtype),
-        activation="relu" if insert_relu else "none",
-        dropout_rate=0.0,
-        dropout_site=False,
-    )
-    layer_b = DenseLayer(
-        m1.astype(dtype),
-        layer.bias.copy(),
-        activation=layer.activation,
-        dropout_rate=layer.dropout_rate,
-        dropout_site=layer.dropout_site,
-    )
-    return layer_a, layer_b
+    return _svd_split_fc(layer, k, insert_relu)[:2]
+
+
+def _svd_split_fc(layer: DenseLayer, k: int, insert_relu: bool):
+    """:func:`svd_split_fc`, also returning the weights' singular values."""
+    k = _check_rank(k, min(layer.weight.shape))
+    res = svd_thin(layer.weight.astype(np.float64))
+    m1, m2 = svd_factors(res, k)
+    layer_a, layer_b = _split_layers(layer, m2, m1, layer.bias, insert_relu)
+    return layer_a, layer_b, res.singular_values
 
 
 def _compressible_mlp_indices(model: DeepFMModel) -> tuple:
@@ -219,20 +222,16 @@ def compress_mlp(
             la, lb = afm_split_fc(layer, plan, insert_relu)
             spectrum = plan.eigenvalues
         elif method == "svd":
-            la, lb = svd_split_fc(layer, k, insert_relu)
-            res = svd_thin(layer.weight.astype(np.float64))
-            spectrum = res.singular_values**2
+            la, lb, sigma = _svd_split_fc(layer, k, insert_relu)
+            spectrum = sigma**2
         else:
             raise RankError(f"unknown mlp compression method {method!r}")
         after = la.weight.size + la.bias.size + lb.weight.size + lb.bias.size
-        total = float(spectrum.sum())
         detail[f"mlp.{j}"] = {
             "rank": int(k),
             "params_before": int(before),
             "params_after": int(after),
-            "retained_fraction": float(spectrum[:k].sum() / total)
-            if total > 0
-            else 1.0,
+            "retained_fraction": _retained_fraction(spectrum, k),
         }
         new_mlp.extend([la, lb])
     model.mlp = new_mlp
@@ -259,6 +258,39 @@ def afm_plan_embedding(taps, k: int) -> EmbCompressionPlan:
     return EmbCompressionPlan(tuple(bases), tuple(means), tuple(spectra))
 
 
+def _check_plain_tables(model: DeepFMModel) -> None:
+    if model.projections is not None or model.fused:
+        raise ShapeError("embedding tables are already compressed")
+    for i, table in enumerate(model.tables):
+        if isinstance(table, TTEmbeddingTable):
+            raise ShapeError(f"field {i} already holds tensor-train cores")
+
+
+def _install_projections(model: DeepFMModel, parts: list) -> dict:
+    """Swap each table for its reduced weights plus a projection back to
+    full width, in place.  ``parts`` holds per field the float64 tuple
+    (reduced table, projection weight, projection bias, spectrum)."""
+    detail = {}
+    new_tables = []
+    projections = []
+    for i, (table, (reduced, weight, bias, spectrum)) in enumerate(
+        zip(model.tables, parts)
+    ):
+        dtype = table.weights.dtype
+        new_tables.append(EmbeddingTable(reduced.astype(dtype)))
+        projections.append(ProjectionLayer(weight.astype(dtype), bias.astype(dtype)))
+        k = weight.shape[1]
+        detail[f"emb.{i}"] = {
+            "rank": int(k),
+            "params_before": int(table.weights.size),
+            "params_after": int(reduced.size + weight.size + bias.size),
+            "retained_fraction": _retained_fraction(spectrum, k),
+        }
+    model.tables = new_tables
+    model.projections = projections
+    return detail
+
+
 def afm_apply_embedding(model: DeepFMModel, plan: EmbCompressionPlan) -> dict:
     """Reduce every embedding table to k rows and add projections, in place.
 
@@ -270,41 +302,16 @@ def afm_apply_embedding(model: DeepFMModel, plan: EmbCompressionPlan) -> dict:
         raise ShapeError(
             f"plan covers {len(plan.bases)} fields, model has {model.n_fields}"
         )
-    if model.projections is not None or model.fused:
-        raise ShapeError("embedding tables are already compressed")
-    detail = {}
-    new_tables = []
-    projections = []
-    for i, table in enumerate(model.tables):
-        if isinstance(table, TTEmbeddingTable):
-            raise ShapeError(f"field {i} already holds tensor-train cores")
-        u = plan.bases[i]
-        mean = plan.means[i]
+    _check_plain_tables(model)
+    parts = []
+    for i, (table, u, mean) in enumerate(zip(model.tables, plan.bases, plan.means)):
         if u.shape[0] != table.dim:
             raise ShapeError(
                 f"field {i}: plan dimension {u.shape[0]} vs table dim {table.dim}"
             )
-        dtype = table.weights.dtype
-        d64 = table.weights.astype(np.float64)
-        reduced = u.T @ d64
-        bias = mean - u @ (u.T @ mean)
-        new_tables.append(EmbeddingTable(reduced.astype(dtype)))
-        projections.append(
-            ProjectionLayer(u.astype(dtype), bias.astype(dtype))
-        )
-        spectrum = plan.eigenvalues[i]
-        total = float(spectrum.sum())
-        detail[f"emb.{i}"] = {
-            "rank": int(u.shape[1]),
-            "params_before": int(table.weights.size),
-            "params_after": int(reduced.size + u.size + bias.size),
-            "retained_fraction": float(spectrum[: u.shape[1]].sum() / total)
-            if total > 0
-            else 1.0,
-        }
-    model.tables = new_tables
-    model.projections = projections
-    return detail
+        reduced = u.T @ table.weights.astype(np.float64)
+        parts.append((reduced, u, mean - u @ (u.T @ mean), plan.eigenvalues[i]))
+    return _install_projections(model, parts)
 
 
 def svd_compress_embedding(model: DeepFMModel, k: int) -> dict:
@@ -313,39 +320,14 @@ def svd_compress_embedding(model: DeepFMModel, k: int) -> dict:
     Identical target shapes to the output-PCA variant; the projection bias
     is zero because plain SVD carries no mean information.
     """
-    if model.projections is not None or model.fused:
-        raise ShapeError("embedding tables are already compressed")
-    detail = {}
-    new_tables = []
-    projections = []
-    for i, table in enumerate(model.tables):
-        if isinstance(table, TTEmbeddingTable):
-            raise ShapeError(f"field {i} already holds tensor-train cores")
+    _check_plain_tables(model)
+    parts = []
+    for table in model.tables:
         k_i = _check_rank(k, min(table.dim, table.vocab))
-        dtype = table.weights.dtype
         res = svd_thin(table.weights.astype(np.float64))
-        root = np.sqrt(res.singular_values[:k_i])
-        m1 = res.u[:, :k_i] * root
-        m2 = root[:, None] * res.v[:, :k_i].T
-        new_tables.append(EmbeddingTable(m2.astype(dtype)))
-        projections.append(
-            ProjectionLayer(
-                m1.astype(dtype), np.zeros(table.dim, dtype=dtype)
-            )
-        )
-        spectrum = res.singular_values**2
-        total = float(spectrum.sum())
-        detail[f"emb.{i}"] = {
-            "rank": int(k_i),
-            "params_before": int(table.weights.size),
-            "params_after": int(m2.size + m1.size + table.dim),
-            "retained_fraction": float(spectrum[:k_i].sum() / total)
-            if total > 0
-            else 1.0,
-        }
-    model.tables = new_tables
-    model.projections = projections
-    return detail
+        m1, m2 = svd_factors(res, k_i)
+        parts.append((m2, m1, np.zeros(table.dim), res.singular_values**2))
+    return _install_projections(model, parts)
 
 
 def tt_compress_embedding(

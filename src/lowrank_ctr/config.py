@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .train import config_hash, validate_pipeline
+from .train import (
+    EMB_METHODS,
+    MLP_METHODS,
+    STAGE_KEYS,
+    compress_rank,
+    config_hash,
+    validate_pipeline,
+)
 
 PROFILES = {
     # industry-scale ads logs: 13 continuous + 26 categorical columns
@@ -128,15 +135,6 @@ _MODEL_KEYS = {
     "fm_enabled",
 }
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
-_STAGE_KEYS = {
-    "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
-    "calibrate": {"stage", "taps", "batch_size"},
-    "compress": {"stage", "method", "rank", "insert_relu", "fuse", "tt_cores"},
-    "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
-    "eval": {"stage"},
-}
-_MLP_METHODS = {"afm-mlp", "svd-mlp"}
-_EMB_METHODS = {"afm-emb", "svd-emb", "tt-emb"}
 
 
 @dataclass
@@ -167,9 +165,9 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
         raise ConfigError(f"pipeline order must be 'mlp-emb' or 'emb-mlp', got {order!r}")
     mlp_method = pipeline.get("mlp", "afm-mlp")
     emb_method = pipeline.get("emb", "afm-emb")
-    if mlp_method is not None and mlp_method not in _MLP_METHODS:
+    if mlp_method is not None and mlp_method not in MLP_METHODS:
         raise ConfigError(f"unknown mlp method {mlp_method!r}")
-    if emb_method is not None and emb_method not in _EMB_METHODS:
+    if emb_method is not None and emb_method not in EMB_METHODS:
         raise ConfigError(f"unknown emb method {emb_method!r}")
 
     stages = [{"stage": "train_baseline"}]
@@ -216,6 +214,41 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
     stages.extend(block(second))
     stages.append({"stage": "eval"})
     return stages
+
+
+def _check_stages(stages: list, model: dict, profile: dict) -> None:
+    """Validate the stage chain, each stage's keys and each compress stage's
+    method and rank against the configured widths, so that a config the
+    compressors would reject fails before any training."""
+    validate_pipeline(stages)
+    hidden = [int(h) for h in model["hidden_dims"]]
+    for i, s in enumerate(stages):
+        where = f"stage {i} ({s['stage']})"
+        _reject_unknown(s, STAGE_KEYS[s["stage"]], where)
+        if s["stage"] != "compress":
+            continue
+        method = s.get("method")
+        if method not in MLP_METHODS + EMB_METHODS:
+            raise ConfigError(f"stage {i}: unknown method {method!r}")
+        if method in MLP_METHODS:
+            if len(hidden) != 3:
+                raise ConfigError(
+                    f"{where}: MLP compression needs model.hidden_dims of "
+                    f"length 3, got {hidden}"
+                )
+            # afm-mlp keeps k of each layer's outputs; svd-mlp is also
+            # bounded by each layer's input width
+            limit = min(hidden[1:]) if method == "afm-mlp" else min(hidden)
+        elif method == "tt-emb":
+            continue
+        else:
+            limit = int(model["embed_dim"])
+        rank = compress_rank(s, profile)
+        if not 1 <= rank <= limit:
+            raise ConfigError(
+                f"{where}: rank {rank} outside [1, {limit}] for the configured "
+                "model widths"
+            )
 
 
 def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
@@ -273,21 +306,13 @@ def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
     if "stages" in raw and "pipeline" in raw:
         raise ConfigError("give either 'stages' or 'pipeline', not both")
     if "stages" in raw:
-        stages = [dict(s) for s in raw["stages"]]
-        for i, s in enumerate(stages):
+        for i, s in enumerate(raw["stages"]):
             if not isinstance(s, dict) or "stage" not in s:
                 raise ConfigError(f"stage {i} must be an object with a 'stage' key")
-            allowed = _STAGE_KEYS.get(s["stage"])
-            if allowed is None:
-                raise ConfigError(f"stage {i}: unknown stage {s['stage']!r}")
-            _reject_unknown(s, allowed, f"stage {i} ({s['stage']})")
-            if s["stage"] == "compress":
-                method = s.get("method")
-                if method not in _MLP_METHODS | _EMB_METHODS:
-                    raise ConfigError(f"stage {i}: unknown method {method!r}")
+        stages = [dict(s) for s in raw["stages"]]
     else:
         stages = standard_stages(profile, dict(raw.get("pipeline", {})))
-    validate_pipeline(stages)
+    _check_stages(stages, model, profile)
 
     train_defaults = {
         "learning_rate": profile["learning_rate"],

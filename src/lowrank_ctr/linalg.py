@@ -1,14 +1,14 @@
 """Dense linear algebra kernels.
 
 Everything here runs in float64 regardless of the input dtype, and every
-routine is deterministic: the same input yields bit-identical output.
-Matrices are plain 2-D numpy arrays.
+routine is deterministic: the same input yields bit-identical output (for
+a fixed BLAS thread count).  Matrices are plain 2-D numpy arrays.
 
-The eigensolver is a cyclic Jacobi iteration; singular values come from an
-eigendecomposition of the Gram matrix of the smaller dimension.  Both fix
-eigenvector sign by making the largest-magnitude component positive, and
-order equal eigenvalues by ascending original index, so downstream
-factorizations are reproducible across runs.
+Eigen- and singular value decompositions are LAPACK's, called through
+numpy.  The wrappers here order eigenvalues descending (ties keep LAPACK's
+order) and fix the sign of each vector by making its largest-magnitude
+component positive, so downstream factorizations are reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from math import prod
 import numpy as np
 
 from .errors import NumericError, RankError, ShapeError
-
-_SWEEP_LIMIT = 100
-_OFFDIAG_TOL = 1e-12  # relative to the Frobenius norm of the input
-
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
@@ -83,55 +79,6 @@ def _fix_column_signs(*mats: np.ndarray) -> None:
         m *= signs
 
 
-def _jacobi(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a symmetric matrix; returns (diag, rotations)."""
-    n = sym.shape[0]
-    a = sym.copy()
-    vec = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), vec
-    fro = float(np.sqrt((sym * sym).sum()))
-    if fro == 0.0:
-        return np.zeros(n), vec
-    target = _OFFDIAG_TOL * fro
-    # Any single off-diagonal entry below this leaves the whole off-diagonal
-    # Frobenius norm under target even if every entry sits at the bound.
-    skip = target / n
-    for _ in range(_SWEEP_LIMIT):
-        off2 = float((a * a).sum() - (np.diag(a) ** 2).sum())
-        if off2 <= target * target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e12:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta == 0.0:
-                        t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = vec[:, p].copy()
-                vq = vec[:, q].copy()
-                vec[:, p] = c * vp - s * vq
-                vec[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), vec
-
-
 def sym_eigen(a) -> EigenResult:
     """Eigendecomposition of a symmetric matrix.
 
@@ -149,101 +96,49 @@ def sym_eigen(a) -> EigenResult:
     scale = max(1.0, float(np.abs(arr).max()))
     if float(np.abs(arr - arr.T).max()) > 1e-9 * scale:
         raise ShapeError("matrix is not symmetric within tolerance 1e-9")
-    sym = 0.5 * (arr + arr.T)
-    diag, vec = _jacobi(sym)
-    order = np.argsort(-diag, kind="stable")
-    values = diag[order]
-    vectors = vec[:, order]
+    values, vectors = np.linalg.eigh(0.5 * (arr + arr.T))
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
     _fix_column_signs(vectors)
     return EigenResult(values, vectors)
 
 
-def _orthonormal_fill(u: np.ndarray, have: int) -> None:
-    """Complete columns ``have:`` of ``u`` with a deterministic orthonormal
-    basis drawn from canonical vectors (Gram-Schmidt against all columns)."""
-    d, total = u.shape
-    col = have
-    for cand in range(d):
-        if col >= total:
-            return
-        v = np.zeros(d)
-        v[cand] = 1.0
-        v -= u[:, :col] @ (u[:, :col].T @ v)
-        v -= u[:, :col] @ (u[:, :col].T @ v)  # second pass for stability
-        norm = float(np.sqrt(v @ v))
-        if norm > 1e-6:
-            u[:, col] = v / norm
-            col += 1
-    if col < total:
-        raise NumericError("failed to complete an orthonormal basis")
-
-
 def svd_thin(m) -> SvdResult:
-    """Thin SVD via the Gram matrix of the smaller dimension.
+    """Thin SVD.
 
     Singular values are non-negative and descending; u and v have
-    orthonormal columns.  Columns whose singular value is numerically zero
-    are completed from canonical basis vectors so the factors stay
-    orthonormal.
+    orthonormal columns, also where singular values are zero.
     """
     mat = _as_matrix(m)
     d1, d2 = mat.shape
     if d1 == 0 or d2 == 0:
         k = min(d1, d2)
         return SvdResult(np.zeros((d1, k)), np.zeros(k), np.zeros((d2, k)))
-    if d2 <= d1:
-        gram = mat.T @ mat
-        eig = sym_eigen(0.5 * (gram + gram.T))
-        v = eig.eigenvectors
-        sigma = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-        u = np.zeros((d1, d2))
-        cutoff = sigma[0] * 1e-10 if sigma.size else 0.0
-        kept = int(np.count_nonzero(sigma > cutoff))
-        if kept:
-            cols = mat @ v[:, :kept]
-            norms = np.sqrt((cols * cols).sum(axis=0))
-            norms[norms == 0] = 1.0
-            u[:, :kept] = cols / norms
-            sigma = sigma.copy()
-            sigma[kept:] = 0.0
-        _orthonormal_fill(u, kept)
-        _fix_column_signs(u, v)
-        return SvdResult(u, sigma, v)
-    # wide matrix: eigendecompose M M^T instead
-    gram = mat @ mat.T
-    eig = sym_eigen(0.5 * (gram + gram.T))
-    u = eig.eigenvectors.copy()
-    sigma = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-    v = np.zeros((d2, d1))
-    cutoff = sigma[0] * 1e-10 if sigma.size else 0.0
-    kept = int(np.count_nonzero(sigma > cutoff))
-    if kept:
-        cols = mat.T @ u[:, :kept]
-        norms = np.sqrt((cols * cols).sum(axis=0))
-        norms[norms == 0] = 1.0
-        v[:, :kept] = cols / norms
-        sigma = sigma.copy()
-        sigma[kept:] = 0.0
-    _orthonormal_fill(v, kept)
+    u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
+    v = vt.T
     _fix_column_signs(u, v)
     return SvdResult(u, sigma, v)
 
 
-def low_rank_factors_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-k factors (M1, M2) with M1 @ M2 the best rank-k approximation.
+def svd_factors(res: SvdResult, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split the rank-k truncation of a thin SVD into factors (M1, M2).
 
     M1 = U_k sqrt(S_k) has shape (rows, k); M2 = sqrt(S_k) V_k^T has shape
     (k, cols).  The singular mass splits evenly between the factors.
     """
-    mat = _as_matrix(m)
-    limit = min(mat.shape)
+    limit = res.singular_values.size
     if not 1 <= k <= limit:
-        raise RankError(f"rank {k} outside [1, {limit}] for shape {mat.shape}")
-    res = svd_thin(mat)
+        shape = (res.u.shape[0], res.v.shape[0])
+        raise RankError(f"rank {k} outside [1, {limit}] for shape {shape}")
     root = np.sqrt(res.singular_values[:k])
-    m1 = res.u[:, :k] * root
-    m2 = root[:, None] * res.v[:, :k].T
-    return m1, m2
+    return res.u[:, :k] * root, root[:, None] * res.v[:, :k].T
+
+
+def low_rank_factors_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-k factors (M1, M2) with M1 @ M2 the best rank-k approximation,
+    split as in :func:`svd_factors`."""
+    return svd_factors(svd_thin(m), k)
 
 
 def _check_factors(factors, dim: int, name: str) -> tuple:

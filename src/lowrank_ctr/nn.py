@@ -36,7 +36,11 @@ ACTIVATIONS = ("relu", "none", "sigmoid")
 
 def sigmoid(z) -> np.ndarray:
     """Numerically stable logistic function, computed in float64."""
-    z = np.asarray(z, dtype=np.float64)
+    return _logistic(np.asarray(z, dtype=np.float64))
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function in the dtype of ``z``."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -324,14 +328,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
         return np.maximum(z, 0)
     if kind == "none":
         return z
-    # dtype-preserving stable sigmoid
-    out = np.empty_like(z)
-    pos = z >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[neg])
-    out[neg] = ez / (1.0 + ez)
-    return out
+    return _logistic(z)
 
 
 def _run_forward(
@@ -627,25 +624,6 @@ def compute_gradients(
             grads[name] = grads[name] + (2.0 * l2_ratio) * p
 
     return loss, grads, trace
-
-
-def backward_step(
-    model: DeepFMModel,
-    batch: FeatureBatch,
-    labels,
-    optimizer,
-    l2_ratio: float = 0.0,
-    rng=None,
-    dropout_override=None,
-) -> float:
-    """One training step: gradients of the regularized loss, then one
-    optimizer update over all trainable tensors.  Returns the loss value
-    computed before the update."""
-    loss, grads, _ = compute_gradients(
-        model, batch, labels, l2_ratio, rng, dropout_override
-    )
-    optimizer.step(model.named_parameters(), grads)
-    return loss
 
 
 def param_count(model: DeepFMModel) -> dict:

@@ -252,7 +252,15 @@ def calibrate(
 # ---------------------------------------------------------------------------
 # pipeline
 
-STAGE_NAMES = ("train_baseline", "calibrate", "compress", "finetune", "eval")
+# the keys each stage accepts, by stage name
+STAGE_KEYS = {
+    "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
+    "calibrate": {"stage", "taps", "batch_size"},
+    "compress": {"stage", "method", "rank", "insert_relu", "fuse", "tt_cores"},
+    "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
+    "eval": {"stage"},
+}
+STAGE_NAMES = tuple(STAGE_KEYS)
 MLP_METHODS = ("afm-mlp", "svd-mlp")
 EMB_METHODS = ("afm-emb", "svd-emb", "tt-emb")
 
@@ -282,6 +290,16 @@ def validate_pipeline(stages: list) -> None:
             )
 
 
+def compress_rank(stage: dict, profile: dict) -> int:
+    """The rank a compress stage runs at: its own, else the profile's."""
+    method = stage["method"]
+    if method in MLP_METHODS:
+        key = "mlp_rank"
+    else:
+        key = "tt_rank" if method == "tt-emb" else "emb_rank"
+    return int(stage.get("rank", profile[key]))
+
+
 def _train_cfg(stage: dict, defaults: dict, seed: int) -> TrainConfig:
     merged = dict(defaults)
     merged.update({k: v for k, v in stage.items() if k != "stage"})
@@ -307,23 +325,21 @@ def _mlp_tap_ids(model: DeepFMModel) -> list:
 
 def _run_compress(model, stage, taps, profile):
     method = stage["method"]
+    if method not in MLP_METHODS + EMB_METHODS:
+        raise ConfigError(f"unknown compression method {method!r}")
+    rank = compress_rank(stage, profile)
     if method in MLP_METHODS:
-        rank = int(stage.get("rank", profile.get("mlp_rank", 64)))
         insert_relu = bool(stage.get("insert_relu", True))
         if method == "afm-mlp":
             detail = comp.compress_mlp(model, rank, "afm", taps, insert_relu)
         else:
             detail = comp.compress_mlp(model, rank, "svd", None, insert_relu)
         return method, detail
-    if method not in EMB_METHODS:
-        raise ConfigError(f"unknown compression method {method!r}")
     if method == "tt-emb":
-        rank = int(stage.get("rank", profile.get("tt_rank", 16)))
         detail = comp.tt_compress_embedding(
             model, rank, n_cores=int(stage.get("tt_cores", 3))
         )
         return method, detail
-    rank = int(stage.get("rank", profile.get("emb_rank", 4)))
     if method == "afm-emb":
         if taps is None:
             raise RankError("afm-emb needs calibration taps")

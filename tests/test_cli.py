@@ -175,6 +175,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pipeline_rejects_bad_mlp_config_before_training(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **BASE_CONFIG, "model": {**BASE_CONFIG["model"], "hidden_dims": [16, 16]},
+    }))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "hidden_dims" in capsys.readouterr().err
+    assert not list(out.rglob("*.lrck"))
+
+
 def test_bench_rejects_oversized_batches(workdir, capsys):
     rc = main([
         "bench",

@@ -179,6 +179,51 @@ def test_model_validation():
     assert rc.model["n_categorical"] == 10  # profile default fills the rest
 
 
+def compress_chain(method, rank):
+    return [
+        {"stage": "train_baseline"},
+        {"stage": "calibrate"},
+        {"stage": "compress", "method": method, "rank": rank},
+        {"stage": "finetune"},
+    ]
+
+
+def test_mlp_compression_needs_three_hidden_layers():
+    bad = {"profile": "synth", "model": {"hidden_dims": [32, 32]}}
+    with pytest.raises(ConfigError, match="hidden_dims"):
+        load_config(bad)
+    with pytest.raises(ConfigError, match="hidden_dims"):
+        load_config({**bad, "stages": compress_chain("svd-mlp", 4)})
+    rc = load_config({**bad, "pipeline": {"mlp": None}})
+    assert [s["method"] for s in rc.stages if s["stage"] == "compress"] == ["afm-emb"]
+
+
+@pytest.mark.parametrize("method, limit", [
+    ("afm-mlp", 8),  # outputs of hidden layers two and three
+    ("svd-mlp", 7),  # ... and the input of layer two
+    ("afm-emb", 6),  # embed_dim
+    ("svd-emb", 6),
+])
+def test_compress_rank_above_configured_widths_rejected(method, limit):
+    model = {"embed_dim": 6, "hidden_dims": [7, 10, 8]}
+    load_config({"model": model, "stages": compress_chain(method, limit)})
+    message = rf"rank {limit + 1} outside \[1, {limit}\]"
+    with pytest.raises(ConfigError, match=message):
+        load_config({"model": model, "stages": compress_chain(method, limit + 1)})
+    target, other = ("mlp", "emb") if method.endswith("mlp") else ("emb", "mlp")
+    pipeline = {target: method, other: None, f"{target}_rank": limit + 1}
+    with pytest.raises(ConfigError, match=message):
+        load_config({"model": model, "pipeline": pipeline})
+
+
+def test_compress_rank_defaults_are_checked_and_tt_is_a_cap():
+    # no rank given: the profile's mlp_rank 16 is checked against width 8
+    with pytest.raises(ConfigError, match="rank 16 outside"):
+        load_config({"model": {"hidden_dims": [8, 8, 8]}})
+    load_config({"model": {"embed_dim": 6},
+                 "pipeline": {"mlp": None, "emb": "tt-emb", "emb_rank": 50}})
+
+
 def test_profiles_are_self_consistent():
     for name, prof in PROFILES.items():
         for key in ("n_continuous", "n_categorical", "embed_dim", "hidden_dims",

@@ -1,7 +1,10 @@
 """Tests for the dense linear-algebra kernels.
 
 Expected values come from hand calculations on small fixed matrices and
-from numpy.linalg, which the implementation itself never touches.
+from the characteristic polynomial, which are independent of LAPACK.
+Where numpy.linalg serves as a reference, it is the same LAPACK the
+kernels call, so those cases check the wrapping (order, signs, shapes)
+rather than the numbers.
 """
 
 import numpy as np
@@ -128,6 +131,37 @@ def test_svd_reconstruction_and_orthonormality():
         np.testing.assert_allclose(
             res.singular_values, np.linalg.svd(m, compute_uv=False), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)])
+def test_svd_rank_deficient_keeps_orthonormal_factors(shape):
+    rng = np.random.default_rng(41)
+    # rank 2 of min(shape) = 4: two singular values are zero
+    m = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+    res = svd_thin(m)
+    assert res.u.shape == (shape[0], 4) and res.v.shape == (shape[1], 4)
+    np.testing.assert_allclose(res.singular_values[2:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(res.u.T @ res.u, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(res.v.T @ res.v, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(res.u * res.singular_values @ res.v.T, m, atol=1e-12)
+
+
+def test_svd_sign_convention_on_u_columns():
+    rng = np.random.default_rng(43)
+    for shape in [(6, 3), (3, 6), (5, 5)]:
+        res = svd_thin(rng.standard_normal(shape))
+        cols = np.arange(res.u.shape[1])
+        lead = res.u[np.abs(res.u).argmax(axis=0), cols]
+        assert np.all(lead > 0)
+
+
+def test_svd_deterministic():
+    rng = np.random.default_rng(47)
+    m = rng.standard_normal((9, 5))
+    r1 = svd_thin(m)
+    r2 = svd_thin(m)
+    for a, b in [(r1.u, r2.u), (r1.singular_values, r2.singular_values), (r1.v, r2.v)]:
+        assert a.tobytes() == b.tobytes()
 
 
 def test_low_rank_factors_hand_case():
