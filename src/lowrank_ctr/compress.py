@@ -288,6 +288,7 @@ def _install_projections(model: DeepFMModel, parts: list) -> dict:
         }
     model.tables = new_tables
     model.projections = projections
+    model.packed()
     return detail
 
 

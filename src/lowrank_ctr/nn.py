@@ -8,13 +8,26 @@ The model combines three heads on shared per-field embeddings:
 
 The sum of the three heads is the logit; sigmoid of it is the prediction.
 
-Embedding tables are stored (dim, vocab) so compression can treat them as
-matrices whose columns are items.  Tables may be replaced by per-field
-projection layers (dimension-reduced tables restored to full width by a
-small linear map) or by tensor-train cores whose lookup reconstructs one
-row at a time.  When ``fused`` is set, the first MLP layer has absorbed
-the projections and consumes the reduced embeddings directly while the
-pairwise term still reads the projected full-width vectors.
+Each ``EmbeddingTable.weights`` is a (dim, vocab) array, so compression can
+treat a table as a matrix whose columns are items.  Inside a model the
+dense tables are stored together: one row-major (sum vocab, dim) array
+with per-field row offsets, of which each table's weights is the
+transposed view; the first-order weights are packed the same way.  A
+forward pass therefore fetches every field's embedding with one gather,
+and that (n, fields, dim) block is both the pairwise-term stack and,
+reshaped, the MLP input.  Writing into a table's weights writes into the
+packed array; a forward pass packs the tables again when one was rebound
+or copied (``copy.deepcopy``) since the last packing.
+
+Tables may be replaced by per-field projection layers (dimension-reduced
+tables restored to full width by a small linear map) or by tensor-train
+cores whose lookup reconstructs one row at a time; a model's fields are
+all dense or all tensor-train.  With projections, the pairwise term is
+computed from the reduced embeddings c_i alone: sum_i (P_i c_i + b_i) is
+one matmul over the concatenated c, and sum_i ||P_i c_i + b_i||^2 needs
+only P_i^T P_i and P_i^T b_i.  Full-width vectors are built only when the
+MLP reads them: when ``fused`` is set, the first MLP layer has absorbed the
+projections and consumes the reduced embeddings directly.
 
 Weights default to float32; gradient checking can run the whole model in
 float64 via ``DeepFMModel.astype``.  All forward/backward code preserves
@@ -40,13 +53,10 @@ def sigmoid(z) -> np.ndarray:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function in the dtype of ``z``."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function in the dtype of ``z``:
+    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def bce_from_logits(logits, labels) -> float:
@@ -70,7 +80,7 @@ class FeatureBatch:
 
 @dataclass
 class EmbeddingTable:
-    weights: np.ndarray  # (dim, vocab)
+    weights: np.ndarray  # (dim, vocab); in a model, a view of its packed rows
 
     @property
     def dim(self) -> int:
@@ -123,6 +133,76 @@ class DenseLayer:
             raise ShapeError(f"unknown activation {self.activation!r}")
 
 
+class _Packed:
+    """Row-major storage behind a model's dense tables and first-order weights.
+
+    ``tables`` is (sum vocab, dim) and ``first_order`` is (sum vocab,);
+    field i owns rows ``offsets[i]:offsets[i] + vocab[i]`` of both.  Either
+    array is None when the model has no such parameters (tensor-train
+    fields, fm disabled).  Building one points the model's tables and
+    first-order list at views of the arrays, which must already hold the
+    rows in field order.
+    """
+
+    def __init__(self, model, tables, first_order):
+        self.vocab = np.array([t.vocab for t in model.tables], dtype=np.int64)
+        self.offsets = np.zeros_like(self.vocab)
+        np.cumsum(self.vocab[:-1], out=self.offsets[1:])
+        self.tables = tables
+        self.first_order = first_order
+        owners = []
+        if tables is not None:
+            for table, view in zip(model.tables, self._split(tables)):
+                table.weights = view
+            owners += [tables] * len(model.tables)
+        if first_order is not None:
+            model.first_order = self._split(first_order)
+            owners += [first_order] * len(model.first_order)
+        self.owners = owners
+        self.views = self._arrays(model)
+
+    @classmethod
+    def pack(cls, model) -> "_Packed":
+        """Copy the model's current tables and first-order weights into new
+        packed arrays."""
+        dense = [isinstance(t, EmbeddingTable) for t in model.tables]
+        tables = None
+        if any(dense):
+            if not all(dense):
+                raise ShapeError("a model's fields are all dense or all tensor-train")
+            widths = sorted({t.dim for t in model.tables})
+            if len(widths) != 1:
+                raise ShapeError(f"dense fields must share one width, got {widths}")
+            tables = np.empty(
+                (sum(t.vocab for t in model.tables), widths[0]),
+                dtype=np.result_type(*[t.weights for t in model.tables]),
+            )
+            start = 0
+            for t in model.tables:
+                tables[start : start + t.vocab] = t.weights.T
+                start += t.vocab
+        first_order = np.concatenate(model.first_order) if model.first_order else None
+        return cls(model, tables, first_order)
+
+    def _split(self, packed) -> list:
+        # ``.T`` turns a field's (vocab, dim) rows into its (dim, vocab) table
+        return [packed[o : o + v].T for o, v in zip(self.offsets, self.vocab)]
+
+    @staticmethod
+    def _arrays(model) -> list:
+        tables = [t.weights for t in model.tables if isinstance(t, EmbeddingTable)]
+        return tables + list(model.first_order)
+
+    def backs(self, model) -> bool:
+        """Whether every table and first-order array of ``model`` is still
+        the view this packing handed out (not rebound, not a copy)."""
+        arrays = self._arrays(model)
+        return len(arrays) == len(self.views) and all(
+            a is v and v.base is o
+            for a, v, o in zip(arrays, self.views, self.owners)
+        )
+
+
 @dataclass
 class DeepFMModel:
     tables: list
@@ -133,6 +213,9 @@ class DeepFMModel:
     projections: Optional[list] = None
     fm_enabled: bool = True
     fused: bool = False
+    _packed: Optional[_Packed] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_fields(self) -> int:
@@ -144,6 +227,25 @@ class DeepFMModel:
         else:
             emb = self.n_fields * self.embed_dim
         return emb + self.n_continuous
+
+    def packed(self) -> _Packed:
+        """The packed storage behind the tables and first-order weights.
+
+        Packs them again first when one of them was rebound or copied since
+        the last packing, so the arrays returned are always current."""
+        packed = self._packed
+        if packed is None or not packed.backs(self):
+            packed = self._packed = _Packed.pack(self)
+        return packed
+
+    def use_packed(self, tables, first_order) -> None:
+        """Make the dense tables views of ``tables`` (sum vocab, dim) and the
+        first-order weights views of ``first_order`` (sum vocab,).
+
+        Both arrays must be row-major and already hold every field's rows
+        in field order; either is None when the model has no such
+        parameters."""
+        self._packed = _Packed(self, tables, first_order)
 
     def named_parameters(self) -> list:
         """(name, array) pairs in a fixed order; arrays are live views."""
@@ -171,6 +273,7 @@ class DeepFMModel:
         def cast(a):
             return np.asarray(a, dtype=dtype).copy()
 
+        packed = self.packed()
         tables = []
         for t in self.tables:
             if isinstance(t, TTEmbeddingTable):
@@ -182,7 +285,8 @@ class DeepFMModel:
                 )
                 tables.append(TTEmbeddingTable(cores, t.vocab, t.dim))
             else:
-                tables.append(EmbeddingTable(cast(t.weights)))
+                # pointed at the copy's own packed rows by use_packed below
+                tables.append(EmbeddingTable(t.weights))
         projections = None
         if self.projections is not None:
             projections = [
@@ -199,9 +303,9 @@ class DeepFMModel:
             )
             for l in self.mlp
         ]
-        return DeepFMModel(
+        model = DeepFMModel(
             tables=tables,
-            first_order=[cast(f) for f in self.first_order],
+            first_order=list(self.first_order),
             mlp=mlp,
             n_continuous=self.n_continuous,
             embed_dim=self.embed_dim,
@@ -209,6 +313,11 @@ class DeepFMModel:
             fm_enabled=self.fm_enabled,
             fused=self.fused,
         )
+        model.use_packed(
+            None if packed.tables is None else cast(packed.tables),
+            None if packed.first_order is None else cast(packed.first_order),
+        )
+        return model
 
     def clone(self) -> "DeepFMModel":
         dtype = self.mlp[0].weight.dtype if self.mlp else np.float32
@@ -280,7 +389,7 @@ def init_deepfm(
             dropout_site=False,
         )
     )
-    return DeepFMModel(
+    model = DeepFMModel(
         tables=tables,
         first_order=first_order,
         mlp=mlp,
@@ -288,9 +397,11 @@ def init_deepfm(
         embed_dim=int(embed_dim),
         fm_enabled=fm_enabled,
     )
+    model.packed()
+    return model
 
 
-def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
+def _validate_batch(model: DeepFMModel, batch: FeatureBatch, vocab) -> None:
     idx = batch.indices
     if idx.ndim != 2 or idx.shape[1] != model.n_fields:
         raise ShapeError(
@@ -306,15 +417,13 @@ def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
         raise ShapeError("indices and continuous blocks disagree on length")
     if idx.shape[0] == 0:
         raise ShapeError("empty batch")
-    for i, table in enumerate(model.tables):
-        col = idx[:, i]
-        lo = int(col.min())
-        hi = int(col.max())
-        if lo < 0 or hi >= table.vocab:
-            raise DataError(
-                f"field {i}: index range [{lo}, {hi}] outside vocabulary "
-                f"of size {table.vocab}"
-            )
+    bad = (idx < 0) | (idx >= vocab)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise DataError(
+            f"field {i}: index range [{idx[:, i].min()}, {idx[:, i].max()}] "
+            f"outside vocabulary of size {vocab[i]}"
+        )
 
 
 def _effective_dropout(layer: DenseLayer, override) -> float:
@@ -331,6 +440,26 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return _logistic(z)
 
 
+def _projection_terms(projections, dtype):
+    """Stacked projections and the fixed parts of the reduced-space
+    pairwise term.
+
+    Returns the weights ``w`` (fields, dim, k), the biases ``b``
+    (fields, dim), ``p_cat`` = [P_0 | P_1 | ...] (dim, fields * k), the
+    block-diagonal ``gram`` of the P_i^T P_i (fields * k, fields * k) and
+    ``pb``, the concatenated P_i^T b_i (fields * k,)."""
+    w = np.array([p.weight for p in projections], dtype=dtype)
+    b = np.array([p.bias for p in projections], dtype=dtype)
+    n_fields, dim, k = w.shape
+    wt = w.transpose(0, 2, 1)
+    p_cat = w.transpose(1, 0, 2).reshape(dim, n_fields * k)
+    gram = np.zeros((n_fields, k, n_fields, k), dtype=dtype)
+    diag = np.arange(n_fields)
+    gram[diag, :, diag, :] = np.matmul(wt, w)
+    pb = np.matmul(wt, b[:, :, None]).reshape(-1)
+    return w, b, p_cat, gram.reshape(n_fields * k, n_fields * k), pb
+
+
 def _run_forward(
     model: DeepFMModel,
     batch: FeatureBatch,
@@ -342,49 +471,58 @@ def _run_forward(
 ):
     if mode not in ("infer", "train"):
         raise ShapeError(f"mode must be 'infer' or 'train', got {mode!r}")
-    _validate_batch(model, batch)
+    packed = model.packed()
+    _validate_batch(model, batch, packed.vocab)
     capture = set(capture or ())
     idx = batch.indices
     n = idx.shape[0]
     dtype = model.mlp[0].weight.dtype
     captured = {}
 
-    e_raw = []
-    for i, table in enumerate(model.tables):
-        ei = np.ascontiguousarray(table.lookup(idx[:, i]))
-        e_raw.append(ei)
+    rows = idx + packed.offsets  # each field's item, as a row of the packed arrays
+    if packed.tables is not None:
+        emb = np.take(packed.tables, rows, axis=0)  # (n, fields, dim)
+    else:
+        emb = np.stack(
+            [t.lookup(idx[:, i]) for i, t in enumerate(model.tables)], axis=1
+        )
+    for i in range(model.n_fields):
         if f"emb.{i}" in capture:
-            captured[f"emb.{i}"] = ei
+            captured[f"emb.{i}"] = emb[:, i]
+    flat = emb.reshape(n, -1)  # the fields' embeddings side by side
 
+    proj = None
+    x = flat
     if model.projections is not None:
-        e_full = [
-            er @ proj.weight.T + proj.bias
-            for er, proj in zip(e_raw, model.projections)
-        ]
-    else:
-        e_full = e_raw
+        proj = _projection_terms(model.projections, dtype)
+        if not model.fused:
+            w, b = proj[:2]
+            full = np.matmul(emb.transpose(1, 0, 2), w.transpose(0, 2, 1))
+            full += b[:, None, :]
+            x = full.transpose(1, 0, 2).reshape(n, -1)
 
+    fo = np.zeros(n, dtype=dtype)
+    pairwise = np.zeros(n, dtype=dtype)
+    s = gc = None
     if model.fm_enabled:
-        stack = np.stack(e_full, axis=1)  # (n, fields, embed_dim)
-        s = stack.sum(axis=1)
-        pairwise = 0.5 * ((s * s).sum(axis=1) - (stack * stack).sum(axis=(1, 2)))
-        fo = np.zeros(n, dtype=dtype)
-        for i, table in enumerate(model.first_order):
-            fo = fo + table[idx[:, i]]
-    else:
-        s = None
-        pairwise = np.zeros(n, dtype=dtype)
-        fo = np.zeros(n, dtype=dtype)
+        if packed.first_order is not None:
+            ones = np.ones(model.n_fields, dtype=packed.first_order.dtype)
+            fo = np.take(packed.first_order, rows) @ ones
+        if proj is None:
+            # s = sum_i e_i as one matmul with stacked identities
+            k = emb.shape[2]
+            s = flat @ np.tile(np.eye(k, dtype=flat.dtype), (model.n_fields, 1))
+            sq = np.einsum("ij,ij->i", flat, flat)
+        else:
+            # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone
+            _, b, p_cat, gram, pb = proj
+            s = flat @ p_cat.T + b.sum(axis=0)
+            gc = flat @ gram
+            sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + (b * b).sum()
+        pairwise = 0.5 * (np.einsum("ij,ij->i", s, s) - sq)
 
-    blocks = e_raw if model.fused else e_full
-    width = sum(b.shape[1] for b in blocks) + model.n_continuous
-    x = np.empty((n, width), dtype=dtype)
-    offset = 0
-    for b in blocks:
-        x[:, offset : offset + b.shape[1]] = b
-        offset += b.shape[1]
     if model.n_continuous:
-        x[:, offset:] = batch.continuous
+        x = np.concatenate([x, batch.continuous], axis=1, dtype=dtype)
 
     layer_cache = []
     cur = x
@@ -394,10 +532,16 @@ def _run_forward(
                 f"mlp.{j} expects input width {layer.weight.shape[1]}, "
                 f"got {cur.shape[1]}"
             )
-        z = cur @ layer.weight.T + layer.bias
+        z = cur @ layer.weight.T
+        z += layer.bias
         if f"mlp.{j}" in capture:
             captured[f"mlp.{j}"] = z
-        a = _activate(z, layer.activation)
+            a = _activate(z, layer.activation)
+        elif layer.activation == "relu":
+            # in place: relu(z) > 0 exactly where z > 0, all backward needs
+            a = np.maximum(z, 0, out=z)
+        else:
+            a = _activate(z, layer.activation)
         mask = None
         rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
         if rate > 0.0:
@@ -429,10 +573,12 @@ def _run_forward(
     cache = None
     if keep_cache:
         cache = {
-            "e_raw": e_raw,
-            "e_full": e_full,
+            "packed": packed,
+            "rows": rows,
+            "emb": emb,
+            "proj": proj,
             "fm_sum": s,
-            "x": x,
+            "gc": gc,
             "layers": layer_cache,
         }
     return trace, cache
@@ -463,13 +609,13 @@ def l2_penalty(model: DeepFMModel) -> float:
     """Sum of squared entries over every trainable tensor, in float64."""
     total = 0.0
     for _, p in model.named_parameters():
-        p64 = p.astype(np.float64, copy=False)
-        total += float((p64 * p64).sum())
+        total += float(np.square(p, dtype=np.float64).sum())
     return total
 
 
 def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndarray:
-    """Sum (n, k) rows into a (k, vocab) gradient by index, duplicates added."""
+    """Sum (n, k) rows into a (vocab, k) float64 gradient by index,
+    duplicates added."""
     n, k = grad_rows.shape
     flat = idx.astype(np.int64)[:, None] * k + np.arange(k, dtype=np.int64)
     out = np.bincount(
@@ -477,48 +623,58 @@ def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndar
         weights=grad_rows.astype(np.float64, copy=False).ravel(),
         minlength=vocab * k,
     )
-    return out.reshape(vocab, k).T
+    return out.reshape(vocab, k)
 
 
 def _tt_lookup_grads(table: TTEmbeddingTable, idx: np.ndarray, d_rows: np.ndarray):
-    """Gradients of row lookups w.r.t. every core, accumulated densely.
+    """Gradients of row lookups w.r.t. every core, in float64.
 
-    Works one sample at a time: builds left partial products, right partial
-    products, then contracts the padded row gradient against both."""
-    cores = table.cores.cores
-    rf = table.cores.row_factors
+    Splits every row index into its digits, builds the left and right
+    partial products of the core chain for the whole batch with batched
+    matmuls, contracts each row's padded gradient against both, and sums
+    the resulting core-slice gradients into the slices the digits select."""
+    cores = [np.asarray(c, dtype=np.float64) for c in table.cores.cores]
     cf = table.cores.col_factors
-    k = len(cores)
-    grads = [np.zeros_like(c, dtype=np.float64) for c in cores]
-    pad_cols = 1
-    for f in cf:
-        pad_cols *= f
-    for row_i in range(idx.shape[0]):
-        digits = []
-        rest = int(idx[row_i])
-        for f in reversed(rf):
-            digits.append(rest % f)
-            rest //= f
-        digits.reverse()
-        slices = [core[:, dig, :, :] for core, dig in zip(cores, digits)]
-        lefts = [np.ones((1, 1))]
-        for sl in slices[:-1]:
-            nxt = np.tensordot(lefts[-1], sl, axes=([1], [0]))
-            lefts.append(nxt.reshape(-1, sl.shape[-1]))
-        rights = [np.ones((1, 1))]
-        for sl in reversed(slices[1:]):
-            nxt = np.tensordot(sl, rights[-1], axes=([2], [0]))
-            rights.append(nxt.reshape(sl.shape[0], -1))
-        rights.reverse()
-        de = np.zeros(pad_cols)
-        de[: table.dim] = d_rows[row_i]
-        for j in range(k):
-            left = lefts[j]  # (N_j, r_j)
-            right = rights[j]  # (r_{j+1}, M_{j+1})
-            de3 = de.reshape(left.shape[0], cf[j], right.shape[1])
-            tmp = np.einsum("xr,xab->rab", left, de3)
-            dslice = np.einsum("rab,sb->ras", tmp, right)
-            grads[j][:, digits[j], :, :] += dslice
+    n = idx.shape[0]
+    digits = []
+    rest = np.asarray(idx, dtype=np.int64)
+    for f in reversed(table.cores.row_factors):
+        digits.append(rest % f)
+        rest = rest // f
+    digits.reverse()
+    # slices[j][b] is the (r_j, m_j, r_{j+1}) slice of core j that row b selects
+    slices = [c.transpose(1, 0, 2, 3)[d] for c, d in zip(cores, digits)]
+    # lefts[j]: (n, N_j, r_j), the chain before core j over its column digits
+    lefts = [np.ones((n, 1, 1))]
+    for sl in slices[:-1]:
+        r, m, r_next = sl.shape[1:]
+        nxt = np.matmul(lefts[-1], sl.reshape(n, r, m * r_next))
+        lefts.append(nxt.reshape(n, -1, r_next))
+    # rights[j]: (n, r_{j+1}, M_{j+1}), the chain after core j
+    rights = [np.ones((n, 1, 1))]
+    for sl in reversed(slices[1:]):
+        r, m, r_next = sl.shape[1:]
+        nxt = np.matmul(sl.reshape(n, r * m, r_next), rights[-1])
+        rights.append(nxt.reshape(n, r, -1))
+    rights.reverse()
+    de = np.zeros((n, int(np.prod(cf))))
+    de[:, : table.dim] = d_rows
+    grads = []
+    for j, core in enumerate(cores):
+        left, right = lefts[j], rights[j]
+        r, n_j, m, r_next = core.shape
+        de3 = de.reshape(n, left.shape[1], m * right.shape[2])
+        tmp = np.matmul(left.transpose(0, 2, 1), de3)  # (n, r_j, m_j * M)
+        dslice = np.matmul(
+            tmp.reshape(n, r * m, right.shape[2]), right.transpose(0, 2, 1)
+        )  # (n, r_j * m_j, r_{j+1})
+        acc = np.zeros((n_j, r * m * r_next))
+        np.add.at(acc, digits[j], dslice.reshape(n, -1))
+        grads.append(
+            np.ascontiguousarray(
+                acc.reshape(n_j, r, m, r_next).transpose(1, 0, 2, 3)
+            )
+        )
     return grads
 
 
@@ -536,7 +692,8 @@ def compute_gradients(
     entropy plus ``l2_ratio`` times the summed squared weights, and grads
     maps parameter names to arrays of matching shape.  Gradients flow
     through every head, the projections, and the embedding lookups
-    (tensor-train cores included).
+    (tensor-train cores included).  The dense tables' gradients are views
+    of one packed array laid out like the tables themselves.
     """
     y = np.asarray(labels, dtype=np.float64)
     trace, cache = _run_forward(
@@ -571,57 +728,77 @@ def compute_gradients(
         d = d @ layer.weight
     dx = d  # gradient w.r.t. the MLP input block
 
-    # split the MLP input gradient into per-field blocks
-    blocks = cache["e_raw"] if model.fused else cache["e_full"]
-    offsets = np.cumsum([0] + [b.shape[1] for b in blocks])
-    d_blocks = [dx[:, offsets[i] : offsets[i + 1]] for i in range(len(blocks))]
+    emb = cache["emb"]
+    n_fields, k = emb.shape[1:]
+    flat = emb.reshape(n, -1)
+    s = cache["fm_sum"]
+    dl = dlogit[:, None]
+    if cache["proj"] is None:
+        d_emb = dx[:, : n_fields * k].reshape(n, n_fields, k)
+        if model.fm_enabled:
+            d_emb = d_emb + dl[:, :, None] * (s[:, None, :] - emb)
+    else:
+        w, b, p_cat, gram, pb = cache["proj"]
+        dim = w.shape[1]
+        if model.fused:
+            d_flat = dx[:, : n_fields * k]
+            g_w = np.zeros_like(w)
+            g_b = np.zeros_like(b)
+        else:
+            # the MLP read e_i = P_i c_i + b_i
+            d_full = dx[:, : n_fields * dim].reshape(n, n_fields, dim)
+            g_w = np.matmul(d_full.transpose(1, 2, 0), emb.transpose(1, 0, 2))
+            g_b = d_full.sum(axis=0)
+            d_flat = np.matmul(d_full.transpose(1, 0, 2), w)
+            d_flat = d_flat.transpose(1, 0, 2).reshape(n, -1)
+        if model.fm_enabled:
+            # the pairwise term 0.5 * (||s||^2 - sum_i ||e_i||^2) has
+            # d/dc_i = P_i^T s - P_i^T P_i c_i - P_i^T b_i
+            ds = dl * s
+            d_flat = d_flat + (ds @ p_cat - dl * (cache["gc"] + pb))
+            # d/dP_i = s c_i^T - (P_i c_i + b_i) c_i^T, d/db_i = s - P_i c_i - b_i
+            dl_emb = emb * dl[:, :, None]
+            cc = np.matmul(dl_emb.transpose(1, 2, 0), emb.transpose(1, 0, 2))
+            c_sum = dl_emb.sum(axis=0)  # (fields, k)
+            g_w = g_w + (
+                (ds.T @ flat).reshape(dim, n_fields, k).transpose(1, 0, 2)
+                - np.matmul(w, cc)
+                - b[:, :, None] * c_sum[:, None, :]
+            )
+            g_b = g_b + (
+                ds.sum(axis=0)
+                - (np.matmul(w, c_sum[:, :, None])[:, :, 0] + b * dlogit.sum())
+            )
+        for i in range(n_fields):
+            grads[f"proj.{i}.weight"] = g_w[i]
+            grads[f"proj.{i}.bias"] = g_b[i]
+        d_emb = d_flat.reshape(n, n_fields, k)
 
     idx = batch.indices
-    s = cache["fm_sum"]
-    for i, table in enumerate(model.tables):
-        if model.fm_enabled:
-            d_fm = dlogit[:, None] * (s - cache["e_full"][i])
-        else:
-            d_fm = None
-        if model.projections is not None:
-            proj = model.projections[i]
-            if model.fused:
-                d_full = d_fm if d_fm is not None else None
-                d_raw = d_blocks[i].copy()
-            else:
-                d_full = d_blocks[i] + d_fm if d_fm is not None else d_blocks[i]
-                d_raw = None
-            if d_full is not None:
-                grads[f"proj.{i}.weight"] = d_full.T @ cache["e_raw"][i]
-                grads[f"proj.{i}.bias"] = d_full.sum(axis=0)
-                back = d_full @ proj.weight
-                d_raw = back if d_raw is None else d_raw + back
-            else:
-                grads[f"proj.{i}.weight"] = np.zeros_like(proj.weight)
-                grads[f"proj.{i}.bias"] = np.zeros_like(proj.bias)
-                if d_raw is None:
-                    d_raw = np.zeros_like(cache["e_raw"][i])
-        else:
-            d_raw = d_blocks[i] + d_fm if d_fm is not None else d_blocks[i]
-        if isinstance(table, TTEmbeddingTable):
-            core_grads = _tt_lookup_grads(table, idx[:, i], d_raw)
+    packed = cache["packed"]
+    if packed.tables is not None:
+        g_tables = np.empty_like(packed.tables)
+        for i, (o, v) in enumerate(zip(packed.offsets, packed.vocab)):
+            g_tables[o : o + v] = _scatter_rows(d_emb[:, i], idx[:, i], v)
+            grads[f"emb.{i}.weight"] = g_tables[o : o + v].T
+    else:
+        for i, table in enumerate(model.tables):
+            core_grads = _tt_lookup_grads(table, idx[:, i], d_emb[:, i])
             for j, g in enumerate(core_grads):
                 grads[f"emb.{i}.core.{j}"] = g.astype(dtype)
-        else:
-            grads[f"emb.{i}.weight"] = _scatter_rows(
-                d_raw, idx[:, i], table.vocab
-            ).astype(dtype)
 
-    for i, fo in enumerate(model.first_order):
-        grads[f"fo.{i}.weight"] = np.bincount(
-            idx[:, i].astype(np.int64),
-            weights=dlogit.astype(np.float64),
-            minlength=fo.shape[0],
+    if packed.first_order is not None:
+        g_fo = np.bincount(
+            cache["rows"].ravel(),
+            weights=np.repeat(dlogit.astype(np.float64), n_fields),
+            minlength=packed.first_order.shape[0],
         ).astype(dtype)
+        for i, (o, v) in enumerate(zip(packed.offsets, packed.vocab)):
+            grads[f"fo.{i}.weight"] = g_fo[o : o + v]
 
     if l2_ratio:
         for name, p in model.named_parameters():
-            grads[name] = grads[name] + (2.0 * l2_ratio) * p
+            grads[name] += (2.0 * l2_ratio) * p
 
     return loss, grads, trace
 

@@ -44,7 +44,11 @@ from .stats import ActivationTap
 
 
 class Adam:
-    """Adam with decoupled weight decay; state lives per parameter name."""
+    """Adam with decoupled weight decay; state lives per parameter name.
+
+    Each step updates every parameter in place through two scratch
+    buffers shared by all parameters, so a step allocates nothing once the
+    buffers have grown to the largest parameter."""
 
     def __init__(
         self,
@@ -61,24 +65,57 @@ class Adam:
         self.eps = float(eps)
         self.t = 0
         self.state = {}
+        self._scratch = {}  # dtype -> two flat buffers
+
+    def _buffers(self, params) -> dict:
+        for dtype in {p.dtype for _, p in params}:
+            size = max(p.size for _, p in params if p.dtype == dtype)
+            held = self._scratch.get(dtype)
+            if held is None or held[0].size < size:
+                self._scratch[dtype] = (np.empty(size, dtype), np.empty(size, dtype))
+        return self._scratch
 
     def step(self, named_params, grads: dict) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in named_params:
+        params = list(named_params)
+        scratch = self._buffers(params)
+        for name, p in params:
             g = grads[name]
             if name not in self.state:
                 self.state[name] = (np.zeros_like(p), np.zeros_like(p))
             m, v = self.state[name]
+            a, u = (_laid_out_like(buf, p) for buf in scratch[p.dtype])
+            # the same operations, in the same order, as
+            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            #   p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p)
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += a
+            np.divide(m, c1, out=u)
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            u /= a
             if self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= self.lr * update
+                np.multiply(p, self.weight_decay, out=a)
+                u += a
+            u *= self.lr
+            p -= u
+
+
+def _laid_out_like(buf: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The first ``p.size`` entries of ``buf`` as an array with ``p``'s shape
+    and memory order (column-major for the transposed table views)."""
+    head = buf[: p.size]
+    if p.flags.f_contiguous and not p.flags.c_contiguous:
+        return head.reshape(p.shape[::-1]).T
+    return head.reshape(p.shape)
 
 
 @dataclass
@@ -170,6 +207,7 @@ def train(
                 dropout_override=cfg.dropout,
             )
             opt.step(model.named_parameters(), grads)
+            del grads  # freed before the next step allocates its own
             preds[start : start + cfg.batch_size] = trace.predictions
             running_loss += loss * len(sel)
         row = {

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,3 +173,137 @@ def test_rejects_corrupt_manifest_bytes(tmp_path):
     path.write_bytes(blob[: len(MAGIC) + 8] + filler + blob[len(MAGIC) + 8 + length :])
     with pytest.raises(DataError, match="not an object"):
         load_checkpoint(path)
+
+
+# -- fail fast on tensors the topology does not imply -------------------------
+
+
+def craft(tmp_path, model, edit):
+    """Write ``model`` as a checkpoint after ``edit(topology, tensors)`` has
+    changed its topology or its named tensors; offsets follow the edit."""
+    manifest = manifest_for(model)
+    tensors = dict(model.named_parameters())
+    edit(manifest["topology"], tensors)
+    entries, chunks, offset = [], [], 0
+    for name, arr in tensors.items():
+        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        entries.append({"name": name, "shape": list(np.shape(arr)), "dtype": "f32",
+                        "offset": offset, "nbytes": len(data)})
+        chunks.append(data)
+        offset += len(data)
+    manifest["tensors"] = entries
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "crafted.lrck"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + b"".join(chunks))
+    return path
+
+
+def plain_model():
+    return init_deepfm([11, 7], 4, [8, 8, 8], n_continuous=2, seed=1)
+
+
+def projected_model():
+    model = init_deepfm([9, 9], 4, [6], seed=3)
+    rng = np.random.default_rng(0)
+    taps = []
+    for i in range(2):
+        tap = ActivationTap.for_dim(f"emb.{i}", 4)
+        tap.accumulator.update(rng.standard_normal((50, 4)))
+        taps.append(tap)
+    afm_apply_embedding(model, afm_plan_embedding(taps, 2))
+    return model
+
+
+def tt_model():
+    model = init_deepfm([12, 8], 4, [6], seed=4)
+    tt_compress_embedding(model, max_rank=2, n_cores=2)
+    return model
+
+
+def put(name, arr):
+    def edit(topo, tensors):
+        tensors[name] = arr
+    return edit
+
+
+def unequal_widths(topo, tensors):
+    topo["fields"][1]["dim"] = 3
+    tensors["emb.1.weight"] = np.zeros((3, 9), np.float32)
+    tensors["proj.1.weight"] = np.zeros((4, 3), np.float32)
+
+
+def non_finite(topo, tensors):
+    bias = tensors["mlp.0.bias"].copy()
+    bias[1] = np.inf
+    tensors["mlp.0.bias"] = bias
+
+
+def mixed_fields(topo, tensors):
+    tt = tt_model()
+    topo["fields"][1] = manifest_for(tt)["topology"]["fields"][1]
+    del tensors["emb.1.weight"]
+    for name, core in tt.named_parameters():
+        if name.startswith("emb.1.core."):
+            tensors[name] = core
+
+
+def fused_without_projections(topo, tensors):
+    topo["fused"] = True
+
+
+def extra_tensor(topo, tensors):
+    tensors["emb.9.weight"] = np.zeros((4, 3), np.float32)
+
+
+def short_table(topo, tensors):
+    tensors["emb.0.weight"] = np.zeros((4, 10), np.float32)
+
+
+def two_outputs(topo, tensors):
+    tensors["mlp.3.weight"] = np.zeros((2, 8), np.float32)
+    tensors["mlp.3.bias"] = np.zeros(2, np.float32)
+
+
+def bad_core(topo, tensors):
+    core = tensors["emb.0.core.0"]
+    tensors["emb.0.core.0"] = np.zeros(core.shape[:-1] + (core.shape[-1] + 1,), np.float32)
+
+
+@pytest.mark.parametrize(
+    "make, edit, message",
+    [
+        (plain_model, short_table, "emb.0.weight has shape"),
+        (projected_model, unequal_widths, "share one width"),
+        (projected_model, put("proj.0.weight", np.zeros((4, 3), np.float32)), "proj.0.weight has shape"),
+        (projected_model, put("proj.1.bias", np.zeros(3, np.float32)), "proj.1.bias has shape"),
+        (plain_model, put("fo.1.weight", np.zeros(8, np.float32)), "fo.1.weight has shape"),
+        (plain_model, put("mlp.1.weight", np.zeros((8, 7), np.float32)), "mlp.1.weight has shape"),
+        (plain_model, put("mlp.0.weight", np.zeros((8, 8), np.float32)), "mlp.0.weight has shape"),
+        (plain_model, two_outputs, "the last exactly 1"),
+        (tt_model, bad_core, "emb.0.core.0 has shape"),
+        (plain_model, non_finite, "non-finite"),
+        (plain_model, mixed_fields, "mix dense tables and tensor-train"),
+        (plain_model, fused_without_projections, "without projections"),
+        (plain_model, extra_tensor, "does not use"),
+    ],
+)
+def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):
+    model = make()
+    assert_same_params(model, load_checkpoint(craft(tmp_path, model, lambda t, x: None)))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(craft(tmp_path, model, edit))
+
+
+FIXTURES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["plain.lrck", "afm-fused.lrck", "tt.lrck"])
+def test_save_of_load_reproduces_fixture_bytes(tmp_path, name):
+    """The fixtures were written with per-field (dim, vocab) table storage,
+    before tables were packed; the bytes of the format did not change."""
+    model = load_checkpoint(FIXTURES / name)
+    save_checkpoint(model, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+    idx = np.zeros((2, model.n_fields), dtype=np.int64)
+    trace = forward(model, FeatureBatch(idx, np.zeros((2, model.n_continuous), np.float32)))
+    assert np.isfinite(trace.logits).all()

@@ -1,15 +1,23 @@
 """Tests for the DeepFM model: forward math, gradients, parameter tally."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from lowrank_ctr.compress import tt_compress_embedding
+from lowrank_ctr.compress import (
+    afm_apply_embedding,
+    afm_plan_embedding,
+    fuse_projection_into_first_fc,
+    tt_compress_embedding,
+)
 from lowrank_ctr.errors import DataError, ShapeError
 from lowrank_ctr.nn import (
     DeepFMModel,
     EmbeddingTable,
     FeatureBatch,
     ProjectionLayer,
+    _tt_lookup_grads,
     bce_from_logits,
     compute_gradients,
     forward,
@@ -18,6 +26,7 @@ from lowrank_ctr.nn import (
     param_count,
     sigmoid,
 )
+from lowrank_ctr.stats import ActivationTap
 from lowrank_ctr.train import loss_bce_l2
 
 
@@ -265,3 +274,191 @@ def test_forward_deterministic_across_calls():
     a = forward(model, make_batch(idx)).predictions
     b = forward(model, make_batch(idx)).predictions
     assert a.tobytes() == b.tobytes()
+
+
+# -- packed table storage ----------------------------------------------------
+
+
+def full_width_reference(model, idx):
+    """Float64 logits and pairwise term, field by field from the full-width
+    vectors P_i c_i + b_i (or the raw rows when there are no projections)."""
+    raw = [model.tables[i].lookup(idx[:, i]).astype(np.float64) for i in range(model.n_fields)]
+    if model.projections is not None:
+        full = [r @ p.weight.T.astype(np.float64) + p.bias for r, p in zip(raw, model.projections)]
+    else:
+        full = raw
+    pairwise = np.zeros(idx.shape[0])
+    for i in range(len(full)):
+        for j in range(i + 1, len(full)):
+            pairwise += np.sum(full[i] * full[j], axis=1)
+    first = sum(fo[idx[:, i]].astype(np.float64) for i, fo in enumerate(model.first_order))
+    x = np.concatenate(raw if model.fused else full, axis=1)
+    for layer in model.mlp:
+        x = x @ layer.weight.T.astype(np.float64) + layer.bias
+        if layer.activation == "relu":
+            x = np.maximum(x, 0.0)
+    return first + pairwise + x[:, 0], pairwise
+
+
+def projected_model(fused, seed=0):
+    """A float64 model with reduced tables and random projections."""
+    model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=seed, dtype=np.float64, dropout_rate=0.0)
+    rng = np.random.default_rng(seed)
+    taps = []
+    for i in range(3):
+        tap = ActivationTap.for_dim(f"emb.{i}", 4)
+        tap.accumulator.update(rng.standard_normal((40, 4)))
+        taps.append(tap)
+    afm_apply_embedding(model, afm_plan_embedding(taps, 2))
+    for p in model.projections:  # make the biases and bases generic
+        p.weight[...] = rng.standard_normal(p.weight.shape)
+        p.bias[...] = rng.standard_normal(p.bias.shape)
+    if fused:
+        fuse_projection_into_first_fc(model)
+    return model
+
+
+def test_tables_are_views_of_one_packed_array():
+    model = init_deepfm([4, 6, 3], 5, [4], seed=0)
+    packed = model.packed()
+    assert packed.tables.shape == (13, 5) and packed.tables.flags.c_contiguous
+    assert packed.first_order.shape == (13,)
+    for i, (table, fo) in enumerate(zip(model.tables, model.first_order)):
+        start = int(packed.offsets[i])
+        assert table.weights.shape == (5, table.vocab)
+        np.testing.assert_array_equal(table.weights, packed.tables[start : start + table.vocab].T)
+        assert np.shares_memory(table.weights, packed.tables)
+        assert np.shares_memory(fo, packed.first_order)
+
+
+def test_in_place_table_writes_reach_forward():
+    model = init_deepfm([6, 6], 3, [5], seed=1, dtype=np.float64)
+    idx = np.array([[2, 4], [5, 0], [2, 2]])
+    model.tables[0].weights[:, 2] = [1.0, -2.0, 0.5]
+    model.first_order[1][4] = 3.0
+    for _, p in model.named_parameters():
+        p *= 1.5
+    want, _ = full_width_reference(model, idx)
+    np.testing.assert_allclose(forward(model, make_batch(idx)).logits, want, rtol=1e-12, atol=1e-12)
+
+
+def test_rebound_weights_reach_forward():
+    model = init_deepfm([6, 6], 3, [5], seed=2, dtype=np.float64)
+    idx = np.array([[1, 4], [5, 0]])
+    forward(model, make_batch(idx))
+    mine = np.arange(18, dtype=np.float64).reshape(3, 6) / 10.0
+    model.tables[1].weights = mine
+    model.first_order[0] = np.full(6, 0.25)
+    want, _ = full_width_reference(model, idx)
+    np.testing.assert_allclose(forward(model, make_batch(idx)).logits, want, rtol=1e-12, atol=1e-12)
+    # the forward pass packed the new arrays; the tables are views again
+    assert np.shares_memory(model.tables[1].weights, model.packed().tables)
+    model.tables[1].weights[:, 4] = 0.0
+    want, _ = full_width_reference(model, idx)
+    np.testing.assert_allclose(forward(model, make_batch(idx)).logits, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "clone"])
+def test_copies_share_no_memory(how):
+    model = projected_model(fused=True)
+    other = copy.deepcopy(model) if how == "deepcopy" else model.clone()
+    idx = np.array([[1, 2, 3], [6, 4, 8]])
+    before = forward(model, make_batch(idx)).logits
+    np.testing.assert_array_equal(forward(other, make_batch(idx)).logits, before)
+    for (name, a), (_, b) in zip(model.named_parameters(), other.named_parameters()):
+        assert not np.shares_memory(a, b), name
+    for kind in ("tables", "first_order"):
+        assert not np.shares_memory(getattr(model.packed(), kind), getattr(other.packed(), kind))
+    for _, p in other.named_parameters():
+        p[...] = 0.0
+    np.testing.assert_array_equal(forward(other, make_batch(idx)).logits, 0.0)
+    np.testing.assert_array_equal(forward(model, make_batch(idx)).logits, before)
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_reduced_space_pairwise_equals_full_width(fused):
+    model = projected_model(fused, seed=3)
+    idx = np.random.default_rng(4).integers(0, [7, 5, 9], size=(50, 3))
+    trace = forward(model, make_batch(idx))
+    want_logits, want_pairwise = full_width_reference(model, idx)
+    np.testing.assert_allclose(trace.pairwise_term, want_pairwise, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.logits, want_logits, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["base", "unfused", "fused"])
+def test_batch_one_matches_batch_n(kind):
+    if kind == "base":
+        model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=5, dtype=np.float64)
+    else:
+        model = projected_model(kind == "fused", seed=5)
+    idx = np.random.default_rng(6).integers(0, [7, 5, 9], size=(40, 3))
+    batch = forward(model, make_batch(idx)).logits
+    single = np.array([forward(model, make_batch(idx[r : r + 1])).logits[0] for r in range(40)])
+    np.testing.assert_allclose(single, batch, rtol=0, atol=1e-12)
+
+
+def test_fused_projected_gradients_match_finite_differences():
+    model = projected_model(fused=True, seed=7)
+    batch = make_batch([[0, 1, 2], [6, 4, 8], [3, 3, 3]])
+    labels = np.array([1, 0, 1])
+    fd_check(model, batch, labels)
+
+
+def test_unfused_projected_gradients_without_fm_match_finite_differences():
+    model = projected_model(fused=False, seed=8)
+    model.fm_enabled = False
+    model.first_order = []
+    batch = make_batch([[0, 1, 2], [6, 4, 8]])
+    fd_check(model, batch, np.array([0, 1]))
+
+
+def test_mixed_dense_and_tt_fields_are_rejected():
+    model = init_deepfm([4, 6], 4, [3], seed=10)
+    tt = init_deepfm([4, 6], 4, [3], seed=10)
+    tt_compress_embedding(tt, max_rank=2, n_cores=2)
+    model.tables[1] = tt.tables[1]
+    with pytest.raises(ShapeError):
+        forward(model, make_batch([[0, 1]]))
+
+
+def tt_grads_per_row(table, idx, d_rows):
+    """Row-by-row reference for the tensor-train lookup gradient."""
+    cores = table.cores.cores
+    rf, cf = table.cores.row_factors, table.cores.col_factors
+    grads = [np.zeros(c.shape) for c in cores]
+    pad_cols = int(np.prod(cf))
+    for row_i in range(idx.shape[0]):
+        digits, rest = [], int(idx[row_i])
+        for f in reversed(rf):
+            digits.append(rest % f)
+            rest //= f
+        digits.reverse()
+        slices = [core[:, dig, :, :] for core, dig in zip(cores, digits)]
+        lefts = [np.ones((1, 1))]
+        for sl in slices[:-1]:
+            lefts.append(np.tensordot(lefts[-1], sl, axes=([1], [0])).reshape(-1, sl.shape[-1]))
+        rights = [np.ones((1, 1))]
+        for sl in reversed(slices[1:]):
+            rights.append(np.tensordot(sl, rights[-1], axes=([2], [0])).reshape(sl.shape[0], -1))
+        rights.reverse()
+        de = np.zeros(pad_cols)
+        de[: table.dim] = d_rows[row_i]
+        for j in range(len(cores)):
+            de3 = de.reshape(lefts[j].shape[0], cf[j], rights[j].shape[1])
+            tmp = np.einsum("xr,xab->rab", lefts[j], de3)
+            grads[j][:, digits[j], :, :] += np.einsum("rab,sb->ras", tmp, rights[j])
+    return grads
+
+
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_tt_lookup_grads_match_per_row_loop(n_cores):
+    model = init_deepfm([60], 6, [3], seed=11, dtype=np.float64)
+    tt_compress_embedding(model, max_rank=3, n_cores=n_cores)
+    table = model.tables[0]
+    rng = np.random.default_rng(12)
+    idx = rng.integers(0, 60, size=200)  # with repeats, so slices accumulate
+    d_rows = rng.standard_normal((200, 6))
+    got = _tt_lookup_grads(table, idx, d_rows)
+    for g, want in zip(got, tt_grads_per_row(table, idx, d_rows)):
+        assert g.shape == want.shape
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)

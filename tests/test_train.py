@@ -9,9 +9,10 @@ from lowrank_ctr.config import load_config
 from lowrank_ctr.checkpoint import save_checkpoint
 from lowrank_ctr.data import SynthSpec, split, synth_generate
 from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError
-from lowrank_ctr.nn import forward, init_deepfm, l2_penalty
+from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty
 from lowrank_ctr.train import (
     Adam,
+    _laid_out_like,
     TrainConfig,
     calibrate,
     evaluate_model,
@@ -79,6 +80,76 @@ def test_decay_is_decoupled_from_moments():
         opt.step([("w", p)], {"w": np.zeros(2)})
     np.testing.assert_allclose(p, np.array([2.0, -3.0]) * (1 - 0.1 * 0.5) ** 4,
                                rtol=1e-12)
+
+
+class FormulaAdam:
+    """The optimizer's update written with one temporary per operation, as
+    the in-place step must reproduce to the bit."""
+
+    def __init__(self, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.wd, self.beta1, self.beta2, self.eps = lr, wd, beta1, beta2, eps
+        self.t = 0
+        self.state = {}
+
+    def step(self, named_params, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for name, p in named_params:
+            g = grads[name]
+            if name not in self.state:
+                self.state[name] = (np.zeros_like(p), np.zeros_like(p))
+            m, v = self.state[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if self.wd:
+                update = update + self.wd * p
+            p -= self.lr * update
+
+
+def test_training_steps_are_bit_identical_to_the_formulas():
+    ds = synth_generate(SynthSpec(n_samples=400, vocab_sizes=[30, 20, 25], seed=4))
+    model = init_deepfm(ds.vocab_sizes, 4, [8, 8, 8], seed=5, dropout_rate=0.0)
+    twin = model.clone()
+    opt, ref = Adam(0.01, weight_decay=0.004), FormulaAdam(0.01, 0.004)
+    l2 = 1e-3
+    for step in range(6):
+        sel = np.arange(step * 60, step * 60 + 60)
+        batch, labels = ds.batch(sel), ds.labels[sel]
+        loss, grads, _ = compute_gradients(model, batch, labels, l2_ratio=l2)
+        loss0, plain, _ = compute_gradients(twin, batch, labels)
+        penalty = sum(float((p.astype(np.float64) ** 2).sum()) for _, p in twin.named_parameters())
+        assert l2_penalty(twin) == penalty
+        assert loss == loss0 + l2 * penalty
+        for name, p in twin.named_parameters():
+            want = plain[name] + (2.0 * l2) * p
+            assert grads[name].tobytes() == want.tobytes(), name
+        opt.step(model.named_parameters(), grads)
+        ref.step(twin.named_parameters(), grads)
+        assert params_bytes(model) == params_bytes(twin), f"step {step}"
+
+
+def test_adam_scratch_follows_each_parameter_layout():
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((7, 3)).astype(np.float32)
+    params = {"t": rows.copy().T, "w": rng.standard_normal((2, 5)).astype(np.float32)}
+    assert params["t"].flags.f_contiguous and not params["t"].flags.c_contiguous
+    buf = np.empty(40, np.float32)
+    for p in params.values():
+        view = _laid_out_like(buf, p)
+        assert view.shape == p.shape and view.strides == p.strides
+        assert np.shares_memory(view, buf)
+    twins = {k: v.copy(order="K") for k, v in params.items()}
+    opt, ref = Adam(0.05, weight_decay=0.01), FormulaAdam(0.05, 0.01)
+    for _ in range(4):
+        grads = {k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+        opt.step(list(params.items()), grads)
+        ref.step(list(twins.items()), grads)
+    for k in params:
+        assert params[k].tobytes() == twins[k].tobytes(), k
 
 
 def test_zero_learning_rate_freezes_everything():
