@@ -31,6 +31,7 @@ from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
 from .metrics import bench_throughput
 from .nn import forward, param_count
 from .train import (
+    CALIBRATED_METHODS,
     EMB_METHODS,
     MLP_METHODS,
     TrainConfig,
@@ -100,7 +101,7 @@ def cmd_compress(args) -> int:
     model = load_checkpoint(args.model_in)
     rc = _config_from(args)
     taps = None
-    if args.method.startswith("afm"):
+    if args.method in CALIBRATED_METHODS:
         train_ds, _ = prepare_data(rc)
         if args.method == "afm-mlp":
             ids = [f"mlp.{j}" for j in MLP_COMPRESSIBLE]

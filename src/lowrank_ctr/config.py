@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .train import (
+    CALIBRATED_METHODS,
     EMB_METHODS,
     MLP_METHODS,
     STAGE_KEYS,
@@ -158,7 +159,8 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
 
 
 def standard_stages(profile: dict, pipeline: dict) -> list:
-    """Build the calibrate/compress/finetune chain for one or two targets."""
+    """Build the [calibrate/]compress/finetune chain for one or two targets;
+    only the methods that read calibration taps get a calibrate stage."""
     _reject_unknown(pipeline, _PIPELINE_KEYS, "pipeline")
     order = pipeline.get("order", "mlp-emb")
     if order not in ("mlp-emb", "emb-mlp"):
@@ -203,11 +205,10 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
                 comp["fuse"] = bool(pipeline["fuse"])
             fine = {**ft, **profile.get("finetune_emb", {})}
             taps = "emb"
-        return [
-            {"stage": "calibrate", "taps": taps},
-            comp,
-            {"stage": "finetune", **fine},
-        ]
+        chain = [comp, {"stage": "finetune", **fine}]
+        if comp["method"] in CALIBRATED_METHODS:
+            chain.insert(0, {"stage": "calibrate", "taps": taps})
+        return chain
 
     first, second = ("mlp", "emb") if order == "mlp-emb" else ("emb", "mlp")
     stages.extend(block(first))

@@ -1,6 +1,7 @@
 """Dense linear algebra kernels.
 
-Everything here runs in float64 regardless of the input dtype, and every
+Everything here runs in float64 regardless of the input dtype, except the
+tensor-train reconstructions, which keep the dtype of their cores; every
 routine is deterministic: the same input yields bit-identical output (for
 a fixed BLAS thread count).  Matrices are plain 2-D numpy arrays.
 
@@ -212,23 +213,23 @@ def tt_reconstruct_row(tt: TTCores, row_index: int) -> np.ndarray:
 
     This is the embedding lookup path for tensor-train tables: every call
     redoes the full chain of small matrix products, which is exactly the
-    cost the throughput benchmark measures.
+    cost the throughput benchmark measures.  The chain is plain 2-D
+    products of core-slice views, so a call costs little beyond them.
     """
-    total = prod(tt.row_factors)
-    idx = int(row_index)
-    if not 0 <= idx < total:
-        raise IndexError(f"row index {row_index} outside [0, {total})")
-    digits = []
-    rest = idx
-    for f in reversed(tt.row_factors):
-        digits.append(rest % f)
-        rest //= f
-    digits.reverse()
-    acc = tt.cores[0][0, digits[0], :, :]  # (n_0, r_1)
-    for core, digit in zip(tt.cores[1:], digits[1:]):
-        piece = core[:, digit, :, :]  # (r_prev, n_i, r_next)
-        acc = np.tensordot(acc, piece, axes=([acc.ndim - 1], [0]))
-        acc = acc.reshape(-1, piece.shape[-1])
+    factors = tt.row_factors
+    rest = int(row_index)
+    if not 0 <= rest < prod(factors):
+        raise IndexError(f"row index {row_index} outside [0, {prod(factors)})")
+    digits = []  # least significant first
+    for f in reversed(factors):
+        rest, digit = divmod(rest, f)
+        digits.append(digit)
+    cores = tt.cores
+    acc = cores[0][0, digits.pop()]  # (n_0, r_1)
+    for core in cores[1:]:
+        r, _, n, r_next = core.shape
+        # (columns so far, r) @ (r, n * r_next): a view of the selected slice
+        acc = acc.reshape(-1, r) @ core[:, digits.pop()].reshape(r, n * r_next)
     return acc.reshape(-1)
 
 

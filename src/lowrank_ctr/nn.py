@@ -37,6 +37,7 @@ the model dtype, except predictions and loss terms, which are float64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -108,8 +109,8 @@ class TTEmbeddingTable:
     dim: int
 
     def lookup(self, idx: np.ndarray) -> np.ndarray:
-        rows = [tt_reconstruct_row(self.cores, int(v))[: self.dim] for v in idx]
-        return np.stack(rows)
+        cores, dim = self.cores, self.dim
+        return np.stack([tt_reconstruct_row(cores, v)[:dim] for v in idx.tolist()])
 
 
 @dataclass
@@ -440,6 +441,15 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return _logistic(z)
 
 
+@lru_cache(maxsize=16)
+def _stacked_identity(n_fields: int, k: int, dtype) -> np.ndarray:
+    """The read-only (n_fields * k, k) stack of k x k identities, built once
+    per shape and dtype; ``flat @`` it sums the fields' k-wide blocks."""
+    eye = np.tile(np.eye(k, dtype=dtype), (n_fields, 1))
+    eye.flags.writeable = False
+    return eye
+
+
 def _projection_terms(projections, dtype):
     """Stacked projections and the fixed parts of the reduced-space
     pairwise term.
@@ -510,8 +520,7 @@ def _run_forward(
             fo = np.take(packed.first_order, rows) @ ones
         if proj is None:
             # s = sum_i e_i as one matmul with stacked identities
-            k = emb.shape[2]
-            s = flat @ np.tile(np.eye(k, dtype=flat.dtype), (model.n_fields, 1))
+            s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
             sq = np.einsum("ij,ij->i", flat, flat)
         else:
             # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone

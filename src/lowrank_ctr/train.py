@@ -12,8 +12,10 @@ independently and both active by default.
 
 A pipeline is a stage list: ``train_baseline``, ``calibrate``,
 ``compress``, ``finetune``, ``eval``.  Validation enforces the protocol
-that every compress stage has a calibrate stage directly before it and
-exactly one finetune directly after (eval stages are transparent).
+that every compress stage has exactly one finetune directly after it, and
+that an output-PCA (``afm-*``) compress stage, the only kind that reads
+calibration statistics, has a calibrate stage directly before it (eval
+stages are transparent to both rules).
 """
 
 from __future__ import annotations
@@ -301,10 +303,13 @@ STAGE_KEYS = {
 STAGE_NAMES = tuple(STAGE_KEYS)
 MLP_METHODS = ("afm-mlp", "svd-mlp")
 EMB_METHODS = ("afm-emb", "svd-emb", "tt-emb")
+# the methods that read calibration taps; the others need no calibrate stage
+CALIBRATED_METHODS = ("afm-mlp", "afm-emb")
 
 
 def validate_pipeline(stages: list) -> None:
-    """Enforce stage ordering: calibrate -> compress -> one finetune."""
+    """Enforce stage ordering: [calibrate ->] compress -> one finetune,
+    with the calibrate required for the methods that read its taps."""
     if not stages:
         raise ConfigError("pipeline has no stages")
     for s in stages:
@@ -314,9 +319,11 @@ def validate_pipeline(stages: list) -> None:
     for pos, (i, s) in enumerate(core):
         if s["stage"] != "compress":
             continue
-        if pos == 0 or core[pos - 1][1]["stage"] != "calibrate":
+        calibrated = pos > 0 and core[pos - 1][1]["stage"] == "calibrate"
+        if s.get("method") in CALIBRATED_METHODS and not calibrated:
             raise ConfigError(
-                f"stage {i}: compress must directly follow a calibrate stage"
+                f"stage {i}: {s['method']} compress must directly follow a "
+                f"calibrate stage"
             )
         if pos + 1 >= len(core) or core[pos + 1][1]["stage"] != "finetune":
             raise ConfigError(

@@ -25,7 +25,7 @@ from lowrank_ctr.compress import (
 from lowrank_ctr.config import load_config
 from lowrank_ctr.data import FeatureBatch, SynthSpec, synth_generate
 from lowrank_ctr.linalg import low_rank_factors_svd
-from lowrank_ctr.metrics import auc, bench_throughput, logloss
+from lowrank_ctr.metrics import auc, logloss
 from lowrank_ctr.nn import compute_gradients, forward, init_deepfm
 from lowrank_ctr.stats import ActivationTap, MomentAccumulator
 from lowrank_ctr.train import (
@@ -402,19 +402,19 @@ def test_criterion_09_throughput(capsys, seed0_run):
     ]
     batches = (batch_list * 3)[:23]
 
-    def tput(model):
-        rep = bench_throughput(
-            lambda b: forward(model, b, mode="infer"),
-            batches,
-            warmup=3,
-            batch_size=10000,
-        )
-        return rep["samples_per_second"]
-
-    t_base = tput(baseline)
-    t_mlp = tput(mlp_small)
-    t_emb = tput(emb_small)
-    t_tt = tput(tt)
+    # the four models take turns on each batch, so host drift hits them
+    # alike, and the turn order rotates, so no model always runs right after
+    # the same one; 3 warm-up and 20 timed batches each, median per model
+    models = (baseline, mlp_small, emb_small, tt)
+    timings = [[] for _ in models]
+    for j, batch in enumerate(batches):
+        for i in range(len(models)):
+            m = (i + j) % len(models)
+            start = time.perf_counter()
+            forward(models[m], batch, mode="infer")
+            if j >= 3:
+                timings[m].append(time.perf_counter() - start)
+    t_base, t_mlp, t_emb, t_tt = (10000 / float(np.median(t)) for t in timings)
     mlp_ratio = t_mlp / t_base
     emb_ratio = t_emb / t_tt
     wall = time.perf_counter() - started

@@ -157,7 +157,8 @@ def test_pipeline_command_end_to_end(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert all(s["status"] == "completed" for s in manifest["stages"])
-    assert (out / "reports" / "stage02-svd-mlp.json").exists()
+    # svd-mlp reads no calibration taps, so no calibrate stage precedes it
+    assert (out / "reports" / "stage01-svd-mlp.json").exists()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -183,6 +184,19 @@ def test_pipeline_rejects_bad_mlp_config_before_training(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert "hidden_dims" in capsys.readouterr().err
+    assert not list(out.rglob("*.lrck"))
+
+
+def test_pipeline_rejects_afm_compress_without_calibrate(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "stages": [
+        {"stage": "train_baseline"},
+        {"stage": "compress", "method": "afm-emb", "rank": 4},
+        {"stage": "finetune"},
+    ]}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "calibrate" in capsys.readouterr().err
     assert not list(out.rglob("*.lrck"))
 
 

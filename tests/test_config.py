@@ -125,8 +125,16 @@ def test_standard_stages_emb_first_and_single_target():
     ]
     assert only_mlp[2]["method"] == "afm-mlp"
 
+    # svd and tt compress stages read no calibration taps, so get no calibrate
     only_emb = standard_stages(PROFILES["synth"], {"mlp": None, "emb": "svd-emb"})
-    assert only_emb[2]["method"] == "svd-emb"
+    assert names(only_emb) == ["train_baseline", "compress", "finetune", "eval"]
+    assert only_emb[1]["method"] == "svd-emb"
+
+    svd_then_tt = standard_stages(PROFILES["synth"], {"mlp": "svd-mlp", "emb": "tt-emb"})
+    assert names(svd_then_tt) == [
+        "train_baseline", "compress", "finetune", "compress", "finetune", "eval"
+    ]
+    assert [svd_then_tt[i]["method"] for i in (1, 3)] == ["svd-mlp", "tt-emb"]
 
 
 def test_standard_stages_rank_and_flag_overrides():
@@ -140,9 +148,9 @@ def test_standard_stages_rank_and_flag_overrides():
     assert stages[5]["fuse"] is False
 
     tt = standard_stages(PROFILES["criteo"], {"emb": "tt-emb", "fuse": False})
-    assert tt[5]["method"] == "tt-emb"
-    assert tt[5]["rank"] == PROFILES["criteo"]["tt_rank"]
-    assert "fuse" not in tt[5]  # projections never exist on the TT path
+    assert tt[4]["method"] == "tt-emb"  # no calibrate stage before it
+    assert tt[4]["rank"] == PROFILES["criteo"]["tt_rank"]
+    assert "fuse" not in tt[4]  # projections never exist on the TT path
 
     with pytest.raises(ConfigError, match="order"):
         standard_stages(PROFILES["synth"], {"order": "both"})

@@ -12,6 +12,7 @@ import pytest
 
 from lowrank_ctr.errors import NumericError, RankError, ShapeError
 from lowrank_ctr.linalg import (
+    TTCores,
     low_rank_factors_svd,
     plan_tt_factors,
     svd_thin,
@@ -276,6 +277,72 @@ def test_tt_row_lookup_matches_full_reconstruction():
         np.testing.assert_allclose(tt_reconstruct_row(tt, row), full[row], atol=1e-7)
     with pytest.raises(IndexError):
         tt_reconstruct_row(tt, 4)
+
+
+def tt_row_by_tensordot(tt, row):
+    """The ``np.tensordot`` chain the row kernel replaced, as its reference."""
+    digits, rest = [], int(row)
+    for f in reversed(tt.row_factors):
+        digits.append(rest % f)
+        rest //= f
+    digits.reverse()
+    acc = tt.cores[0][0, digits[0], :, :]
+    for core, digit in zip(tt.cores[1:], digits[1:]):
+        piece = core[:, digit, :, :]
+        acc = np.tensordot(acc, piece, axes=([acc.ndim - 1], [0]))
+        acc = acc.reshape(-1, piece.shape[-1])
+    return acc.reshape(-1)
+
+
+@pytest.mark.parametrize("rank", [4, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tt_row_kernel_bit_identical_to_tensordot_chain(rank, dtype):
+    # a synth-shaped table: 10 000 items of width 16 in three cores, cast to
+    # the model dtype as tt_compress_embedding does
+    rng = np.random.default_rng(41)
+    table = rng.uniform(-0.01, 0.01, (10000, 16))
+    tt = tt_decompose_matrix(
+        table, plan_tt_factors(10000), plan_tt_factors(16), max_rank=rank
+    )
+    assert len(tt.cores) == 3 and max(tt.ranks) == rank
+    tt = TTCores(tuple(c.astype(dtype) for c in tt.cores),
+                 tt.row_factors, tt.col_factors, tt.ranks)
+    rows = [0, 1, 9999] + rng.integers(0, 10000, size=1000).tolist()
+    for row in rows:
+        got = tt_reconstruct_row(tt, row)
+        want = tt_row_by_tensordot(tt, row)
+        assert got.dtype == want.dtype and got.shape == want.shape == (16,)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, row_factors, col_factors", [
+    ((6, 4), (7,), (5,)),
+    ((7, 5), (2, 4), (3, 2)),
+    ((11, 5), (2, 3, 2), (2, 1, 3)),
+    ((13, 7), (2, 2, 2, 2), (1, 2, 2, 2)),
+])
+def test_tt_row_kernel_matches_full_reconstruction_with_padding(
+    shape, row_factors, col_factors
+):
+    m = np.random.default_rng(43).standard_normal(shape)
+    tt = tt_decompose_matrix(m, row_factors, col_factors, max_rank=3)
+    full = tt_reconstruct_full(tt)
+    assert full.shape[0] > shape[0] and full.shape[1] > shape[1]
+    for row in range(full.shape[0]):  # padding rows included
+        np.testing.assert_allclose(
+            tt_reconstruct_row(tt, row), full[row], rtol=0, atol=1e-12
+        )
+
+
+def test_tt_row_kernel_range_check_and_integer_inputs():
+    m = np.random.default_rng(47).standard_normal((11, 5))
+    tt = tt_decompose_matrix(m, (2, 3, 2), (2, 1, 3), max_rank=2)
+    for bad in (-1, -12, 12, 13, np.int64(-1), np.int64(12)):
+        with pytest.raises(IndexError, match=r"outside \[0, 12\)"):
+            tt_reconstruct_row(tt, bad)
+    want = tt_reconstruct_row(tt, 7)
+    for row in (np.int64(7), np.int32(7), np.uint8(7), np.array([7])[0]):
+        assert tt_reconstruct_row(tt, row).tobytes() == want.tobytes()
 
 
 def test_tt_rank_chain_shapes():

@@ -12,11 +12,13 @@ from lowrank_ctr.compress import (
     tt_compress_embedding,
 )
 from lowrank_ctr.errors import DataError, ShapeError
+from lowrank_ctr.linalg import tt_reconstruct_full
 from lowrank_ctr.nn import (
     DeepFMModel,
     EmbeddingTable,
     FeatureBatch,
     ProjectionLayer,
+    _stacked_identity,
     _tt_lookup_grads,
     bce_from_logits,
     compute_gradients,
@@ -279,10 +281,13 @@ def test_forward_deterministic_across_calls():
 # -- packed table storage ----------------------------------------------------
 
 
-def full_width_reference(model, idx):
+def full_width_reference(model, idx, raw=None):
     """Float64 logits and pairwise term, field by field from the full-width
-    vectors P_i c_i + b_i (or the raw rows when there are no projections)."""
-    raw = [model.tables[i].lookup(idx[:, i]).astype(np.float64) for i in range(model.n_fields)]
+    vectors P_i c_i + b_i (or the raw rows when there are no projections).
+    ``raw`` gives each field's (n, width) rows; by default the tables'
+    lookups."""
+    if raw is None:
+        raw = [model.tables[i].lookup(idx[:, i]).astype(np.float64) for i in range(model.n_fields)]
     if model.projections is not None:
         full = [r @ p.weight.T.astype(np.float64) + p.bias for r, p in zip(raw, model.projections)]
     else:
@@ -462,3 +467,32 @@ def test_tt_lookup_grads_match_per_row_loop(n_cores):
     for g, want in zip(got, tt_grads_per_row(table, idx, d_rows)):
         assert g.shape == want.shape
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_tt_forward_matches_gather_from_full_reconstruction(dtype, tol):
+    # 301 and 41 items pad to 304 and 42 rows, width 7 pads to 8 columns
+    vocab = [500, 301, 41]
+    model = init_deepfm(vocab, 7, [16, 16, 16], seed=13, dtype=dtype, dropout_rate=0.0)
+    tt_compress_embedding(model, max_rank=4)
+    rng = np.random.default_rng(14)
+    idx = rng.integers(0, vocab, size=(200, 3))
+    idx[0] = 0
+    idx[1] = np.array(vocab) - 1  # the last real rows, next to the padding
+    raw = []
+    for i, t in enumerate(model.tables):
+        full = tt_reconstruct_full(t.cores).astype(np.float64)  # padded
+        raw.append(full[: t.vocab, : t.dim][idx[:, i]])
+    want, _ = full_width_reference(model, idx, raw)
+    got = forward(model, make_batch(idx)).logits
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+def test_stacked_identity_is_built_once_and_read_only():
+    eye = _stacked_identity(3, 4, np.dtype(np.float32))
+    assert eye is _stacked_identity(3, 4, np.dtype(np.float32))
+    assert eye.dtype == np.float32 and not eye.flags.writeable
+    assert eye.tobytes() == np.tile(np.eye(4, dtype=np.float32), (3, 1)).tobytes()
+    assert _stacked_identity(3, 4, np.dtype(np.float64)).dtype == np.float64
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0

@@ -277,29 +277,50 @@ GOOD_CHAINS = [
     ["train_baseline", "calibrate", "compress", "finetune", "eval"],
     ["train_baseline", "calibrate", "eval", "compress", "eval", "finetune"],
     ["train_baseline", "calibrate", "compress", "finetune",
-     "calibrate", "compress", "finetune", "eval"],
+     "calibrate", "compress:afm-emb", "finetune", "eval"],
+    # only the afm methods read calibration taps
+    ["train_baseline", "compress:svd-mlp", "finetune",
+     "compress:tt-emb", "finetune", "eval"],
+    ["train_baseline", "compress:svd-emb", "finetune"],
+    ["train_baseline", "calibrate", "compress:svd-mlp", "finetune"],
 ]
 
 BAD_CHAINS = [
     [],
     ["train_baseline", "compress", "finetune"],            # no calibrate
+    ["train_baseline", "compress:afm-emb", "finetune"],    # no calibrate
     ["train_baseline", "calibrate", "compress"],            # no finetune
     ["train_baseline", "calibrate", "compress", "eval"],    # eval is not a finetune
     ["train_baseline", "calibrate", "compress", "finetune", "finetune"],
     ["train_baseline", "calibrate", "finetune", "compress", "finetune"],
+    ["train_baseline", "compress:svd-mlp"],                 # no finetune
+    ["train_baseline", "compress:tt-emb", "finetune", "finetune"],
     ["train_baseline", "warmup"],                           # unknown stage
 ]
 
 
+def stage_chain(chain):
+    """Stage dicts from names; ``compress:<method>`` picks the method,
+    a bare ``compress`` is afm-mlp."""
+    stages = []
+    for name in chain:
+        stage, _, method = name.partition(":")
+        if stage == "compress":
+            stages.append({"stage": stage, "method": method or "afm-mlp"})
+        else:
+            stages.append({"stage": stage})
+    return stages
+
+
 def test_validate_pipeline_accepts_legal_chains():
     for chain in GOOD_CHAINS:
-        validate_pipeline([{"stage": s} for s in chain])
+        validate_pipeline(stage_chain(chain))
 
 
 def test_validate_pipeline_rejects_broken_chains():
     for chain in BAD_CHAINS:
         with pytest.raises(ConfigError):
-            validate_pipeline([{"stage": s} for s in chain])
+            validate_pipeline(stage_chain(chain))
 
 
 def tiny_pipeline_config(tmp_path, stages, seed=0, n_samples=2000):
@@ -374,6 +395,38 @@ def test_pipeline_artifacts_and_manifest(tmp_path):
     report = json.loads((out / "reports/stage03-afm-mlp.json").read_text())
     assert report["method"] == "afm-mlp"
     assert report["params_before"]["total"] > 0
+
+
+def test_svd_and_tt_chains_run_without_calibrate(tmp_path):
+    stages = [
+        {"stage": "train_baseline", "epochs": 1, "learning_rate": 1e-3},
+        {"stage": "compress", "method": "svd-mlp", "rank": 4},
+        {"stage": "finetune", "epochs": 1},
+        {"stage": "compress", "method": "tt-emb", "rank": 2},
+        {"stage": "finetune", "epochs": 1},
+        {"stage": "eval"},
+    ]
+    resolved = tiny_pipeline_config(tmp_path, stages, n_samples=500)
+    out = tmp_path / "run"
+    manifest = run_pipeline(resolved, out)
+    assert [s["status"] for s in manifest["stages"]] == ["completed"] * 6
+    for rel in ("checkpoints/stage01-svd-mlp.lrck",
+                "checkpoints/stage03-tt-emb.lrck",
+                "checkpoints/stage04-finetune.lrck"):
+        assert rel in manifest["artifacts"]
+        assert (out / rel).exists()
+
+    svd_emb = load_config({
+        "profile": "synth",
+        "data": resolved.data,
+        "model": resolved.model,
+        "pipeline": {"mlp": None, "emb": "svd-emb"},
+    })
+    assert [s["stage"] for s in svd_emb.stages] == [
+        "train_baseline", "compress", "finetune", "eval"
+    ]
+    manifest = run_pipeline(svd_emb, tmp_path / "svd-emb")
+    assert "checkpoints/stage01-svd-emb.lrck" in manifest["artifacts"]
 
 
 def test_pipeline_failure_is_recorded(tmp_path):
