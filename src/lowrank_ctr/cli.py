@@ -24,24 +24,23 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .compress import MLP_COMPRESSIBLE, compression_report
 from .config import load_config
 from .data import SynthSpec, synth_generate, write_tsv
 from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
 from .metrics import bench_throughput
-from .nn import forward, param_count
+from .nn import forward
 from .train import (
     CALIBRATED_METHODS,
     EMB_METHODS,
     MLP_METHODS,
-    TrainConfig,
     _run_compress,
+    _train_cfg,
     calibrate,
     evaluate_model,
     finetune,
     prepare_data,
     run_pipeline,
-    train,
+    select_taps,
 )
 
 
@@ -67,6 +66,11 @@ def _config_from(args, stages=None):
     return load_config(raw, overrides)
 
 
+def _given(args, *names) -> dict:
+    """The named options that were given on the command line."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _emit(payload: dict, report_path=None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -79,21 +83,16 @@ def cmd_pipeline(args) -> int:
     rc = _config_from(args)
     manifest = run_pipeline(rc, rc.output_dir)
     print(f"pipeline complete: {len(manifest['stages'])} stages, "
-          f"artifacts in {rc.output_dir}")
+          f"artifacts in {rc.output_dir}", file=sys.stderr)
     return 0
 
 
 def cmd_train(args) -> int:
-    stage = {"stage": "train_baseline"}
-    if args.epochs is not None:
-        stage["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        stage["learning_rate"] = args.learning_rate
-    if args.batch_size is not None:
-        stage["batch_size"] = args.batch_size
+    stage = {"stage": "train_baseline",
+             **_given(args, "epochs", "learning_rate", "batch_size")}
     rc = _config_from(args, stages=[stage, {"stage": "eval"}])
     run_pipeline(rc, rc.output_dir)
-    print(f"baseline trained; artifacts in {rc.output_dir}")
+    print(f"baseline trained; artifacts in {rc.output_dir}", file=sys.stderr)
     return 0
 
 
@@ -103,23 +102,15 @@ def cmd_compress(args) -> int:
     taps = None
     if args.method in CALIBRATED_METHODS:
         train_ds, _ = prepare_data(rc)
-        if args.method == "afm-mlp":
-            ids = [f"mlp.{j}" for j in MLP_COMPRESSIBLE]
-        else:
-            ids = [f"emb.{i}" for i in range(model.n_fields)]
+        ids = select_taps(model, "mlp" if args.method == "afm-mlp" else "emb")
         taps = calibrate(model, train_ds, ids, batch_size=args.calib_batch_size)
-    stage = {"stage": "compress", "method": args.method}
-    if args.rank is not None:
-        stage["rank"] = args.rank
+    stage = {"stage": "compress", "method": args.method, **_given(args, "rank")}
     if args.no_insert_relu:
         stage["insert_relu"] = False
     if args.no_fuse:
         stage["fuse"] = False
-    before = param_count(model)
-    method, detail = _run_compress(model, stage, taps, rc.profile_defaults)
-    after = param_count(model)
+    report = _run_compress(model, stage, taps, rc.profile_defaults)
     save_checkpoint(model, args.model_out)
-    report = compression_report(method, detail, before, after)
     _emit(report, args.report)
     return 0
 
@@ -129,15 +120,8 @@ def cmd_finetune(args) -> int:
     rc = _config_from(args)
     train_ds, test_ds = prepare_data(rc)
     defaults = {**rc.train_defaults, **rc.profile_defaults.get("finetune", {})}
-    cfg = TrainConfig(
-        learning_rate=args.learning_rate or defaults["learning_rate"],
-        batch_size=args.batch_size or defaults["batch_size"],
-        epochs=1,
-        l2_ratio=defaults["l2_ratio"],
-        weight_decay=defaults["weight_decay"],
-        dropout=args.dropout,
-        seed=rc.seed,
-    )
+    stage = _given(args, "learning_rate", "batch_size", "dropout")
+    cfg = _train_cfg(stage, defaults, rc.seed)
     rows = finetune(model, train_ds, cfg, test_dataset=test_ds)
     save_checkpoint(model, args.model_out)
     _emit(rows[-1], args.report)
@@ -190,7 +174,8 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(**params)
     ds = synth_generate(spec)
     write_tsv(ds, args.out)
-    print(f"wrote {len(ds)} rows, {ds.n_fields} categorical fields -> {args.out}")
+    print(f"wrote {len(ds)} rows, {ds.n_fields} categorical fields -> {args.out}",
+          file=sys.stderr)
     return 0
 
 

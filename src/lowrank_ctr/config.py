@@ -18,6 +18,7 @@ silently training with defaults.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,14 +219,25 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
 
 
 def _check_stages(stages: list, model: dict, profile: dict) -> None:
-    """Validate the stage chain, each stage's keys and each compress stage's
-    method and rank against the configured widths, so that a config the
-    compressors would reject fails before any training."""
+    """Validate the stage chain, each stage's keys, each calibrate stage's
+    taps, each finetune stage's epochs and each compress stage's method and
+    rank against the configured widths, so that a config the runner would
+    reject fails before any training."""
     validate_pipeline(stages)
     hidden = [int(h) for h in model["hidden_dims"]]
     for i, s in enumerate(stages):
         where = f"stage {i} ({s['stage']})"
         _reject_unknown(s, STAGE_KEYS[s["stage"]], where)
+        if s["stage"] == "calibrate" and not _valid_taps(s.get("taps", "auto")):
+            raise ConfigError(
+                f"{where}: taps must be 'mlp', 'emb', 'auto' or a list of "
+                f"'emb.<i>'/'mlp.<j>' ids, got {s['taps']!r}"
+            )
+        if s["stage"] == "finetune" and s.get("epochs", 1) != 1:
+            raise ConfigError(
+                f"{where}: a finetune stage runs exactly one epoch, got "
+                f"epochs {s['epochs']!r}"
+            )
         if s["stage"] != "compress":
             continue
         method = s.get("method")
@@ -250,6 +262,13 @@ def _check_stages(stages: list, model: dict, profile: dict) -> None:
                 f"{where}: rank {rank} outside [1, {limit}] for the configured "
                 "model widths"
             )
+
+
+def _valid_taps(taps) -> bool:
+    """A calibrate stage's ``taps``: a selector name or a list of tap ids."""
+    if isinstance(taps, list):
+        return all(isinstance(t, str) and re.fullmatch(r"(emb|mlp)\.\d+", t) for t in taps)
+    return taps in ("mlp", "emb", "auto")
 
 
 def load_config(source, overrides: dict | None = None) -> ResolvedConfig:

@@ -11,11 +11,12 @@ squared weights; the decay and the loss penalty are configured
 independently and both active by default.
 
 A pipeline is a stage list: ``train_baseline``, ``calibrate``,
-``compress``, ``finetune``, ``eval``.  Validation enforces the protocol
-that every compress stage has exactly one finetune directly after it, and
-that an output-PCA (``afm-*``) compress stage, the only kind that reads
-calibration statistics, has a calibrate stage directly before it (eval
-stages are transparent to both rules).
+``compress``, ``finetune``, ``eval``.  ``validate_pipeline`` holds its
+protocol, which ``config.load_config`` checks before any data is built:
+``train_baseline`` comes first, every compress stage has exactly one
+finetune directly after it, and an output-PCA (``afm-*``) compress stage,
+the only kind that reads calibration statistics, has a calibrate stage
+directly before it (eval stages are transparent to the last two rules).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import compress as comp
 from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
-from .errors import ConfigError, DataError, RankError
+from .errors import ConfigError, DataError
 from .metrics import MetricReport, auc, logloss
 from .nn import (
     DeepFMModel,
@@ -129,7 +130,6 @@ class TrainConfig:
     weight_decay: float = 1e-3
     dropout: float | None = None  # override at dropout sites; None keeps stored
     seed: int = 0
-    shuffle: bool = True
 
 
 def loss_bce_l2(logits, labels, model: DeepFMModel | None = None, l2_ratio: float = 0.0) -> float:
@@ -193,7 +193,7 @@ def train(
     rows = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         preds = np.empty(n, dtype=np.float64)
         running_loss = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -300,7 +300,6 @@ STAGE_KEYS = {
     "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
     "eval": {"stage"},
 }
-STAGE_NAMES = tuple(STAGE_KEYS)
 MLP_METHODS = ("afm-mlp", "svd-mlp")
 EMB_METHODS = ("afm-emb", "svd-emb", "tt-emb")
 # the methods that read calibration taps; the others need no calibrate stage
@@ -308,13 +307,19 @@ CALIBRATED_METHODS = ("afm-mlp", "afm-emb")
 
 
 def validate_pipeline(stages: list) -> None:
-    """Enforce stage ordering: [calibrate ->] compress -> one finetune,
-    with the calibrate required for the methods that read its taps."""
+    """Enforce stage ordering: train_baseline first, then
+    [calibrate ->] compress -> one finetune, with the calibrate required
+    for the methods that read its taps."""
     if not stages:
         raise ConfigError("pipeline has no stages")
     for s in stages:
-        if s["stage"] not in STAGE_NAMES:
+        if s["stage"] not in STAGE_KEYS:
             raise ConfigError(f"unknown stage {s['stage']!r}")
+    if stages[0]["stage"] != "train_baseline":
+        raise ConfigError(
+            f"stage 0: the first stage must be train_baseline, got "
+            f"{stages[0]['stage']!r}"
+        )
     core = [(i, s) for i, s in enumerate(stages) if s["stage"] != "eval"]
     for pos, (i, s) in enumerate(core):
         if s["stage"] != "compress":
@@ -325,11 +330,8 @@ def validate_pipeline(stages: list) -> None:
                 f"stage {i}: {s['method']} compress must directly follow a "
                 f"calibrate stage"
             )
-        if pos + 1 >= len(core) or core[pos + 1][1]["stage"] != "finetune":
-            raise ConfigError(
-                f"stage {i}: compress must be followed by exactly one finetune"
-            )
-        if pos + 2 < len(core) and core[pos + 2][1]["stage"] == "finetune":
+        after = [t["stage"] for _, t in core[pos + 1 : pos + 3]]
+        if after[:1] != ["finetune"] or after[1:] == ["finetune"]:
             raise ConfigError(
                 f"stage {i}: compress must be followed by exactly one finetune"
             )
@@ -346,58 +348,57 @@ def compress_rank(stage: dict, profile: dict) -> int:
 
 
 def _train_cfg(stage: dict, defaults: dict, seed: int) -> TrainConfig:
-    merged = dict(defaults)
-    merged.update({k: v for k, v in stage.items() if k != "stage"})
+    merged = {**defaults, **stage}
     return TrainConfig(
-        learning_rate=float(merged.get("learning_rate", 1e-4)),
-        batch_size=int(merged.get("batch_size", 1000)),
+        learning_rate=float(merged["learning_rate"]),
+        batch_size=int(merged["batch_size"]),
         epochs=int(merged.get("epochs", 1)),
-        l2_ratio=float(merged.get("l2_ratio", 1e-5)),
-        weight_decay=float(merged.get("weight_decay", 1e-3)),
+        l2_ratio=float(merged["l2_ratio"]),
+        weight_decay=float(merged["weight_decay"]),
         dropout=merged.get("dropout"),
         seed=seed,
-        shuffle=True,
     )
 
 
-def _emb_tap_ids(model: DeepFMModel) -> list:
-    return [f"emb.{i}" for i in range(model.n_fields)]
+def select_taps(model: DeepFMModel, selector) -> list:
+    """The tap ids a calibrate stage's ``taps`` selector names: ``"mlp"``
+    (the compressible hidden layers), ``"emb"`` (every embedding field),
+    ``"auto"`` (both) or an explicit list of ``emb.<i>``/``mlp.<j>`` ids."""
+    if not isinstance(selector, str):
+        return list(selector)
+    mlp = [f"mlp.{j}" for j in comp.MLP_COMPRESSIBLE]
+    emb = [f"emb.{i}" for i in range(model.n_fields)]
+    return {"mlp": mlp, "emb": emb, "auto": mlp + emb}[selector]
 
 
-def _mlp_tap_ids(model: DeepFMModel) -> list:
-    return [f"mlp.{j}" for j in comp.MLP_COMPRESSIBLE]
-
-
-def _run_compress(model, stage, taps, profile):
+def _run_compress(model, stage, taps, profile) -> dict:
+    """Compress ``model`` in place as a compress stage says; returns the
+    compression report."""
     method = stage["method"]
-    if method not in MLP_METHODS + EMB_METHODS:
-        raise ConfigError(f"unknown compression method {method!r}")
     rank = compress_rank(stage, profile)
+    before = param_count(model)
     if method in MLP_METHODS:
         insert_relu = bool(stage.get("insert_relu", True))
         if method == "afm-mlp":
             detail = comp.compress_mlp(model, rank, "afm", taps, insert_relu)
         else:
             detail = comp.compress_mlp(model, rank, "svd", None, insert_relu)
-        return method, detail
-    if method == "tt-emb":
+    elif method == "tt-emb":
         detail = comp.tt_compress_embedding(
             model, rank, n_cores=int(stage.get("tt_cores", 3))
         )
-        return method, detail
-    if method == "afm-emb":
-        if taps is None:
-            raise RankError("afm-emb needs calibration taps")
-        plan = comp.afm_plan_embedding(
-            [taps[tid] for tid in _emb_tap_ids(model)], rank
-        )
-        detail = comp.afm_apply_embedding(model, plan)
     else:
-        detail = comp.svd_compress_embedding(model, rank)
-    if bool(stage.get("fuse", True)):
-        comp.fuse_projection_into_first_fc(model)
-        detail["fused_first_fc"] = True
-    return method, detail
+        if method == "afm-emb":
+            plan = comp.afm_plan_embedding(
+                [taps[tid] for tid in select_taps(model, "emb")], rank
+            )
+            detail = comp.afm_apply_embedding(model, plan)
+        else:
+            detail = comp.svd_compress_embedding(model, rank)
+        if bool(stage.get("fuse", True)):
+            comp.fuse_projection_into_first_fc(model)
+            detail["fused_first_fc"] = True
+    return comp.compression_report(method, detail, before, param_count(model))
 
 
 def prepare_data(resolved):
@@ -423,23 +424,116 @@ def prepare_data(resolved):
     )
 
 
+@dataclass
+class _Run:
+    """What the stage handlers of one pipeline run share."""
+
+    resolved: object
+    out: Path
+    metrics_path: Path
+    train_ds: ClickDataset
+    test_ds: ClickDataset
+    manifest: dict
+    model: DeepFMModel | None = None
+    taps: dict | None = None
+
+    def checkpoint(self, tag: str) -> None:
+        rel = f"checkpoints/{tag}.lrck"
+        save_checkpoint(self.model, self.out / rel)
+        self.manifest["artifacts"].append(rel)
+
+    def eval_row(self, tag: str) -> None:
+        report = evaluate_model(self.model, self.test_ds)
+        _append_metrics(
+            self.metrics_path,
+            {"stage": tag, "test_auc": report.auc, "test_logloss": report.logloss},
+        )
+
+
+def _tag(i: int, stage: dict) -> str:
+    return f"stage{i:02d}-{stage.get('method', stage['stage'])}"
+
+
+def _stage_train_baseline(run: _Run, i: int, stage: dict) -> None:
+    model_cfg = run.resolved.model
+    run.model = init_deepfm(
+        run.train_ds.vocab_sizes,
+        int(model_cfg["embed_dim"]),
+        model_cfg["hidden_dims"],
+        n_continuous=run.train_ds.n_continuous,
+        seed=run.resolved.seed,
+        dropout_rate=float(model_cfg["dropout_rate"]),
+        fm_enabled=bool(model_cfg["fm_enabled"]),
+    )
+    train(
+        run.model,
+        run.train_ds,
+        _train_cfg(stage, run.resolved.train_defaults, run.resolved.seed + i),
+        test_dataset=run.test_ds,
+        metrics_path=run.metrics_path,
+        stage=_tag(i, stage),
+    )
+    run.checkpoint(_tag(i, stage))
+
+
+def _stage_calibrate(run: _Run, i: int, stage: dict) -> None:
+    taps = calibrate(
+        run.model,
+        run.train_ds,
+        select_taps(run.model, stage.get("taps", "auto")),
+        batch_size=int(stage.get("batch_size", 10000)),
+    )
+    run.taps = taps if run.taps is None else {**run.taps, **taps}
+
+
+def _stage_compress(run: _Run, i: int, stage: dict) -> None:
+    report = _run_compress(run.model, stage, run.taps, run.resolved.profile_defaults)
+    tag = _tag(i, stage)
+    rel = f"reports/{tag}.json"
+    comp.write_report(report, run.out / rel)
+    run.manifest["artifacts"].append(rel)
+    run.checkpoint(tag)
+    run.eval_row(f"{tag}:pre-finetune")
+    run.taps = None  # topology changed; old statistics are stale
+
+
+def _stage_finetune(run: _Run, i: int, stage: dict) -> None:
+    finetune(
+        run.model,
+        run.train_ds,
+        _train_cfg(stage, run.resolved.train_defaults, run.resolved.seed + i),
+        test_dataset=run.test_ds,
+        metrics_path=run.metrics_path,
+    )
+    run.checkpoint(_tag(i, stage))
+
+
+def _stage_eval(run: _Run, i: int, stage: dict) -> None:
+    run.eval_row(_tag(i, stage))
+
+
+STAGE_HANDLERS = {
+    "train_baseline": _stage_train_baseline,
+    "calibrate": _stage_calibrate,
+    "compress": _stage_compress,
+    "finetune": _stage_finetune,
+    "eval": _stage_eval,
+}
+
+
 def run_pipeline(resolved, out_dir) -> dict:
     """Execute a resolved configuration; returns the run manifest.
 
     Artifacts: ``checkpoints/stageNN-<name>.lrck``, per-compression
     ``reports/stageNN-<method>.json``, ``metrics.jsonl`` and
-    ``manifest.json``.  Failures mark the stage in the manifest and
-    re-raise after writing it.
+    ``manifest.json``.  A failure marks its stage in the manifest, which
+    is written either way, and re-raises.
     """
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.jsonl"
     metrics_path.write_text("")
-
-    stages = resolved.stages
-    validate_pipeline(stages)
-    train_ds, test_ds = prepare_data(resolved)
 
     manifest = {
         "config_hash": resolved.config_hash,
@@ -448,122 +542,23 @@ def run_pipeline(resolved, out_dir) -> dict:
         "artifacts": ["metrics.jsonl"],
         "stages": [],
     }
-
-    model: DeepFMModel | None = None
-    taps = None
-    train_defaults = resolved.train_defaults
-
-    def checkpoint(tag: str) -> None:
-        rel = f"checkpoints/{tag}.lrck"
-        save_checkpoint(model, out / rel)
-        manifest["artifacts"].append(rel)
-
-    def eval_row(tag: str) -> None:
-        report = evaluate_model(model, test_ds)
-        _append_metrics(
-            metrics_path,
-            {
-                "stage": tag,
-                "test_auc": report.auc,
-                "test_logloss": report.logloss,
-            },
-        )
-
+    run = _Run(resolved, out, metrics_path, *prepare_data(resolved), manifest)
     try:
-        for i, stage in enumerate(stages):
-            name = stage["stage"]
-            tag = f"stage{i:02d}-{stage.get('method', name)}"
-            if name == "train_baseline":
-                model = init_deepfm(
-                    train_ds.vocab_sizes,
-                    int(resolved.model["embed_dim"]),
-                    resolved.model["hidden_dims"],
-                    n_continuous=train_ds.n_continuous,
-                    seed=resolved.seed,
-                    dropout_rate=float(resolved.model.get("dropout_rate", 0.5)),
-                    fm_enabled=bool(resolved.model.get("fm_enabled", True)),
-                )
-                cfg = _train_cfg(stage, train_defaults, resolved.seed + i)
-                train(
-                    model,
-                    train_ds,
-                    cfg,
-                    test_dataset=test_ds,
-                    metrics_path=metrics_path,
-                    stage=tag,
-                )
-                checkpoint(tag)
-            elif name == "calibrate":
-                if model is None:
-                    raise ConfigError("calibrate before any model exists")
-                selector = stage.get("taps", "auto")
-                if selector == "mlp":
-                    ids = _mlp_tap_ids(model)
-                elif selector == "emb":
-                    ids = _emb_tap_ids(model)
-                elif selector in ("auto", "all"):
-                    ids = _mlp_tap_ids(model) + _emb_tap_ids(model)
-                else:
-                    ids = list(selector)
-                new_taps = calibrate(
-                    model,
-                    train_ds,
-                    ids,
-                    batch_size=int(stage.get("batch_size", 10000)),
-                )
-                taps = new_taps if taps is None else {**taps, **new_taps}
-            elif name == "compress":
-                if model is None:
-                    raise ConfigError("compress before any model exists")
-                before = param_count(model)
-                method, detail = _run_compress(
-                    model, stage, taps, resolved.profile_defaults
-                )
-                after = param_count(model)
-                report = comp.compression_report(method, detail, before, after)
-                rel = f"reports/stage{i:02d}-{method}.json"
-                comp.write_report(report, out / rel)
-                manifest["artifacts"].append(rel)
-                checkpoint(f"stage{i:02d}-{method}")
-                eval_row(f"stage{i:02d}-{method}:pre-finetune")
-                taps = None  # topology changed; old statistics are stale
-            elif name == "finetune":
-                if model is None:
-                    raise ConfigError("finetune before any model exists")
-                cfg = _train_cfg(stage, train_defaults, resolved.seed + i)
-                finetune(
-                    model,
-                    train_ds,
-                    cfg,
-                    test_dataset=test_ds,
-                    metrics_path=metrics_path,
-                )
-                checkpoint(tag)
-            elif name == "eval":
-                if model is None:
-                    raise ConfigError("eval before any model exists")
-                eval_row(tag)
-            manifest["stages"].append({"index": i, "stage": name, "status": "completed"})
+        for i, stage in enumerate(resolved.stages):
+            STAGE_HANDLERS[stage["stage"]](run, i, stage)
+            manifest["stages"].append(
+                {"index": i, "stage": stage["stage"], "status": "completed"}
+            )
     except Exception as exc:
         manifest["stages"].append(
-            {
-                "index": len(manifest["stages"]),
-                "stage": stages[len(manifest["stages"])]["stage"]
-                if len(manifest["stages"]) < len(stages)
-                else "unknown",
-                "status": "failed",
-                "error": str(exc),
-            }
+            {"index": i, "stage": stage["stage"], "status": "failed", "error": str(exc)}
         )
+        raise
+    finally:
         manifest["artifacts"].append("manifest.json")
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
-        raise
-    manifest["artifacts"].append("manifest.json")
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
     return manifest
 
 

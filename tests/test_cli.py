@@ -144,7 +144,7 @@ def test_synth_command_writes_tsv(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 80
 
 
-def test_pipeline_command_end_to_end(tmp_path):
+def test_pipeline_command_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         **BASE_CONFIG,
@@ -159,6 +159,7 @@ def test_pipeline_command_end_to_end(tmp_path):
     assert all(s["status"] == "completed" for s in manifest["stages"])
     # svd-mlp reads no calibration taps, so no calibrate stage precedes it
     assert (out / "reports" / "stage01-svd-mlp.json").exists()
+    assert capsys.readouterr().out == ""  # status lines go to stderr
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -198,6 +199,37 @@ def test_pipeline_rejects_afm_compress_without_calibrate(tmp_path, capsys):
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert "calibrate" in capsys.readouterr().err
     assert not list(out.rglob("*.lrck"))
+
+
+@pytest.mark.parametrize("stages", [
+    [{"stage": "train_baseline"}, {"stage": "calibrate", "taps": "embs"}],
+    [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},
+     {"stage": "finetune", "epochs": 5}],
+    [{"stage": "eval"}, {"stage": "train_baseline"}],
+    [{"stage": "calibrate"}, {"stage": "compress", "method": "afm-mlp", "rank": 4},
+     {"stage": "finetune"}],
+], ids=["taps-typo", "finetune-epochs", "eval-first", "calibrate-first"])
+def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "stages": stages}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(out.rglob("*.lrck"))
+
+
+def test_finetune_at_zero_learning_rate_keeps_the_model(workdir, tmp_path, capsys):
+    tuned = tmp_path / "tuned.lrck"
+    rc = main([
+        "finetune",
+        "--config", str(workdir["config"]),
+        "--model-in", str(workdir["checkpoint"]),
+        "--model-out", str(tuned),
+        "--learning-rate", "0",
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    assert tuned.read_bytes() == workdir["checkpoint"].read_bytes()
 
 
 def test_bench_rejects_oversized_batches(workdir, capsys):

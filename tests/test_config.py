@@ -232,6 +232,38 @@ def test_compress_rank_defaults_are_checked_and_tt_is_a_cap():
                  "pipeline": {"mlp": None, "emb": "tt-emb", "emb_rank": 50}})
 
 
+def test_calibrate_taps_selector_checked():
+    def chain(taps):
+        return [
+            {"stage": "train_baseline"},
+            {"stage": "calibrate", "taps": taps},
+            {"stage": "compress", "method": "afm-mlp"},
+            {"stage": "finetune"},
+        ]
+
+    for taps in ("mlp", "emb", "auto", ["mlp.1", "mlp.2", "emb.0"], []):
+        load_config({"stages": chain(taps)})
+    for taps in ("embs", "all", "mlp.1", ["emb"], ["emb.x"], ["conv.0"], [1], None):
+        with pytest.raises(ConfigError, match="taps"):
+            load_config({"stages": chain(taps)})
+
+
+def test_finetune_stage_runs_exactly_one_epoch():
+    stages = compress_chain("svd-mlp", 4)
+    stages[3]["epochs"] = 1
+    load_config({"stages": stages})
+    for epochs in (0, 2, 5):
+        stages[3]["epochs"] = epochs
+        with pytest.raises(ConfigError, match="exactly one epoch"):
+            load_config({"stages": stages})
+
+
+def test_first_stage_must_train_the_baseline():
+    for first in ("eval", "calibrate"):
+        with pytest.raises(ConfigError, match="first stage must be train_baseline"):
+            load_config({"stages": [{"stage": first}] + compress_chain("afm-mlp", 4)})
+
+
 def test_profiles_are_self_consistent():
     for name, prof in PROFILES.items():
         for key in ("n_continuous", "n_categorical", "embed_dim", "hidden_dims",

@@ -296,6 +296,8 @@ BAD_CHAINS = [
     ["train_baseline", "compress:svd-mlp"],                 # no finetune
     ["train_baseline", "compress:tt-emb", "finetune", "finetune"],
     ["train_baseline", "warmup"],                           # unknown stage
+    ["eval", "train_baseline"],                             # no model to evaluate
+    ["calibrate", "compress", "finetune"],                  # no model to calibrate
 ]
 
 
@@ -445,6 +447,8 @@ def test_pipeline_failure_is_recorded(tmp_path):
     statuses = [s["status"] for s in manifest["stages"]]
     assert statuses[-1] == "failed"
     assert "error" in manifest["stages"][-1]
+    assert manifest["stages"][-1]["index"] == 2
+    assert manifest["stages"][-1]["stage"] == "compress"
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
