@@ -211,10 +211,10 @@ def tt_decompose_matrix(m, row_factors, col_factors, max_rank=None) -> TTCores:
 def tt_reconstruct_row(tt: TTCores, row_index: int) -> np.ndarray:
     """Rebuild one row of the (padded) matrix by contracting core slices.
 
-    This is the embedding lookup path for tensor-train tables: every call
-    redoes the full chain of small matrix products, which is exactly the
-    cost the throughput benchmark measures.  The chain is plain 2-D
-    products of core-slice views, so a call costs little beyond them.
+    This is the single-row reference for tensor-train lookups: the batched
+    lookup in ``nn`` does the same 2-D products for every row of a batch
+    at once and matches it bit for bit.  The chain is plain 2-D products of
+    core-slice views, so a call costs little beyond them.
     """
     factors = tt.row_factors
     rest = int(row_index)

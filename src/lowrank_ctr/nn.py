@@ -21,13 +21,14 @@ or copied (``copy.deepcopy``) since the last packing.
 
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
-cores whose lookup reconstructs one row at a time; a model's fields are
-all dense or all tensor-train.  With projections, the pairwise term is
-computed from the reduced embeddings c_i alone: sum_i (P_i c_i + b_i) is
-one matmul over the concatenated c, and sum_i ||P_i c_i + b_i||^2 needs
-only P_i^T P_i and P_i^T b_i.  Full-width vectors are built only when the
-MLP reads them: when ``fused`` is set, the first MLP layer has absorbed the
-projections and consumes the reduced embeddings directly.
+cores, whose lookup rebuilds a batch's rows through one batched chain of
+core-slice products; a model's fields are all dense or all tensor-train.
+With projections, the pairwise term is computed from the reduced
+embeddings c_i alone: sum_i (P_i c_i + b_i) is one matmul over the
+concatenated c, and sum_i ||P_i c_i + b_i||^2 needs only P_i^T P_i and
+P_i^T b_i.  Full-width vectors are built only when the MLP reads them:
+when ``fused`` is set, the first MLP layer has absorbed the projections and
+consumes the reduced embeddings directly.
 
 Weights default to float32; gradient checking can run the whole model in
 float64 via ``DeepFMModel.astype``.  All forward/backward code preserves
@@ -38,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .linalg import TTCores, tt_reconstruct_row
+from .linalg import TTCores
 
 ACTIVATIONS = ("relu", "none", "sigmoid")
 
@@ -100,17 +102,61 @@ class TTEmbeddingTable:
     """Embedding table factorized into tensor-train cores.
 
     ``cores`` reconstructs a padded (rows >= vocab, cols >= dim) matrix;
-    every lookup rebuilds its row through the core chain.  Recomputing the
-    chain per access is intrinsic to the format and is what makes this the
-    slow lookup path."""
+    every lookup rebuilds its rows through the core chain, for the whole
+    batch at once (see ``_tt_chain``).  Recomputing the chain per access is
+    intrinsic to the format, so a lookup costs a few small matrix products
+    per row where a dense table costs a gather."""
 
     cores: TTCores
     vocab: int
     dim: int
 
     def lookup(self, idx: np.ndarray) -> np.ndarray:
-        cores, dim = self.cores, self.dim
-        return np.stack([tt_reconstruct_row(cores, v)[:dim] for v in idx.tolist()])
+        _, _, chain = _tt_chain(self.cores, idx, self.cores.cores[0].dtype)
+        rows = chain[-1]  # (n, padded columns, 1)
+        return rows.reshape(rows.shape[0], -1)[:, : self.dim]
+
+
+def _tt_chain(tt: TTCores, idx, dtype):
+    """The core chain of a batch of tensor-train rows, in ``dtype``.
+
+    Splits every row index into one digit per core, takes the
+    (r_j, m_j, r_{j+1}) slice of core j that each row's digit selects, and
+    multiplies the slices left to right with batched matmuls.  Returns
+    ``(digits, slices, chain)``: ``chain[j]`` (n, N_j, r_j) is the product
+    of the slices before core j over its N_j column digits, starting from
+    ones, so ``chain[-1]`` holds the rows themselves.  Each row's products
+    are the 2-D products of ``linalg.tt_reconstruct_row``, so the rows
+    equal its output bit for bit."""
+    idx = np.asarray(idx)
+    n_rows = prod(tt.row_factors)
+    if idx.dtype.kind not in "iu":
+        raise IndexError(f"row indices must be integers, got {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(
+            f"row index range [{idx.min()}, {idx.max()}] outside [0, {n_rows})"
+        )
+    n = idx.shape[0]
+    digits = []
+    rest = idx.astype(np.int64)
+    for f in reversed(tt.row_factors):
+        digits.append(rest % f)
+        rest = rest // f
+    digits.reverse()
+    # slices[j][b] is the (r_j, m_j, r_{j+1}) slice of core j that row b selects
+    slices = [
+        np.asarray(c, dtype=dtype).transpose(1, 0, 2, 3)[d]
+        for c, d in zip(tt.cores, digits)
+    ]
+    first = slices[0]
+    # the first slice as it is, not times the ones: a product would turn
+    # -0.0 into 0.0 where tt_reconstruct_row keeps it
+    chain = [np.ones((n, 1, 1), dtype=dtype), first.reshape(n, -1, first.shape[3])]
+    for sl in slices[1:]:
+        r, m, r_next = sl.shape[1:]
+        nxt = np.matmul(chain[-1], sl.reshape(n, r, m * r_next))
+        chain.append(nxt.reshape(n, -1, r_next))
+    return digits, slices, chain
 
 
 @dataclass
@@ -638,27 +684,15 @@ def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndar
 def _tt_lookup_grads(table: TTEmbeddingTable, idx: np.ndarray, d_rows: np.ndarray):
     """Gradients of row lookups w.r.t. every core, in float64.
 
-    Splits every row index into its digits, builds the left and right
-    partial products of the core chain for the whole batch with batched
-    matmuls, contracts each row's padded gradient against both, and sums
-    the resulting core-slice gradients into the slices the digits select."""
-    cores = [np.asarray(c, dtype=np.float64) for c in table.cores.cores]
+    Takes the digits, slices and left partial products from ``_tt_chain``
+    (its last entry, the rows themselves, goes unused), builds the right
+    partial products the same way, contracts each row's padded gradient
+    against both, and sums the resulting core-slice gradients into the
+    slices the digits select."""
+    digits, slices, lefts = _tt_chain(table.cores, idx, np.float64)
+    cores = table.cores.cores
     cf = table.cores.col_factors
-    n = idx.shape[0]
-    digits = []
-    rest = np.asarray(idx, dtype=np.int64)
-    for f in reversed(table.cores.row_factors):
-        digits.append(rest % f)
-        rest = rest // f
-    digits.reverse()
-    # slices[j][b] is the (r_j, m_j, r_{j+1}) slice of core j that row b selects
-    slices = [c.transpose(1, 0, 2, 3)[d] for c, d in zip(cores, digits)]
-    # lefts[j]: (n, N_j, r_j), the chain before core j over its column digits
-    lefts = [np.ones((n, 1, 1))]
-    for sl in slices[:-1]:
-        r, m, r_next = sl.shape[1:]
-        nxt = np.matmul(lefts[-1], sl.reshape(n, r, m * r_next))
-        lefts.append(nxt.reshape(n, -1, r_next))
+    n = len(idx)
     # rights[j]: (n, r_{j+1}, M_{j+1}), the chain after core j
     rights = [np.ones((n, 1, 1))]
     for sl in reversed(slices[1:]):

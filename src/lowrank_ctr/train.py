@@ -32,7 +32,7 @@ import numpy as np
 from . import compress as comp
 from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, RankError
 from .metrics import MetricReport, auc, logloss
 from .nn import (
     DeepFMModel,
@@ -389,9 +389,12 @@ def _run_compress(model, stage, taps, profile) -> dict:
         )
     else:
         if method == "afm-emb":
-            plan = comp.afm_plan_embedding(
-                [taps[tid] for tid in select_taps(model, "emb")], rank
-            )
+            emb_taps = []
+            for tid in select_taps(model, "emb"):
+                if tid not in taps:
+                    raise RankError(f"afm compression needs a tap for {tid}")
+                emb_taps.append(taps[tid])
+            plan = comp.afm_plan_embedding(emb_taps, rank)
             detail = comp.afm_apply_embedding(model, plan)
         else:
             detail = comp.svd_compress_embedding(model, rank)

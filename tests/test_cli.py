@@ -201,6 +201,21 @@ def test_pipeline_rejects_afm_compress_without_calibrate(tmp_path, capsys):
     assert not list(out.rglob("*.lrck"))
 
 
+def test_pipeline_afm_emb_without_embedding_taps_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "stages": [
+        {"stage": "train_baseline", "epochs": 0},
+        {"stage": "calibrate", "taps": "mlp"},
+        {"stage": "compress", "method": "afm-emb", "rank": 4},
+        {"stage": "finetune"},
+    ]}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "needs a tap for emb.0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("stages", [
     [{"stage": "train_baseline"}, {"stage": "calibrate", "taps": "embs"}],
     [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},

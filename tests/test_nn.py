@@ -12,13 +12,21 @@ from lowrank_ctr.compress import (
     tt_compress_embedding,
 )
 from lowrank_ctr.errors import DataError, ShapeError
-from lowrank_ctr.linalg import tt_reconstruct_full
+from lowrank_ctr.linalg import (
+    TTCores,
+    plan_tt_factors,
+    tt_decompose_matrix,
+    tt_reconstruct_full,
+    tt_reconstruct_row,
+)
 from lowrank_ctr.nn import (
     DeepFMModel,
     EmbeddingTable,
     FeatureBatch,
     ProjectionLayer,
+    TTEmbeddingTable,
     _stacked_identity,
+    _tt_chain,
     _tt_lookup_grads,
     bce_from_logits,
     compute_gradients,
@@ -390,16 +398,23 @@ def test_reduced_space_pairwise_equals_full_width(fused):
     np.testing.assert_allclose(trace.logits, want_logits, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["base", "unfused", "fused"])
+@pytest.mark.parametrize("kind", ["base", "unfused", "fused", "tt"])
 def test_batch_one_matches_batch_n(kind):
-    if kind == "base":
+    if kind in ("base", "tt"):
         model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=5, dtype=np.float64)
+        if kind == "tt":
+            tt_compress_embedding(model, max_rank=2)
     else:
         model = projected_model(kind == "fused", seed=5)
     idx = np.random.default_rng(6).integers(0, [7, 5, 9], size=(40, 3))
-    batch = forward(model, make_batch(idx)).logits
-    single = np.array([forward(model, make_batch(idx[r : r + 1])).logits[0] for r in range(40)])
-    np.testing.assert_allclose(single, batch, rtol=0, atol=1e-12)
+    taps = [f"emb.{i}" for i in range(3)]
+    batch = forward(model, make_batch(idx), capture=taps)
+    for r in range(40):
+        single = forward(model, make_batch(idx[r : r + 1]), capture=taps)
+        for tap in taps:  # a row's lookup does not depend on the batch
+            assert single.captured[tap][0].tobytes() == batch.captured[tap][r].tobytes()
+        # the MLP's matmul takes BLAS's matrix-vector path at batch 1
+        np.testing.assert_allclose(single.logits[0], batch.logits[r], rtol=0, atol=1e-12)
 
 
 def test_fused_projected_gradients_match_finite_differences():
@@ -486,6 +501,68 @@ def test_tt_forward_matches_gather_from_full_reconstruction(dtype, tol):
     want, _ = full_width_reference(model, idx, raw)
     got = forward(model, make_batch(idx)).logits
     np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+def tt_in(tt, dtype):
+    """``tt`` with its cores cast to ``dtype``, as tt_compress_embedding does."""
+    cores = tuple(c.astype(dtype) for c in tt.cores)
+    return TTCores(cores, tt.row_factors, tt.col_factors, tt.ranks)
+
+
+def assert_lookup_matches_row_kernel(tt, vocab, dim):
+    """Every padded row of ``tt``, batched, against the single-row kernel."""
+    rows = np.arange(int(np.prod(tt.row_factors)))
+    want = np.stack([tt_reconstruct_row(tt, r) for r in rows])
+    _, _, chain = _tt_chain(tt, rows, tt.cores[0].dtype)
+    full = chain[-1].reshape(len(rows), -1)  # padding columns included
+    assert full.dtype == want.dtype and full.tobytes() == want.tobytes()
+    got = TTEmbeddingTable(tt, vocab, dim).lookup(rows)
+    assert got.shape == (len(rows), dim)
+    assert got.tobytes() == np.ascontiguousarray(want[:, :dim]).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, row_factors, col_factors", [
+    ((6, 4), (7,), (5,)),
+    ((7, 5), (2, 4), (3, 2)),
+    ((11, 5), (2, 3, 2), (2, 1, 3)),
+    ((13, 7), (2, 2, 2, 2), (1, 2, 2, 2)),
+])
+def test_tt_batched_lookup_matches_row_kernel_bit_for_bit(
+    shape, row_factors, col_factors, dtype
+):
+    m = np.random.default_rng(51).standard_normal(shape)
+    tt = tt_decompose_matrix(m, row_factors, col_factors, max_rank=3)
+    assert np.prod(row_factors) > shape[0] and np.prod(col_factors) > shape[1]
+    assert_lookup_matches_row_kernel(tt_in(tt, dtype), *shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rank", [4, 8])
+def test_tt_batched_lookup_matches_row_kernel_on_synth_tables(rank, dtype):
+    # a synth-shaped table: 10 000 items of width 16 in three cores
+    table = np.random.default_rng(53).uniform(-0.01, 0.01, (10000, 16))
+    tt = tt_decompose_matrix(
+        table, plan_tt_factors(10000), plan_tt_factors(16), max_rank=rank
+    )
+    assert len(tt.cores) == 3 and max(tt.ranks) == rank
+    assert_lookup_matches_row_kernel(tt_in(tt, dtype), 10000, 16)
+
+
+def test_tt_lookup_range_check_and_integer_arrays():
+    m = np.random.default_rng(55).standard_normal((11, 5))
+    tt = tt_decompose_matrix(m, (2, 3, 2), (2, 1, 3), max_rank=2)
+    table = TTEmbeddingTable(tt, 11, 5)
+    for bad in ([-1], [0, 12], [3, 13, 5], [-12, 4]):
+        with pytest.raises(IndexError, match=r"outside \[0, 12\)"):
+            table.lookup(np.array(bad))
+    with pytest.raises(IndexError, match="integers"):
+        table.lookup(np.array([1.0, 2.0]))
+    rows = [0, 7, 11, 7]
+    want = table.lookup(np.array(rows, dtype=np.int64))
+    for dtype in (np.int32, np.uint8, np.int16, np.uint64, np.intp):
+        assert table.lookup(np.array(rows, dtype=dtype)).tobytes() == want.tobytes()
+    assert table.lookup(rows).tobytes() == want.tobytes()
 
 
 def test_stacked_identity_is_built_once_and_read_only():

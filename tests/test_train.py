@@ -8,7 +8,7 @@ import pytest
 from lowrank_ctr.config import load_config
 from lowrank_ctr.checkpoint import save_checkpoint
 from lowrank_ctr.data import SynthSpec, split, synth_generate
-from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError
+from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError, RankError
 from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty
 from lowrank_ctr.train import (
     Adam,
@@ -449,6 +449,25 @@ def test_pipeline_failure_is_recorded(tmp_path):
     assert "error" in manifest["stages"][-1]
     assert manifest["stages"][-1]["index"] == 2
     assert manifest["stages"][-1]["stage"] == "compress"
+
+
+def test_afm_emb_without_embedding_taps_fails_with_rank_error(tmp_path):
+    stages = [
+        {"stage": "train_baseline", "epochs": 0},
+        {"stage": "calibrate", "taps": "mlp"},
+        # afm-emb needs emb taps; calibrating only the mlp breaks it
+        {"stage": "compress", "method": "afm-emb", "rank": 4},
+        {"stage": "finetune"},
+    ]
+    resolved = tiny_pipeline_config(tmp_path, stages, n_samples=500)
+    out = tmp_path / "run"
+    with pytest.raises(RankError, match=r"needs a tap for emb\.0"):
+        run_pipeline(resolved, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = manifest["stages"][-1]
+    assert failed["status"] == "failed"
+    assert failed["index"] == 2 and failed["stage"] == "compress"
+    assert "emb.0" in failed["error"]
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
