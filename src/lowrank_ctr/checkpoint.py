@@ -176,8 +176,8 @@ def load_checkpoint(path) -> DeepFMModel:
     MLP whose widths do not chain from the input width down to 1, a
     non-finite value, mixed dense and tensor-train fields) raises DataError
     before a model is built.  The payload is mapped, not read, and dense
-    tables and first-order weights are copied from it straight into the
-    model's packed arrays."""
+    tables and first-order weights are copied from it once, by
+    ``DeepFMModel.packed``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -253,16 +253,9 @@ def _build(manifest: dict, payload) -> DeepFMModel:
         return read(name, shape).astype(np.float32)
 
     fields = topo["fields"]
-    total = sum(int(f["vocab"]) for f in fields)
-    dense = bool(fields) and fields[0]["kind"] == "dense"
-    packed_tables = None
-    if dense:
-        packed_tables = np.empty((total, int(fields[0]["dim"])), np.float32)
-    packed_fo = np.empty(total, np.float32) if topo["has_first_order"] else None
     tables = []
-    start = 0
+    first_order = []
     for i, fspec in enumerate(fields):
-        stop = start + int(fspec["vocab"])
         if fspec["kind"] == "tt":
             ranks = fspec["ranks"]
             cores = tuple(take(f"emb.{i}.core.{j}") for j in range(len(ranks) - 1))
@@ -274,11 +267,9 @@ def _build(manifest: dict, payload) -> DeepFMModel:
             )
             tables.append(TTEmbeddingTable(tt, fspec["vocab"], fspec["dim"]))
         else:
-            packed_tables[start:stop] = read(f"emb.{i}.weight").T
-            tables.append(EmbeddingTable(packed_tables[start:stop].T))
-        if packed_fo is not None:
-            packed_fo[start:stop] = read(f"fo.{i}.weight")
-        start = stop
+            tables.append(EmbeddingTable(read(f"emb.{i}.weight")))
+        if topo["has_first_order"]:
+            first_order.append(read(f"fo.{i}.weight"))
 
     projections = None
     if topo["has_projections"]:
@@ -320,7 +311,7 @@ def _build(manifest: dict, payload) -> DeepFMModel:
         raise DataError(f"tensors the topology does not use: {sorted(entries)}")
     model = DeepFMModel(
         tables=tables,
-        first_order=[],
+        first_order=first_order,
         mlp=mlp,
         n_continuous=int(topo["n_continuous"]),
         embed_dim=int(topo["embed_dim"]),
@@ -328,5 +319,6 @@ def _build(manifest: dict, payload) -> DeepFMModel:
         fm_enabled=bool(topo["fm_enabled"]),
         fused=fused,
     )
-    model.use_packed(packed_tables, packed_fo)
+    # copies the payload views out of the file, which no array then maps
+    model.packed()
     return model

@@ -10,7 +10,8 @@ Three families, all producing the same target structure per component:
 * plain SVD of the weights, arranged into the identical two-layer /
   table-plus-projection shapes, so the two initializations are swappable.
 * tensor-train factorization of embedding tables (rows = items), whose
-  lookup reconstructs one row per access.
+  lookup rebuilds a batch's rows through one batched chain of core-slice
+  products.
 
 Dense layers two and three of the MLP are the compressible ones: the first
 layer reads the raw feature concatenation and the output head is a single
@@ -288,7 +289,6 @@ def _install_projections(model: DeepFMModel, parts: list) -> dict:
         }
     model.tables = new_tables
     model.projections = projections
-    model.packed()
     return detail
 
 
@@ -342,8 +342,8 @@ def tt_compress_embedding(
     Each table is transposed to (vocab, dim) so rows are items, padded up
     to the factor products, and decomposed.  ``factor_plans`` optionally
     gives (row_factors, col_factors) per field; otherwise near-balanced
-    factorizations are derived.  Lookups after this run through the core
-    chain row by row.
+    factorizations are derived.  Lookups after this rebuild each batch's
+    rows through the core chain.
     """
     if model.projections is not None or model.fused:
         raise ShapeError(

@@ -15,9 +15,12 @@ with per-field row offsets, of which each table's weights is the
 transposed view; the first-order weights are packed the same way.  A
 forward pass therefore fetches every field's embedding with one gather,
 and that (n, fields, dim) block is both the pairwise-term stack and,
-reshaped, the MLP input.  Writing into a table's weights writes into the
-packed array; a forward pass packs the tables again when one was rebound
-or copied (``copy.deepcopy``) since the last packing.
+reshaped, the MLP input.  ``DeepFMModel.packed`` is the one place that
+storage is built: a forward pass calls it, and it packs on first use and
+again when a table or first-order array was rebound or copied
+(``copy.deepcopy``) since the last packing, so code that makes tables only
+hands the model plain arrays.  Writing into a table's weights writes into
+the packed array.
 
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
@@ -186,50 +189,36 @@ class _Packed:
     ``tables`` is (sum vocab, dim) and ``first_order`` is (sum vocab,);
     field i owns rows ``offsets[i]:offsets[i] + vocab[i]`` of both.  Either
     array is None when the model has no such parameters (tensor-train
-    fields, fm disabled).  Building one points the model's tables and
-    first-order list at views of the arrays, which must already hold the
-    rows in field order.
+    fields, fm disabled).  Building one copies the model's current tables
+    and first-order weights into new arrays and points the model at views
+    of them; ``DeepFMModel.packed`` is the only caller.
     """
 
-    def __init__(self, model, tables, first_order):
+    def __init__(self, model):
         self.vocab = np.array([t.vocab for t in model.tables], dtype=np.int64)
         self.offsets = np.zeros_like(self.vocab)
         np.cumsum(self.vocab[:-1], out=self.offsets[1:])
-        self.tables = tables
-        self.first_order = first_order
-        owners = []
-        if tables is not None:
-            for table, view in zip(model.tables, self._split(tables)):
-                table.weights = view
-            owners += [tables] * len(model.tables)
-        if first_order is not None:
-            model.first_order = self._split(first_order)
-            owners += [first_order] * len(model.first_order)
-        self.owners = owners
-        self.views = self._arrays(model)
-
-    @classmethod
-    def pack(cls, model) -> "_Packed":
-        """Copy the model's current tables and first-order weights into new
-        packed arrays."""
+        self.tables = self.first_order = None
         dense = [isinstance(t, EmbeddingTable) for t in model.tables]
-        tables = None
         if any(dense):
             if not all(dense):
                 raise ShapeError("a model's fields are all dense or all tensor-train")
             widths = sorted({t.dim for t in model.tables})
             if len(widths) != 1:
                 raise ShapeError(f"dense fields must share one width, got {widths}")
-            tables = np.empty(
-                (sum(t.vocab for t in model.tables), widths[0]),
+            # filled field by field: a concatenation of the (vocab, dim)
+            # transposes would come out column-major
+            self.tables = np.empty(
+                (int(self.vocab.sum()), widths[0]),
                 dtype=np.result_type(*[t.weights for t in model.tables]),
             )
-            start = 0
-            for t in model.tables:
-                tables[start : start + t.vocab] = t.weights.T
-                start += t.vocab
-        first_order = np.concatenate(model.first_order) if model.first_order else None
-        return cls(model, tables, first_order)
+            for table, view in zip(model.tables, self._split(self.tables)):
+                view[...] = table.weights
+                table.weights = view
+        if model.first_order:
+            self.first_order = np.concatenate(model.first_order)
+            model.first_order = self._split(self.first_order)
+        self.views = self._arrays(model)
 
     def _split(self, packed) -> list:
         # ``.T`` turns a field's (vocab, dim) rows into its (dim, vocab) table
@@ -244,9 +233,13 @@ class _Packed:
         """Whether every table and first-order array of ``model`` is still
         the view this packing handed out (not rebound, not a copy)."""
         arrays = self._arrays(model)
+        # a deep copy's views own their data, so their base is None, which
+        # is also what tables or first_order is when the model has none
         return len(arrays) == len(self.views) and all(
-            a is v and v.base is o
-            for a, v, o in zip(arrays, self.views, self.owners)
+            a is v
+            and v.base is not None
+            and (v.base is self.tables or v.base is self.first_order)
+            for a, v in zip(arrays, self.views)
         )
 
 
@@ -278,21 +271,13 @@ class DeepFMModel:
     def packed(self) -> _Packed:
         """The packed storage behind the tables and first-order weights.
 
-        Packs them again first when one of them was rebound or copied since
-        the last packing, so the arrays returned are always current."""
+        The one place packed storage is built: on first use, and again when
+        a table or first-order array was rebound or copied since the last
+        packing, so the arrays returned are always current."""
         packed = self._packed
         if packed is None or not packed.backs(self):
-            packed = self._packed = _Packed.pack(self)
+            packed = self._packed = _Packed(self)
         return packed
-
-    def use_packed(self, tables, first_order) -> None:
-        """Make the dense tables views of ``tables`` (sum vocab, dim) and the
-        first-order weights views of ``first_order`` (sum vocab,).
-
-        Both arrays must be row-major and already hold every field's rows
-        in field order; either is None when the model has no such
-        parameters."""
-        self._packed = _Packed(self, tables, first_order)
 
     def named_parameters(self) -> list:
         """(name, array) pairs in a fixed order; arrays are live views."""
@@ -320,7 +305,6 @@ class DeepFMModel:
         def cast(a):
             return np.asarray(a, dtype=dtype).copy()
 
-        packed = self.packed()
         tables = []
         for t in self.tables:
             if isinstance(t, TTEmbeddingTable):
@@ -332,8 +316,8 @@ class DeepFMModel:
                 )
                 tables.append(TTEmbeddingTable(cores, t.vocab, t.dim))
             else:
-                # pointed at the copy's own packed rows by use_packed below
-                tables.append(EmbeddingTable(t.weights))
+                # copied into the new model's own packed rows below
+                tables.append(EmbeddingTable(np.asarray(t.weights, dtype)))
         projections = None
         if self.projections is not None:
             projections = [
@@ -352,7 +336,7 @@ class DeepFMModel:
         ]
         model = DeepFMModel(
             tables=tables,
-            first_order=list(self.first_order),
+            first_order=[np.asarray(f, dtype) for f in self.first_order],
             mlp=mlp,
             n_continuous=self.n_continuous,
             embed_dim=self.embed_dim,
@@ -360,10 +344,7 @@ class DeepFMModel:
             fm_enabled=self.fm_enabled,
             fused=self.fused,
         )
-        model.use_packed(
-            None if packed.tables is None else cast(packed.tables),
-            None if packed.first_order is None else cast(packed.first_order),
-        )
+        model.packed()
         return model
 
     def clone(self) -> "DeepFMModel":
@@ -436,7 +417,7 @@ def init_deepfm(
             dropout_site=False,
         )
     )
-    model = DeepFMModel(
+    return DeepFMModel(
         tables=tables,
         first_order=first_order,
         mlp=mlp,
@@ -444,8 +425,6 @@ def init_deepfm(
         embed_dim=int(embed_dim),
         fm_enabled=fm_enabled,
     )
-    model.packed()
-    return model
 
 
 def _validate_batch(model: DeepFMModel, batch: FeatureBatch, vocab) -> None:
@@ -711,8 +690,7 @@ def _tt_lookup_grads(table: TTEmbeddingTable, idx: np.ndarray, d_rows: np.ndarra
         dslice = np.matmul(
             tmp.reshape(n, r * m, right.shape[2]), right.transpose(0, 2, 1)
         )  # (n, r_j * m_j, r_{j+1})
-        acc = np.zeros((n_j, r * m * r_next))
-        np.add.at(acc, digits[j], dslice.reshape(n, -1))
+        acc = _scatter_rows(dslice.reshape(n, -1), digits[j], n_j)
         grads.append(
             np.ascontiguousarray(
                 acc.reshape(n_j, r, m, r_next).transpose(1, 0, 2, 3)

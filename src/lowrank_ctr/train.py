@@ -33,7 +33,7 @@ from . import compress as comp
 from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
 from .errors import ConfigError, DataError, RankError
-from .metrics import MetricReport, auc, logloss
+from .metrics import MetricReport, auc, evaluate_scores, logloss
 from .nn import (
     DeepFMModel,
     bce_from_logits,
@@ -154,12 +154,7 @@ def predict(model: DeepFMModel, dataset: ClickDataset, batch_size: int = 10000) 
 def evaluate_model(
     model: DeepFMModel, dataset: ClickDataset, batch_size: int = 10000
 ) -> MetricReport:
-    scores = predict(model, dataset, batch_size)
-    return MetricReport(
-        auc=auc(dataset.labels, scores),
-        logloss=logloss(dataset.labels, scores),
-        n_samples=len(dataset),
-    )
+    return evaluate_scores(dataset.labels, predict(model, dataset, batch_size))
 
 
 def _append_metrics(path, row: dict) -> None:

@@ -36,6 +36,8 @@ from lowrank_ctr.train import (
     run_pipeline,
 )
 
+pytestmark = pytest.mark.slow
+
 
 def verdict(capsys, num, ok, detail):
     with capsys.disabled():

@@ -41,6 +41,17 @@ def test_roundtrip_bit_exact(tmp_path):
     assert loaded.embed_dim == 4
     assert loaded.fm_enabled
 
+    # no read-only view of the file stays in the model: every table and
+    # first-order array is a writable view of the model's packed storage
+    for m in (loaded, loaded.astype(np.float64)):
+        tables = [t.weights for t in m.tables]
+        first_order = list(m.first_order)
+        packed = m.packed()
+        for arr in tables:
+            assert arr.flags.writeable and np.shares_memory(arr, packed.tables)
+        for arr in first_order:
+            assert arr.flags.writeable and np.shares_memory(arr, packed.first_order)
+
     idx = np.array([[3, 5], [10, 0]])
     batch = FeatureBatch(idx, np.ones((2, 2), dtype=np.float32))
     a = forward(model, batch).predictions

@@ -388,6 +388,22 @@ def test_copies_share_no_memory(how):
     np.testing.assert_array_equal(forward(model, make_batch(idx)).logits, before)
 
 
+@pytest.mark.parametrize("kind", ["fm-off", "tt"])
+def test_deepcopy_with_one_packed_array_repacks(kind):
+    """A copy of a model with only packed tables (fm disabled) or only packed
+    first-order weights (tensor-train fields) packs its own arrays again."""
+    model = init_deepfm([6, 6], 4, [5], seed=5, dtype=np.float64, fm_enabled=kind == "tt")
+    if kind == "tt":
+        tt_compress_embedding(model, 2)
+    idx = np.array([[1, 2], [5, 0], [3, 3]])
+    forward(model, make_batch(idx))
+    other = copy.deepcopy(model)
+    for _, p in other.named_parameters():
+        p += 0.25
+    want = forward(other.clone(), make_batch(idx)).logits
+    np.testing.assert_array_equal(forward(other, make_batch(idx)).logits, want)
+
+
 @pytest.mark.parametrize("fused", [False, True])
 def test_reduced_space_pairwise_equals_full_width(fused):
     model = projected_model(fused, seed=3)
