@@ -24,15 +24,13 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_config
+from .config import _read_config, load_config
 from .data import SynthSpec, synth_generate, write_tsv
 from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
 from .metrics import bench_throughput
 from .nn import forward
 from .train import (
-    CALIBRATED_METHODS,
-    EMB_METHODS,
-    MLP_METHODS,
+    METHODS,
     _run_compress,
     _train_cfg,
     calibrate,
@@ -50,12 +48,8 @@ def _config_from(args, stages=None):
         path = Path(args.config)
         if not path.exists():
             raise DataError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = _read_config(path)
     if stages is not None:
-        raw = dict(raw)
         raw.pop("pipeline", None)
         raw["stages"] = stages
     overrides = {
@@ -99,16 +93,15 @@ def cmd_train(args) -> int:
 def cmd_compress(args) -> int:
     model = load_checkpoint(args.model_in)
     rc = _config_from(args)
+    method = METHODS[args.method]
     taps = None
-    if args.method in CALIBRATED_METHODS:
+    if method.calibrated:
         train_ds, _ = prepare_data(rc)
-        ids = select_taps(model, "mlp" if args.method == "afm-mlp" else "emb")
+        ids = select_taps(model, method.target)
         taps = calibrate(model, train_ds, ids, batch_size=args.calib_batch_size)
     stage = {"stage": "compress", "method": args.method, **_given(args, "rank")}
-    if args.no_insert_relu:
-        stage["insert_relu"] = False
-    if args.no_fuse:
-        stage["fuse"] = False
+    if method.option and getattr(args, f"no_{method.option}"):
+        stage[method.option] = False  # --no-insert-relu or --no-fuse
     report = _run_compress(model, stage, taps, rc.profile_defaults)
     save_checkpoint(model, args.model_out)
     _emit(report, args.report)
@@ -213,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         required=True,
-        choices=MLP_METHODS + EMB_METHODS,
+        choices=list(METHODS),
     )
     p.add_argument("--rank", type=int)
     p.add_argument("--no-insert-relu", action="store_true",

@@ -24,10 +24,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .train import (
-    CALIBRATED_METHODS,
-    EMB_METHODS,
-    MLP_METHODS,
+    METHODS,
     STAGE_KEYS,
+    _train_cfg,
     compress_rank,
     config_hash,
     validate_pipeline,
@@ -166,65 +165,36 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
     order = pipeline.get("order", "mlp-emb")
     if order not in ("mlp-emb", "emb-mlp"):
         raise ConfigError(f"pipeline order must be 'mlp-emb' or 'emb-mlp', got {order!r}")
-    mlp_method = pipeline.get("mlp", "afm-mlp")
-    emb_method = pipeline.get("emb", "afm-emb")
-    if mlp_method is not None and mlp_method not in MLP_METHODS:
-        raise ConfigError(f"unknown mlp method {mlp_method!r}")
-    if emb_method is not None and emb_method not in EMB_METHODS:
-        raise ConfigError(f"unknown emb method {emb_method!r}")
+    chosen = {"mlp": pipeline.get("mlp", "afm-mlp"), "emb": pipeline.get("emb", "afm-emb")}
+    for target, name in chosen.items():
+        if name is not None and (name not in METHODS or METHODS[name].target != target):
+            raise ConfigError(f"unknown {target} method {name!r}")
 
     stages = [{"stage": "train_baseline"}]
-    ft = profile.get("finetune", {})
-
-    def block(target: str) -> list:
-        if target == "mlp":
-            if mlp_method is None:
-                return []
-            comp = {
-                "stage": "compress",
-                "method": mlp_method,
-                "rank": int(pipeline.get("mlp_rank", profile["mlp_rank"])),
-            }
-            if "insert_relu" in pipeline:
-                comp["insert_relu"] = bool(pipeline["insert_relu"])
-            fine = {**ft, **profile.get("finetune_mlp", {})}
-            taps = "mlp"
-        else:
-            if emb_method is None:
-                return []
-            comp = {
-                "stage": "compress",
-                "method": emb_method,
-                "rank": int(
-                    pipeline.get(
-                        "emb_rank",
-                        profile["tt_rank" if emb_method == "tt-emb" else "emb_rank"],
-                    )
-                ),
-            }
-            if "fuse" in pipeline and emb_method != "tt-emb":
-                comp["fuse"] = bool(pipeline["fuse"])
-            fine = {**ft, **profile.get("finetune_emb", {})}
-            taps = "emb"
-        chain = [comp, {"stage": "finetune", **fine}]
-        if comp["method"] in CALIBRATED_METHODS:
-            chain.insert(0, {"stage": "calibrate", "taps": taps})
-        return chain
-
-    first, second = ("mlp", "emb") if order == "mlp-emb" else ("emb", "mlp")
-    stages.extend(block(first))
-    stages.extend(block(second))
+    for target in order.split("-"):
+        name = chosen[target]
+        if name is None:
+            continue
+        method = METHODS[name]
+        if method.calibrated:
+            stages.append({"stage": "calibrate", "taps": target})
+        rank = pipeline.get(f"{target}_rank", profile[method.rank_key])
+        compress = {"stage": "compress", "method": name, "rank": int(rank)}
+        if method.option in pipeline:
+            compress[method.option] = bool(pipeline[method.option])
+        fine = {**profile.get("finetune", {}), **profile.get(f"finetune_{target}", {})}
+        stages += [compress, {"stage": "finetune", **fine}]
     stages.append({"stage": "eval"})
     return stages
 
 
-def _check_stages(stages: list, model: dict, profile: dict) -> None:
+def _check_stages(stages: list, model: dict, profile: dict, train_defaults: dict) -> None:
     """Validate the stage chain, each stage's keys, each calibrate stage's
-    taps, each finetune stage's epochs and each compress stage's method and
-    rank against the configured widths, so that a config the runner would
-    reject fails before any training."""
+    taps, each training stage's settings and each compress stage's method
+    and rank against the configured widths, so that a config the runner
+    would reject fails before any training."""
     validate_pipeline(stages)
-    hidden = [int(h) for h in model["hidden_dims"]]
+    hidden = model["hidden_dims"]
     for i, s in enumerate(stages):
         where = f"stage {i} ({s['stage']})"
         _reject_unknown(s, STAGE_KEYS[s["stage"]], where)
@@ -233,6 +203,8 @@ def _check_stages(stages: list, model: dict, profile: dict) -> None:
                 f"{where}: taps must be 'mlp', 'emb', 'auto' or a list of "
                 f"'emb.<i>'/'mlp.<j>' ids, got {s['taps']!r}"
             )
+        if s["stage"] in ("train_baseline", "finetune"):
+            _train_cfg(s, train_defaults, 0)  # the runner's own conversions
         if s["stage"] == "finetune" and s.get("epochs", 1) != 1:
             raise ConfigError(
                 f"{where}: a finetune stage runs exactly one epoch, got "
@@ -240,22 +212,15 @@ def _check_stages(stages: list, model: dict, profile: dict) -> None:
             )
         if s["stage"] != "compress":
             continue
-        method = s.get("method")
-        if method not in MLP_METHODS + EMB_METHODS:
-            raise ConfigError(f"stage {i}: unknown method {method!r}")
-        if method in MLP_METHODS:
-            if len(hidden) != 3:
-                raise ConfigError(
-                    f"{where}: MLP compression needs model.hidden_dims of "
-                    f"length 3, got {hidden}"
-                )
-            # afm-mlp keeps k of each layer's outputs; svd-mlp is also
-            # bounded by each layer's input width
-            limit = min(hidden[1:]) if method == "afm-mlp" else min(hidden)
-        elif method == "tt-emb":
-            continue
-        else:
-            limit = int(model["embed_dim"])
+        method = METHODS.get(s.get("method"))
+        if method is None:
+            raise ConfigError(f"stage {i}: unknown method {s.get('method')!r}")
+        if method.target == "mlp" and len(hidden) != 3:
+            raise ConfigError(
+                f"{where}: MLP compression needs model.hidden_dims of "
+                f"length 3, got {hidden}"
+            )
+        limit = method.limit(hidden, int(model["embed_dim"]))
         rank = compress_rank(s, profile)
         if not 1 <= rank <= limit:
             raise ConfigError(
@@ -271,23 +236,42 @@ def _valid_taps(taps) -> bool:
     return taps in ("mlp", "emb", "auto")
 
 
-def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
-    """Parse and validate a config from a dict, a path or a JSON string."""
+def _read_config(source) -> dict:
+    """A config's JSON object, from a dict, a path or a JSON string."""
     if isinstance(source, dict):
-        raw = source
-    else:
-        text = Path(source).read_text(encoding="utf-8") if Path(str(source)).exists() else str(source)
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        return dict(source)
+    text = str(source)
+    try:
+        is_path = Path(text).exists()
+    except OSError:  # e.g. a JSON string too long to be a file name
+        is_path = False
+    if is_path:
+        text = Path(text).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    raw = dict(raw)
+    return raw
+
+
+def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
+    """Parse and validate a config from a dict, a path or a JSON string;
+    any malformed value raises ConfigError here, before data is built."""
+    raw = _read_config(source)
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
+    try:
+        return _resolve(raw)
+    except ConfigError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config value ({exc!r})") from exc
 
+
+def _resolve(raw: dict) -> ResolvedConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
     profile_name = raw.get("profile", "synth")
     if profile_name not in PROFILES:
@@ -320,8 +304,9 @@ def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
     for key in ("n_continuous", "n_categorical", "embed_dim", "hidden_dims", "dropout_rate"):
         model.setdefault(key, profile[key])
     model.setdefault("fm_enabled", True)
-    if len(model["hidden_dims"]) < 1:
-        raise ConfigError("model.hidden_dims must not be empty")
+    hidden = model["hidden_dims"]
+    if not hidden or not all(isinstance(h, int) and h > 0 for h in hidden):
+        raise ConfigError(f"model.hidden_dims must list positive widths, got {hidden!r}")
 
     if "stages" in raw and "pipeline" in raw:
         raise ConfigError("give either 'stages' or 'pipeline', not both")
@@ -332,14 +317,14 @@ def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
         stages = [dict(s) for s in raw["stages"]]
     else:
         stages = standard_stages(profile, dict(raw.get("pipeline", {})))
-    _check_stages(stages, model, profile)
-
     train_defaults = {
         "learning_rate": profile["learning_rate"],
         "batch_size": profile["batch_size"],
         "l2_ratio": profile["l2_ratio"],
         "weight_decay": profile["weight_decay"],
     }
+    _check_stages(stages, model, profile, train_defaults)
+
     return ResolvedConfig(
         profile=profile_name,
         seed=seed,

@@ -20,7 +20,8 @@ storage is built: a forward pass calls it, and it packs on first use and
 again when a table or first-order array was rebound or copied
 (``copy.deepcopy``) since the last packing, so code that makes tables only
 hands the model plain arrays.  Writing into a table's weights writes into
-the packed array.
+the packed array; assigning a model's ``tables`` or ``first_order`` drops
+its packing at once, so a compressor's replaced tables are freed.
 
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
@@ -256,6 +257,12 @@ class DeepFMModel:
     _packed: Optional[_Packed] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __setattr__(self, name, value):
+        # frees the old packed arrays now; ``packed()`` builds new ones
+        if name in ("tables", "first_order"):
+            object.__setattr__(self, "_packed", None)
+        object.__setattr__(self, name, value)
 
     @property
     def n_fields(self) -> int:

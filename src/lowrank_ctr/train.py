@@ -14,9 +14,9 @@ A pipeline is a stage list: ``train_baseline``, ``calibrate``,
 ``compress``, ``finetune``, ``eval``.  ``validate_pipeline`` holds its
 protocol, which ``config.load_config`` checks before any data is built:
 ``train_baseline`` comes first, every compress stage has exactly one
-finetune directly after it, and an output-PCA (``afm-*``) compress stage,
-the only kind that reads calibration statistics, has a calibrate stage
-directly before it (eval stages are transparent to the last two rules).
+finetune directly after it, and a compress stage whose ``METHODS`` entry
+reads calibration statistics has a calibrate stage directly before it
+(eval stages are transparent to the last two rules).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -295,10 +296,28 @@ STAGE_KEYS = {
     "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
     "eval": {"stage"},
 }
-MLP_METHODS = ("afm-mlp", "svd-mlp")
-EMB_METHODS = ("afm-emb", "svd-emb", "tt-emb")
-# the methods that read calibration taps; the others need no calibrate stage
-CALIBRATED_METHODS = ("afm-mlp", "afm-emb")
+
+
+@dataclass(frozen=True)
+class Method:
+    """What the rest of the package knows about one compression method."""
+
+    target: str  # "mlp" or "emb": what it compresses, and its calibrate taps
+    rank_key: str  # the profile key of its default rank
+    calibrated: bool  # reads calibration taps: needs a calibrate stage first
+    limit: Callable[[list, int], float]  # its highest rank, from (hidden_dims, embed_dim)
+    option: str | None  # the boolean compress-stage key that applies to it
+
+
+# afm-mlp keeps k of the outputs of hidden layers two and three, svd-mlp is
+# also bounded by their inputs; a tt-emb rank only caps the core ranks
+METHODS = {
+    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu"),
+    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu"),
+    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse"),
+    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse"),
+    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), None),
+}
 
 
 def validate_pipeline(stages: list) -> None:
@@ -320,7 +339,8 @@ def validate_pipeline(stages: list) -> None:
         if s["stage"] != "compress":
             continue
         calibrated = pos > 0 and core[pos - 1][1]["stage"] == "calibrate"
-        if s.get("method") in CALIBRATED_METHODS and not calibrated:
+        method = METHODS.get(s.get("method"))
+        if method is not None and method.calibrated and not calibrated:
             raise ConfigError(
                 f"stage {i}: {s['method']} compress must directly follow a "
                 f"calibrate stage"
@@ -334,12 +354,7 @@ def validate_pipeline(stages: list) -> None:
 
 def compress_rank(stage: dict, profile: dict) -> int:
     """The rank a compress stage runs at: its own, else the profile's."""
-    method = stage["method"]
-    if method in MLP_METHODS:
-        key = "mlp_rank"
-    else:
-        key = "tt_rank" if method == "tt-emb" else "emb_rank"
-    return int(stage.get("rank", profile[key]))
+    return int(stage.get("rank", profile[METHODS[stage["method"]].rank_key]))
 
 
 def _train_cfg(stage: dict, defaults: dict, seed: int) -> TrainConfig:
@@ -350,7 +365,7 @@ def _train_cfg(stage: dict, defaults: dict, seed: int) -> TrainConfig:
         epochs=int(merged.get("epochs", 1)),
         l2_ratio=float(merged["l2_ratio"]),
         weight_decay=float(merged["weight_decay"]),
-        dropout=merged.get("dropout"),
+        dropout=None if merged.get("dropout") is None else float(merged["dropout"]),
         seed=seed,
     )
 
@@ -372,30 +387,28 @@ def _run_compress(model, stage, taps, profile) -> dict:
     method = stage["method"]
     rank = compress_rank(stage, profile)
     before = param_count(model)
-    if method in MLP_METHODS:
-        insert_relu = bool(stage.get("insert_relu", True))
-        if method == "afm-mlp":
-            detail = comp.compress_mlp(model, rank, "afm", taps, insert_relu)
-        else:
-            detail = comp.compress_mlp(model, rank, "svd", None, insert_relu)
-    elif method == "tt-emb":
+    insert_relu = bool(stage.get("insert_relu", True))
+    if method == "afm-mlp":
+        detail = comp.compress_mlp(model, rank, "afm", taps, insert_relu)
+    elif method == "svd-mlp":
+        detail = comp.compress_mlp(model, rank, "svd", None, insert_relu)
+    elif method == "afm-emb":
+        emb_taps = []
+        for tid in select_taps(model, "emb"):
+            if tid not in taps:
+                raise RankError(f"afm compression needs a tap for {tid}")
+            emb_taps.append(taps[tid])
+        plan = comp.afm_plan_embedding(emb_taps, rank)
+        detail = comp.afm_apply_embedding(model, plan)
+    elif method == "svd-emb":
+        detail = comp.svd_compress_embedding(model, rank)
+    else:
         detail = comp.tt_compress_embedding(
             model, rank, n_cores=int(stage.get("tt_cores", 3))
         )
-    else:
-        if method == "afm-emb":
-            emb_taps = []
-            for tid in select_taps(model, "emb"):
-                if tid not in taps:
-                    raise RankError(f"afm compression needs a tap for {tid}")
-                emb_taps.append(taps[tid])
-            plan = comp.afm_plan_embedding(emb_taps, rank)
-            detail = comp.afm_apply_embedding(model, plan)
-        else:
-            detail = comp.svd_compress_embedding(model, rank)
-        if bool(stage.get("fuse", True)):
-            comp.fuse_projection_into_first_fc(model)
-            detail["fused_first_fc"] = True
+    if METHODS[method].option == "fuse" and bool(stage.get("fuse", True)):
+        comp.fuse_projection_into_first_fc(model)
+        detail["fused_first_fc"] = True
     return comp.compression_report(method, detail, before, param_count(model))
 
 

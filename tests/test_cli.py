@@ -6,6 +6,7 @@ import pytest
 
 from lowrank_ctr.checkpoint import load_checkpoint
 from lowrank_ctr.cli import main
+from lowrank_ctr.train import METHODS
 
 
 BASE_CONFIG = {
@@ -115,6 +116,46 @@ def test_compress_embeddings_shrinks_tables(workdir, capsys, tmp_path):
     model = load_checkpoint(out)
     assert all(t.weights.shape[0] == 2 for t in model.tables)
     assert model.mlp[0].weight.shape[1] == 2 * 4  # fused first layer reads rank-2
+
+
+@pytest.mark.parametrize("method, flags", [(m, []) for m in METHODS] + [
+    ("afm-emb", ["--no-fuse"]),
+    ("svd-mlp", ["--no-insert-relu"]),
+])
+def test_compress_runs_every_method(workdir, capsys, tmp_path, method, flags):
+    out = tmp_path / "small.lrck"
+    rc = main([
+        "compress",
+        "--config", str(workdir["config"]),
+        "--model-in", str(workdir["checkpoint"]),
+        "--model-out", str(out),
+        "--method", method,
+        *flags,
+    ])  # at the profile's default rank for the method
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["method"] == method
+    model = load_checkpoint(out)
+    option = METHODS[method].option
+    assert model.fused is (option == "fuse" and "--no-fuse" not in flags)
+    if option == "insert_relu":
+        relu = "--no-insert-relu" not in flags
+        assert model.mlp[1].activation == ("relu" if relu else "none")
+
+
+def test_pipeline_tt_stage_with_its_own_core_count(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "stages": [
+        {"stage": "train_baseline", "epochs": 0},
+        {"stage": "compress", "method": "tt-emb", "rank": 2, "tt_cores": 2},
+        {"stage": "finetune"},
+    ]}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "reports" / "stage01-tt-emb.json").read_text())
+    assert report["method"] == "tt-emb"
+    model = load_checkpoint(out / "checkpoints" / "stage02-finetune.lrck")
+    assert all(len(t.cores.cores) == 2 for t in model.tables)
 
 
 def test_bench_reports_throughput(workdir, capsys):
@@ -231,6 +272,35 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(out.rglob("*.lrck"))
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": "abc"},
+    {"model": {"hidden_dims": 5}},
+    {"model": {"hidden_dims": [0, 4, 4]}, "pipeline": {"mlp": None}},
+    {"stages": [{"stage": "train_baseline", "epochs": "x"}]},
+    {"stages": 5},
+    {"pipeline": 5},
+    {"data": 5},
+    {"model": 5},
+    {"stages": [{"stage": ["x"]}]},
+], ids=["seed", "hidden-int", "hidden-zero", "epochs", "stages", "pipeline",
+        "data", "model", "stage-name"])
+def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()  # nothing ran, not even the data build
+
+
+def test_train_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "root must be a JSON object" in capsys.readouterr().err
 
 
 def test_finetune_at_zero_learning_rate_keeps_the_model(workdir, tmp_path, capsys):

@@ -178,6 +178,13 @@ def test_config_from_file_and_string(tmp_path):
     assert from_file.config_hash == from_string.config_hash
 
 
+def test_config_from_a_json_string_longer_than_a_file_name():
+    raw = {"seed": 4, "data": {"synth": {"n_samples": 50, "vocab_sizes": [7] * 100}}}
+    text = json.dumps(raw)
+    assert len(text) > 255
+    assert load_config(text).config_hash == load_config(raw).config_hash
+
+
 def test_model_validation():
     with pytest.raises(ConfigError, match="hidden_dims"):
         load_config({"model": {"hidden_dims": []}})
@@ -230,6 +237,12 @@ def test_compress_rank_defaults_are_checked_and_tt_is_a_cap():
         load_config({"model": {"hidden_dims": [8, 8, 8]}})
     load_config({"model": {"embed_dim": 6},
                  "pipeline": {"mlp": None, "emb": "tt-emb", "emb_rank": 50}})
+
+
+def test_tt_rank_must_be_positive():
+    for rank in (0, -1):
+        with pytest.raises(ConfigError, match=rf"rank {rank} outside \[1, inf\]"):
+            load_config({"pipeline": {"mlp": None, "emb": "tt-emb", "emb_rank": rank}})
 
 
 def test_calibrate_taps_selector_checked():

@@ -1,6 +1,7 @@
 """Tests for the DeepFM model: forward math, gradients, parameter tally."""
 
 import copy
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lowrank_ctr.compress import (
     afm_apply_embedding,
     afm_plan_embedding,
     fuse_projection_into_first_fc,
+    svd_compress_embedding,
     tt_compress_embedding,
 )
 from lowrank_ctr.errors import DataError, ShapeError
@@ -402,6 +404,21 @@ def test_deepcopy_with_one_packed_array_repacks(kind):
         p += 0.25
     want = forward(other.clone(), make_batch(idx)).logits
     np.testing.assert_array_equal(forward(other, make_batch(idx)).logits, want)
+
+
+@pytest.mark.parametrize("compressor", [svd_compress_embedding, tt_compress_embedding])
+def test_replacing_the_tables_frees_the_old_packed_array(compressor):
+    model = init_deepfm([10_000] * 10, 16, [8, 8, 8], seed=0)
+    old = weakref.ref(model.packed().tables)  # 6.4 MB of float32
+    compressor(model, 4)
+    assert old() is None
+    model.first_order = list(model.first_order)
+    assert model._packed is None
+    idx = np.array([[1] * 10, [9_999] * 10])
+    np.testing.assert_array_equal(  # repacked from the current arrays
+        forward(model, make_batch(idx)).logits,
+        forward(model.clone(), make_batch(idx)).logits,
+    )
 
 
 @pytest.mark.parametrize("fused", [False, True])
