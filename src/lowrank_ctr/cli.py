@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import _read_config, load_config
+from .config import _read_config, fill_stage, load_config
 from .data import SynthSpec, synth_generate, write_tsv
 from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
 from .metrics import bench_throughput
@@ -32,7 +32,6 @@ from .nn import forward
 from .train import (
     METHODS,
     _run_compress,
-    _train_cfg,
     calibrate,
     evaluate_model,
     finetune,
@@ -94,15 +93,16 @@ def cmd_compress(args) -> int:
     model = load_checkpoint(args.model_in)
     rc = _config_from(args)
     method = METHODS[args.method]
+    stage = {"stage": "compress", "method": args.method, **_given(args, "rank")}
+    if getattr(args, f"no_{method.option}", False):
+        stage[method.option] = False  # --no-insert-relu or --no-fuse
+    stage = fill_stage(stage, rc.profile_defaults, rc.seed, "compress")
     taps = None
     if method.calibrated:
         train_ds, _ = prepare_data(rc)
         ids = select_taps(model, method.target)
         taps = calibrate(model, train_ds, ids, batch_size=args.calib_batch_size)
-    stage = {"stage": "compress", "method": args.method, **_given(args, "rank")}
-    if method.option and getattr(args, f"no_{method.option}"):
-        stage[method.option] = False  # --no-insert-relu or --no-fuse
-    report = _run_compress(model, stage, taps, rc.profile_defaults)
+    report = _run_compress(model, stage, taps)
     save_checkpoint(model, args.model_out)
     _emit(report, args.report)
     return 0
@@ -111,10 +111,10 @@ def cmd_compress(args) -> int:
 def cmd_finetune(args) -> int:
     model = load_checkpoint(args.model_in)
     rc = _config_from(args)
+    stage = {"stage": "finetune", **rc.profile_defaults.get("finetune", {}),
+             **_given(args, "learning_rate", "batch_size", "dropout")}
+    cfg = fill_stage(stage, rc.profile_defaults, rc.seed, "finetune")["train"]
     train_ds, test_ds = prepare_data(rc)
-    defaults = {**rc.train_defaults, **rc.profile_defaults.get("finetune", {})}
-    stage = _given(args, "learning_rate", "batch_size", "dropout")
-    cfg = _train_cfg(stage, defaults, rc.seed)
     rows = finetune(model, train_ds, cfg, test_dataset=test_ds)
     save_checkpoint(model, args.model_out)
     _emit(rows[-1], args.report)

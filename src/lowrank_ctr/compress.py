@@ -243,20 +243,15 @@ def afm_plan_embedding(taps, k: int) -> EmbCompressionPlan:
     """Plan per-field output-PCA reductions from embedding taps.
 
     ``taps`` is the per-field list of calibration taps in field order; a
-    single uniform rank applies across fields.
+    single uniform rank applies across fields.  Each field is planned as
+    :func:`afm_plan_fc` plans a dense layer.
     """
-    bases = []
-    means = []
-    spectra = []
-    for tap in taps:
-        acc = tap.accumulator
-        k_i = _check_rank(k, acc.dim)
-        mean, cov = acc.covariance()
-        values, vectors = _clamped_eigen(cov)
-        bases.append(vectors[:, :k_i])
-        means.append(mean)
-        spectra.append(values)
-    return EmbCompressionPlan(tuple(bases), tuple(means), tuple(spectra))
+    plans = [afm_plan_fc(tap, k) for tap in taps]
+    return EmbCompressionPlan(
+        tuple(p.basis for p in plans),
+        tuple(p.mean for p in plans),
+        tuple(p.eigenvalues for p in plans),
+    )
 
 
 def _check_plain_tables(model: DeepFMModel) -> None:
@@ -345,15 +340,10 @@ def tt_compress_embedding(
     factorizations are derived.  Lookups after this rebuild each batch's
     rows through the core chain.
     """
-    if model.projections is not None or model.fused:
-        raise ShapeError(
-            "tensor-train compression applies to uncompressed tables"
-        )
+    _check_plain_tables(model)
     detail = {}
     new_tables = []
     for i, table in enumerate(model.tables):
-        if isinstance(table, TTEmbeddingTable):
-            raise ShapeError(f"field {i} already holds tensor-train cores")
         if factor_plans is not None:
             rf, cf = factor_plans[i]
         else:

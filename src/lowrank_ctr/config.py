@@ -19,18 +19,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .data import SynthSpec
 from .errors import ConfigError
-from .train import (
-    METHODS,
-    STAGE_KEYS,
-    _train_cfg,
-    compress_rank,
-    config_hash,
-    validate_pipeline,
-)
+from .train import METHODS, STAGE_KEYS, TrainConfig, config_hash, validate_pipeline
 
 PROFILES = {
     # industry-scale ads logs: 13 continuous + 26 categorical columns
@@ -136,6 +130,8 @@ _MODEL_KEYS = {
     "fm_enabled",
 }
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
+# the defaults of each method's compress-stage option (see train.METHODS)
+_OPTION_DEFAULTS = {"insert_relu": True, "fuse": True, "tt_cores": 3}
 
 
 @dataclass
@@ -145,17 +141,21 @@ class ResolvedConfig:
     output_dir: str
     data: dict
     model: dict
-    stages: list
-    train_defaults: dict
+    stages: list  # filled stages, see fill_stage
     profile_defaults: dict
     config_hash: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
 def standard_stages(profile: dict, pipeline: dict) -> list:
@@ -179,54 +179,89 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
         if method.calibrated:
             stages.append({"stage": "calibrate", "taps": target})
         rank = pipeline.get(f"{target}_rank", profile[method.rank_key])
-        compress = {"stage": "compress", "method": name, "rank": int(rank)}
+        compress = {"stage": "compress", "method": name, "rank": rank}
         if method.option in pipeline:
-            compress[method.option] = bool(pipeline[method.option])
+            compress[method.option] = pipeline[method.option]
         fine = {**profile.get("finetune", {}), **profile.get(f"finetune_{target}", {})}
         stages += [compress, {"stage": "finetune", **fine}]
     stages.append({"stage": "eval"})
     return stages
 
 
-def _check_stages(stages: list, model: dict, profile: dict, train_defaults: dict) -> None:
-    """Validate the stage chain, each stage's keys, each calibrate stage's
-    taps, each training stage's settings and each compress stage's method
-    and rank against the configured widths, so that a config the runner
+def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
+    """``stage`` with every setting its handler reads, defaulted from the
+    profile and converted: a training stage's settings become one
+    ``TrainConfig`` under ``"train"``, seeded with ``seed``.  A key the
+    stage does not accept, or a value of the wrong kind, raises
+    ConfigError naming ``where``."""
+    name = stage["stage"]
+    if name == "compress":
+        method = METHODS.get(stage.get("method"))
+        if method is None:
+            raise ConfigError(f"{where}: unknown method {stage.get('method')!r}")
+        _reject_unknown(stage, STAGE_KEYS[name] | {method.option}, where)
+        default = _OPTION_DEFAULTS[method.option]
+        option = stage.get(method.option, default)
+        return {
+            **stage,
+            "rank": int(stage.get("rank", profile[method.rank_key])),
+            method.option: (
+                _flag(option, f"{where}: {method.option}")
+                if isinstance(default, bool)
+                else int(option)
+            ),
+        }
+    _reject_unknown(stage, STAGE_KEYS[name], where)
+    if name == "calibrate":
+        taps = stage.get("taps", "auto")
+        if not _valid_taps(taps):
+            raise ConfigError(
+                f"{where}: taps must be 'mlp', 'emb', 'auto' or a list of "
+                f"'emb.<i>'/'mlp.<j>' ids, got {taps!r}"
+            )
+        batch_size = int(stage.get("batch_size", 10000))
+        if batch_size < 1:
+            raise ConfigError(f"{where}: batch size must be positive, got {batch_size}")
+        return {"stage": name, "taps": taps, "batch_size": batch_size}
+    if name == "eval":
+        return {"stage": name}
+    if name == "finetune" and stage.get("epochs", 1) != 1:
+        raise ConfigError(
+            f"{where}: a finetune stage runs exactly one epoch, got "
+            f"epochs {stage['epochs']!r}"
+        )
+    train_keys = ("learning_rate", "batch_size", "l2_ratio", "weight_decay")
+    settings = {**{key: profile[key] for key in train_keys}, **stage}
+    del settings["stage"]
+    return {"stage": name, "train": TrainConfig(**settings, seed=seed)}
+
+
+def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
+    """Check the stage chain and each compress stage's rank against the
+    configured widths, and fill every stage, so that a config the runner
     would reject fails before any training."""
     validate_pipeline(stages)
     hidden = model["hidden_dims"]
+    filled = []
     for i, s in enumerate(stages):
         where = f"stage {i} ({s['stage']})"
-        _reject_unknown(s, STAGE_KEYS[s["stage"]], where)
-        if s["stage"] == "calibrate" and not _valid_taps(s.get("taps", "auto")):
-            raise ConfigError(
-                f"{where}: taps must be 'mlp', 'emb', 'auto' or a list of "
-                f"'emb.<i>'/'mlp.<j>' ids, got {s['taps']!r}"
-            )
-        if s["stage"] in ("train_baseline", "finetune"):
-            _train_cfg(s, train_defaults, 0)  # the runner's own conversions
-        if s["stage"] == "finetune" and s.get("epochs", 1) != 1:
-            raise ConfigError(
-                f"{where}: a finetune stage runs exactly one epoch, got "
-                f"epochs {s['epochs']!r}"
-            )
+        s = fill_stage(s, profile, seed + i, where)
+        filled.append(s)
         if s["stage"] != "compress":
             continue
-        method = METHODS.get(s.get("method"))
-        if method is None:
-            raise ConfigError(f"stage {i}: unknown method {s.get('method')!r}")
+        method = METHODS[s["method"]]
         if method.target == "mlp" and len(hidden) != 3:
             raise ConfigError(
                 f"{where}: MLP compression needs model.hidden_dims of "
                 f"length 3, got {hidden}"
             )
-        limit = method.limit(hidden, int(model["embed_dim"]))
-        rank = compress_rank(s, profile)
-        if not 1 <= rank <= limit:
+        limit = method.limit(hidden, model["embed_dim"])
+        if not 1 <= s["rank"] <= limit:
             raise ConfigError(
-                f"{where}: rank {rank} outside [1, {limit}] for the configured "
+                f"{where}: rank {s['rank']} outside [1, {limit}] for the configured "
                 "model widths"
             )
+    return filled
 
 
 def _valid_taps(taps) -> bool:
@@ -291,19 +326,29 @@ def _resolve(raw: dict) -> ResolvedConfig:
         else:
             raise ConfigError("data: a 'path' is required for this profile")
     if "synth" in data:
-        synth = dict(data["synth"] or {})
+        synth = {**SYNTH_DATA_DEFAULTS, **(data["synth"] or {})}
         _reject_unknown(synth, _SYNTH_KEYS, "data.synth")
-        merged = dict(SYNTH_DATA_DEFAULTS)
-        merged.update(synth)
-        data["synth"] = merged
-    data.setdefault("test_fraction", profile["test_fraction"])
-    data.setdefault("min_count", profile["min_count"])
+        spec = SynthSpec(
+            n_samples=int(synth["n_samples"]),
+            vocab_sizes=[int(v) for v in synth["vocab_sizes"]],
+            latent_rank=int(synth["latent_rank"]),
+            noise=float(synth["noise"]),
+            skew=float(synth["skew"]),
+            seed=int(synth["seed"]),
+        )
+        spec.validate()  # load_config reports its DataError as a config error
+        data["synth"] = asdict(spec)
+    data["test_fraction"] = float(data.get("test_fraction", profile["test_fraction"]))
+    data["min_count"] = int(data.get("min_count", profile["min_count"]))
+    data["split_seed"] = int(data.get("split_seed", seed))
 
     model = dict(raw.get("model", {}))
     _reject_unknown(model, _MODEL_KEYS, "model")
-    for key in ("n_continuous", "n_categorical", "embed_dim", "hidden_dims", "dropout_rate"):
-        model.setdefault(key, profile[key])
-    model.setdefault("fm_enabled", True)
+    for key in ("n_continuous", "n_categorical", "embed_dim"):
+        model[key] = int(model.get(key, profile[key]))
+    model["dropout_rate"] = float(model.get("dropout_rate", profile["dropout_rate"]))
+    model["fm_enabled"] = _flag(model.get("fm_enabled", True), "model.fm_enabled")
+    model.setdefault("hidden_dims", profile["hidden_dims"])
     hidden = model["hidden_dims"]
     if not hidden or not all(isinstance(h, int) and h > 0 for h in hidden):
         raise ConfigError(f"model.hidden_dims must list positive widths, got {hidden!r}")
@@ -314,16 +359,9 @@ def _resolve(raw: dict) -> ResolvedConfig:
         for i, s in enumerate(raw["stages"]):
             if not isinstance(s, dict) or "stage" not in s:
                 raise ConfigError(f"stage {i} must be an object with a 'stage' key")
-        stages = [dict(s) for s in raw["stages"]]
+        stages = raw["stages"]
     else:
         stages = standard_stages(profile, dict(raw.get("pipeline", {})))
-    train_defaults = {
-        "learning_rate": profile["learning_rate"],
-        "batch_size": profile["batch_size"],
-        "l2_ratio": profile["l2_ratio"],
-        "weight_decay": profile["weight_decay"],
-    }
-    _check_stages(stages, model, profile, train_defaults)
 
     return ResolvedConfig(
         profile=profile_name,
@@ -331,9 +369,8 @@ def _resolve(raw: dict) -> ResolvedConfig:
         output_dir=str(raw.get("output_dir", "runs/latest")),
         data=data,
         model=model,
-        stages=stages,
-        train_defaults=train_defaults,
+        stages=_fill_stages(stages, model, profile, seed),
         profile_defaults=profile,
         config_hash=config_hash(raw),
-        raw=raw,
     )
+

@@ -103,7 +103,7 @@ def bench_throughput(
             f"need at least {warmup + 20} pre-built batches, got {len(batches)}"
         )
     if batch_size is None:
-        batch_size = len(batches[0][0]) if isinstance(batches[0], tuple) else len(batches[0])
+        batch_size = len(batches[0])
     for b in batches[:warmup]:
         run_batch(b)
     timings = []

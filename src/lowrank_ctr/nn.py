@@ -51,17 +51,13 @@ import numpy as np
 from .errors import DataError, NumericError, ShapeError
 from .linalg import TTCores
 
-ACTIVATIONS = ("relu", "none", "sigmoid")
+ACTIVATIONS = ("relu", "none")
 
 
 def sigmoid(z) -> np.ndarray:
-    """Numerically stable logistic function, computed in float64."""
-    return _logistic(np.asarray(z, dtype=np.float64))
-
-
-def _logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function in the dtype of ``z``:
+    """Numerically stable logistic function, computed in float64:
     1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below."""
+    z = np.asarray(z, dtype=np.float64)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
@@ -465,14 +461,6 @@ def _effective_dropout(layer: DenseLayer, override) -> float:
     return float(layer.dropout_rate)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0)
-    if kind == "none":
-        return z
-    return _logistic(z)
-
-
 @lru_cache(maxsize=16)
 def _stacked_identity(n_fields: int, k: int, dtype) -> np.ndarray:
     """The read-only (n_fields * k, k) stack of k x k identities, built once
@@ -577,12 +565,12 @@ def _run_forward(
         z += layer.bias
         if f"mlp.{j}" in capture:
             captured[f"mlp.{j}"] = z
-            a = _activate(z, layer.activation)
+            a = np.maximum(z, 0) if layer.activation == "relu" else z
         elif layer.activation == "relu":
             # in place: relu(z) > 0 exactly where z > 0, all backward needs
             a = np.maximum(z, 0, out=z)
         else:
-            a = _activate(z, layer.activation)
+            a = z
         mask = None
         rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
         if rate > 0.0:
@@ -748,9 +736,6 @@ def compute_gradients(
             d = d * mask
         if layer.activation == "relu":
             d = d * (z > 0)
-        elif layer.activation == "sigmoid":
-            a = _activate(z, "sigmoid")
-            d = d * a * (1 - a)
         grads[f"mlp.{j}.weight"] = d.T @ x_in
         grads[f"mlp.{j}.bias"] = d.sum(axis=0)
         d = d @ layer.weight

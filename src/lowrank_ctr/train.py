@@ -16,7 +16,9 @@ protocol, which ``config.load_config`` checks before any data is built:
 ``train_baseline`` comes first, every compress stage has exactly one
 finetune directly after it, and a compress stage whose ``METHODS`` entry
 reads calibration statistics has a calibrate stage directly before it
-(eval stages are transparent to the last two rules).
+(eval stages are transparent to the last two rules).  Each stage reaches
+its handler filled by ``config.fill_stage``: every setting present and
+converted, a training stage's as one ``TrainConfig`` under ``"train"``.
 """
 
 from __future__ import annotations
@@ -132,6 +134,21 @@ class TrainConfig:
     dropout: float | None = None  # override at dropout sites; None keeps stored
     seed: int = 0
 
+    def __post_init__(self):
+        """Convert each setting to its type and check the ranges; a value
+        of the wrong kind raises TypeError or ValueError."""
+        self.learning_rate = float(self.learning_rate)
+        self.batch_size = int(self.batch_size)
+        self.epochs = int(self.epochs)
+        self.l2_ratio = float(self.l2_ratio)
+        self.weight_decay = float(self.weight_decay)
+        if self.dropout is not None:
+            self.dropout = float(self.dropout)
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be positive, got {self.batch_size}")
+
 
 def loss_bce_l2(logits, labels, model: DeepFMModel | None = None, l2_ratio: float = 0.0) -> float:
     """Mean BCE from logits plus the optional squared-weight penalty."""
@@ -179,10 +196,6 @@ def train(
     produced (dropout active, parameters evolving), which costs nothing
     extra; test metrics are clean inference passes.
     """
-    if cfg.epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch size must be positive, got {cfg.batch_size}")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(cfg.learning_rate, cfg.weight_decay)
     n = len(dataset)
@@ -292,7 +305,7 @@ def calibrate(
 STAGE_KEYS = {
     "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
     "calibrate": {"stage", "taps", "batch_size"},
-    "compress": {"stage", "method", "rank", "insert_relu", "fuse", "tt_cores"},
+    "compress": {"stage", "method", "rank"},  # and its method's option
     "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
     "eval": {"stage"},
 }
@@ -306,7 +319,7 @@ class Method:
     rank_key: str  # the profile key of its default rank
     calibrated: bool  # reads calibration taps: needs a calibrate stage first
     limit: Callable[[list, int], float]  # its highest rank, from (hidden_dims, embed_dim)
-    option: str | None  # the boolean compress-stage key that applies to it
+    option: str  # the one compress-stage key besides the rank that applies to it
 
 
 # afm-mlp keeps k of the outputs of hidden layers two and three, svd-mlp is
@@ -316,7 +329,7 @@ METHODS = {
     "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu"),
     "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse"),
     "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse"),
-    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), None),
+    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), "tt_cores"),
 }
 
 
@@ -352,24 +365,6 @@ def validate_pipeline(stages: list) -> None:
             )
 
 
-def compress_rank(stage: dict, profile: dict) -> int:
-    """The rank a compress stage runs at: its own, else the profile's."""
-    return int(stage.get("rank", profile[METHODS[stage["method"]].rank_key]))
-
-
-def _train_cfg(stage: dict, defaults: dict, seed: int) -> TrainConfig:
-    merged = {**defaults, **stage}
-    return TrainConfig(
-        learning_rate=float(merged["learning_rate"]),
-        batch_size=int(merged["batch_size"]),
-        epochs=int(merged.get("epochs", 1)),
-        l2_ratio=float(merged["l2_ratio"]),
-        weight_decay=float(merged["weight_decay"]),
-        dropout=None if merged.get("dropout") is None else float(merged["dropout"]),
-        seed=seed,
-    )
-
-
 def select_taps(model: DeepFMModel, selector) -> list:
     """The tap ids a calibrate stage's ``taps`` selector names: ``"mlp"``
     (the compressible hidden layers), ``"emb"`` (every embedding field),
@@ -381,17 +376,16 @@ def select_taps(model: DeepFMModel, selector) -> list:
     return {"mlp": mlp, "emb": emb, "auto": mlp + emb}[selector]
 
 
-def _run_compress(model, stage, taps, profile) -> dict:
-    """Compress ``model`` in place as a compress stage says; returns the
-    compression report."""
+def _run_compress(model, stage, taps) -> dict:
+    """Compress ``model`` in place as a filled compress stage says; returns
+    the compression report."""
     method = stage["method"]
-    rank = compress_rank(stage, profile)
+    rank = stage["rank"]
     before = param_count(model)
-    insert_relu = bool(stage.get("insert_relu", True))
     if method == "afm-mlp":
-        detail = comp.compress_mlp(model, rank, "afm", taps, insert_relu)
+        detail = comp.compress_mlp(model, rank, "afm", taps, stage["insert_relu"])
     elif method == "svd-mlp":
-        detail = comp.compress_mlp(model, rank, "svd", None, insert_relu)
+        detail = comp.compress_mlp(model, rank, "svd", None, stage["insert_relu"])
     elif method == "afm-emb":
         emb_taps = []
         for tid in select_taps(model, "emb"):
@@ -403,10 +397,8 @@ def _run_compress(model, stage, taps, profile) -> dict:
     elif method == "svd-emb":
         detail = comp.svd_compress_embedding(model, rank)
     else:
-        detail = comp.tt_compress_embedding(
-            model, rank, n_cores=int(stage.get("tt_cores", 3))
-        )
-    if METHODS[method].option == "fuse" and bool(stage.get("fuse", True)):
+        detail = comp.tt_compress_embedding(model, rank, n_cores=stage["tt_cores"])
+    if METHODS[method].option == "fuse" and stage["fuse"]:
         comp.fuse_projection_into_first_fc(model)
         detail["fused_first_fc"] = True
     return comp.compression_report(method, detail, before, param_count(model))
@@ -416,23 +408,15 @@ def prepare_data(resolved):
     """Materialize the configured dataset and its train/test split."""
     data_cfg = resolved.data
     if "synth" in data_cfg:
-        spec = SynthSpec(**data_cfg["synth"])
-        dataset = synth_generate(spec)
+        dataset = synth_generate(SynthSpec(**data_cfg["synth"]))
     else:
-        n_cont = int(resolved.model["n_continuous"])
-        n_cat = int(resolved.model["n_categorical"])
         dataset, _ = load_tsv(
             data_cfg["path"],
-            n_cont,
-            n_cat,
-            min_count=int(data_cfg.get("min_count", 10)),
+            resolved.model["n_continuous"],
+            resolved.model["n_categorical"],
+            min_count=data_cfg["min_count"],
         )
-    split_seed = data_cfg.get("split_seed")
-    if split_seed is None:
-        split_seed = resolved.seed
-    return split(
-        dataset, float(data_cfg.get("test_fraction", 0.1)), int(split_seed)
-    )
+    return split(dataset, data_cfg["test_fraction"], data_cfg["split_seed"])
 
 
 @dataclass
@@ -469,17 +453,17 @@ def _stage_train_baseline(run: _Run, i: int, stage: dict) -> None:
     model_cfg = run.resolved.model
     run.model = init_deepfm(
         run.train_ds.vocab_sizes,
-        int(model_cfg["embed_dim"]),
+        model_cfg["embed_dim"],
         model_cfg["hidden_dims"],
         n_continuous=run.train_ds.n_continuous,
         seed=run.resolved.seed,
-        dropout_rate=float(model_cfg["dropout_rate"]),
-        fm_enabled=bool(model_cfg["fm_enabled"]),
+        dropout_rate=model_cfg["dropout_rate"],
+        fm_enabled=model_cfg["fm_enabled"],
     )
     train(
         run.model,
         run.train_ds,
-        _train_cfg(stage, run.resolved.train_defaults, run.resolved.seed + i),
+        stage["train"],
         test_dataset=run.test_ds,
         metrics_path=run.metrics_path,
         stage=_tag(i, stage),
@@ -491,14 +475,14 @@ def _stage_calibrate(run: _Run, i: int, stage: dict) -> None:
     taps = calibrate(
         run.model,
         run.train_ds,
-        select_taps(run.model, stage.get("taps", "auto")),
-        batch_size=int(stage.get("batch_size", 10000)),
+        select_taps(run.model, stage["taps"]),
+        batch_size=stage["batch_size"],
     )
     run.taps = taps if run.taps is None else {**run.taps, **taps}
 
 
 def _stage_compress(run: _Run, i: int, stage: dict) -> None:
-    report = _run_compress(run.model, stage, run.taps, run.resolved.profile_defaults)
+    report = _run_compress(run.model, stage, run.taps)
     tag = _tag(i, stage)
     rel = f"reports/{tag}.json"
     comp.write_report(report, run.out / rel)
@@ -512,7 +496,7 @@ def _stage_finetune(run: _Run, i: int, stage: dict) -> None:
     finetune(
         run.model,
         run.train_ds,
-        _train_cfg(stage, run.resolved.train_defaults, run.resolved.seed + i),
+        stage["train"],
         test_dataset=run.test_ds,
         metrics_path=run.metrics_path,
     )

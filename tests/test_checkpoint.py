@@ -275,6 +275,10 @@ def two_outputs(topo, tensors):
     tensors["mlp.3.bias"] = np.zeros(2, np.float32)
 
 
+def sigmoid_layer(topo, tensors):
+    topo["mlp"][0]["activation"] = "sigmoid"
+
+
 def bad_core(topo, tensors):
     core = tensors["emb.0.core.0"]
     tensors["emb.0.core.0"] = np.zeros(core.shape[:-1] + (core.shape[-1] + 1,), np.float32)
@@ -296,6 +300,7 @@ def bad_core(topo, tensors):
         (plain_model, mixed_fields, "mix dense tables and tensor-train"),
         (plain_model, fused_without_projections, "without projections"),
         (plain_model, extra_tensor, "does not use"),
+        (plain_model, sigmoid_layer, "unknown activation 'sigmoid'"),
     ],
 )
 def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):

@@ -24,6 +24,7 @@ BASE_CONFIG = {
     },
     "model": {"embed_dim": 8, "hidden_dims": [16, 16, 16], "dropout_rate": 0.0},
 }
+SYNTH = BASE_CONFIG["data"]["synth"]
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +285,31 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     {"data": 5},
     {"model": 5},
     {"stages": [{"stage": ["x"]}]},
+    {"data": {**BASE_CONFIG["data"], "synth": {**SYNTH, "noise": "x"}}},
+    {"model": {**BASE_CONFIG["model"], "embed_dim": "x"}, "pipeline": {"mlp": None, "emb": None}},
+    {"data": {**BASE_CONFIG["data"], "test_fraction": "x"}},
+    {"data": {**BASE_CONFIG["data"], "split_seed": "x"}},
+    {"model": {**BASE_CONFIG["model"], "dropout_rate": "x"}},
+    {"stages": [{"stage": "train_baseline"}, {"stage": "calibrate", "batch_size": "x"},
+                {"stage": "compress", "method": "afm-mlp", "rank": 4}, {"stage": "finetune"}]},
+    {"stages": [{"stage": "train_baseline"}, {"stage": "calibrate", "batch_size": 0},
+                {"stage": "compress", "method": "afm-mlp", "rank": 4}, {"stage": "finetune"}]},
+    {"stages": [{"stage": "train_baseline"},
+                {"stage": "compress", "method": "tt-emb", "rank": 2, "tt_cores": "x"},
+                {"stage": "finetune"}]},
+    {"data": {**BASE_CONFIG["data"], "synth": {**SYNTH, "noise": 0.7}}},
+    {"stages": [{"stage": "train_baseline", "batch_size": 0}]},
+    {"stages": [{"stage": "train_baseline", "epochs": -1}]},
+    {"model": {**BASE_CONFIG["model"], "fm_enabled": "no"}},
+    {"pipeline": {"insert_relu": "no"}},
+    {"stages": [{"stage": "train_baseline"},
+                {"stage": "compress", "method": "svd-mlp", "rank": 4, "fuse": False, "tt_cores": 2},
+                {"stage": "finetune"}]},
 ], ids=["seed", "hidden-int", "hidden-zero", "epochs", "stages", "pipeline",
-        "data", "model", "stage-name"])
+        "data", "model", "stage-name", "synth-noise-str", "embed-dim-str",
+        "test-fraction-str", "split-seed-str", "dropout-rate-str", "calibrate-batch-str",
+        "calibrate-batch-zero", "tt-cores-str", "synth-noise-range", "batch-size-zero",
+        "epochs-negative", "fm-enabled-str", "insert-relu-str", "options-off-method"])
 def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))

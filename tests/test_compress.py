@@ -81,6 +81,10 @@ def test_plan_needs_enough_samples():
     tap = tap_from("mlp.2", np.ones((2, 5)))
     with pytest.raises(RankError):
         afm_plan_fc(tap, 2)
+    # an embedding tap gets the same guard as a dense layer's
+    tap = tap_from("emb.0", np.random.default_rng(0).standard_normal((5, 16)))
+    with pytest.raises(RankError, match="5 samples for dimension 16"):
+        afm_plan_embedding([tap], 4)
 
 
 def test_split_full_rank_identity_without_relu():
