@@ -176,8 +176,8 @@ def load_checkpoint(path) -> DeepFMModel:
     MLP whose widths do not chain from the input width down to 1, a
     non-finite value, mixed dense and tensor-train fields) raises DataError
     before a model is built.  The payload is mapped, not read, and dense
-    tables and first-order weights are copied from it once, by
-    ``DeepFMModel.packed``."""
+    tables, first-order weights and projections are copied from it once,
+    by ``DeepFMModel.packed``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -274,7 +274,7 @@ def _build(manifest: dict, payload) -> DeepFMModel:
     projections = None
     if topo["has_projections"]:
         projections = [
-            ProjectionLayer(take(f"proj.{i}.weight"), take(f"proj.{i}.bias"))
+            ProjectionLayer(read(f"proj.{i}.weight"), read(f"proj.{i}.bias"))
             for i in range(len(tables))
         ]
     fused = bool(topo["fused"])

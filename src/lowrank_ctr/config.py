@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .data import SynthSpec
+from .data import SynthSpec, check_test_fraction
 from .errors import ConfigError
 from .train import METHODS, STAGE_KEYS, TrainConfig, config_hash, validate_pipeline
 
@@ -121,17 +121,43 @@ SYNTH_DATA_DEFAULTS = {
 _TOP_KEYS = {"profile", "seed", "output_dir", "data", "model", "pipeline", "stages"}
 _DATA_KEYS = {"synth", "path", "test_fraction", "split_seed", "min_count"}
 _SYNTH_KEYS = {"n_samples", "vocab_sizes", "latent_rank", "noise", "skew", "seed"}
-_MODEL_KEYS = {
-    "n_continuous",
-    "n_categorical",
-    "embed_dim",
-    "hidden_dims",
-    "dropout_rate",
-    "fm_enabled",
-}
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
 # the defaults of each method's compress-stage option (see train.METHODS)
 _OPTION_DEFAULTS = {"insert_relu": True, "fuse": True, "tt_cores": 3}
+
+
+@dataclass
+class ModelSpec:
+    """A config's model settings, converted and range-checked when made;
+    ``ResolvedConfig.model`` holds them as a dict."""
+
+    n_continuous: int
+    n_categorical: int
+    embed_dim: int
+    hidden_dims: list
+    dropout_rate: float
+    fm_enabled: bool = True
+
+    def __post_init__(self):
+        self.n_continuous = int(self.n_continuous)
+        self.n_categorical = int(self.n_categorical)
+        self.embed_dim = int(self.embed_dim)
+        self.dropout_rate = float(self.dropout_rate)
+        self.fm_enabled = _flag(self.fm_enabled, "model.fm_enabled")
+        hidden = self.hidden_dims
+        if not hidden or not all(isinstance(h, int) and h > 0 for h in hidden):
+            raise ConfigError(f"model.hidden_dims must list positive widths, got {hidden!r}")
+        if self.n_continuous < 0:
+            raise ConfigError(f"model.n_continuous must be >= 0, got {self.n_continuous}")
+        if self.n_categorical < 1:
+            raise ConfigError(f"model.n_categorical must be >= 1, got {self.n_categorical}")
+        if self.embed_dim < 1:
+            raise ConfigError(f"model.embed_dim must be >= 1, got {self.embed_dim}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"model.dropout_rate {self.dropout_rate} outside [0, 1)")
+
+
+_MODEL_KEYS = {f.name for f in fields(ModelSpec)}
 
 
 @dataclass
@@ -202,14 +228,16 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
         _reject_unknown(stage, STAGE_KEYS[name] | {method.option}, where)
         default = _OPTION_DEFAULTS[method.option]
         option = stage.get(method.option, default)
+        if isinstance(default, bool):
+            option = _flag(option, f"{where}: {method.option}")
+        else:
+            option = int(option)
+            if option < 1:
+                raise ConfigError(f"{where}: {method.option} must be >= 1, got {option}")
         return {
             **stage,
             "rank": int(stage.get("rank", profile[method.rank_key])),
-            method.option: (
-                _flag(option, f"{where}: {method.option}")
-                if isinstance(default, bool)
-                else int(option)
-            ),
+            method.option: option,
         }
     _reject_unknown(stage, STAGE_KEYS[name], where)
     if name == "calibrate":
@@ -338,20 +366,16 @@ def _resolve(raw: dict) -> ResolvedConfig:
         )
         spec.validate()  # load_config reports its DataError as a config error
         data["synth"] = asdict(spec)
-    data["test_fraction"] = float(data.get("test_fraction", profile["test_fraction"]))
+    data["test_fraction"] = check_test_fraction(
+        float(data.get("test_fraction", profile["test_fraction"]))
+    )
     data["min_count"] = int(data.get("min_count", profile["min_count"]))
     data["split_seed"] = int(data.get("split_seed", seed))
 
     model = dict(raw.get("model", {}))
     _reject_unknown(model, _MODEL_KEYS, "model")
-    for key in ("n_continuous", "n_categorical", "embed_dim"):
-        model[key] = int(model.get(key, profile[key]))
-    model["dropout_rate"] = float(model.get("dropout_rate", profile["dropout_rate"]))
-    model["fm_enabled"] = _flag(model.get("fm_enabled", True), "model.fm_enabled")
-    model.setdefault("hidden_dims", profile["hidden_dims"])
-    hidden = model["hidden_dims"]
-    if not hidden or not all(isinstance(h, int) and h > 0 for h in hidden):
-        raise ConfigError(f"model.hidden_dims must list positive widths, got {hidden!r}")
+    defaults = {key: profile[key] for key in _MODEL_KEYS if key in profile}
+    model = asdict(ModelSpec(**{**defaults, **model}))
 
     if "stages" in raw and "pipeline" in raw:
         raise ConfigError("give either 'stages' or 'pipeline', not both")

@@ -204,10 +204,16 @@ def write_tsv(dataset: ClickDataset, path, dictionaries: list | None = None) -> 
             fh.write("\t".join(cells) + "\n")
 
 
-def split(dataset: ClickDataset, test_fraction: float, seed: int) -> tuple:
-    """Deterministic shuffled train/test split."""
+def check_test_fraction(test_fraction: float) -> float:
+    """``test_fraction`` if ``split`` accepts it: strictly between 0 and 1."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test fraction {test_fraction} outside (0, 1)")
+    return test_fraction
+
+
+def split(dataset: ClickDataset, test_fraction: float, seed: int) -> tuple:
+    """Deterministic shuffled train/test split."""
+    check_test_fraction(test_fraction)
     n = len(dataset)
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n - n_test < 1:

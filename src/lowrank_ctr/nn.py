@@ -12,16 +12,19 @@ Each ``EmbeddingTable.weights`` is a (dim, vocab) array, so compression can
 treat a table as a matrix whose columns are items.  Inside a model the
 dense tables are stored together: one row-major (sum vocab, dim) array
 with per-field row offsets, of which each table's weights is the
-transposed view; the first-order weights are packed the same way.  A
-forward pass therefore fetches every field's embedding with one gather,
-and that (n, fields, dim) block is both the pairwise-term stack and,
-reshaped, the MLP input.  ``DeepFMModel.packed`` is the one place that
-storage is built: a forward pass calls it, and it packs on first use and
-again when a table or first-order array was rebound or copied
+transposed view; the first-order weights are packed the same way, and so
+are the projections (one (fields, dim, k) weight and one (fields, dim)
+bias, of which each ``ProjectionLayer`` holds field i's views).  A forward
+pass therefore fetches every field's embedding with one gather, and that
+(n, fields, dim) block is both the pairwise-term stack and, reshaped, the
+MLP input.  ``DeepFMModel.packed`` is the one place that storage is built:
+a forward pass calls it, and it packs on first use and again when a
+table, first-order or projection array was rebound or copied
 (``copy.deepcopy``) since the last packing, so code that makes tables only
 hands the model plain arrays.  Writing into a table's weights writes into
-the packed array; assigning a model's ``tables`` or ``first_order`` drops
-its packing at once, so a compressor's replaced tables are freed.
+the packed array; assigning a model's ``tables``, ``first_order`` or
+``projections`` drops its packing at once, so a compressor's replaced
+tables are freed.
 
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
@@ -34,6 +37,18 @@ P_i^T b_i.  Full-width vectors are built only when the MLP reads them:
 when ``fused`` is set, the first MLP layer has absorbed the projections and
 consumes the reduced embeddings directly.
 
+What a forward pass needs of the parameters alone is derived once per
+packing, not per call: the first-order ``ones`` vector when the model is
+packed, and the projection terms (``p_cat`` = [P_0 | P_1 | ...], the
+block-diagonal P_i^T P_i, the P_i^T b_i, sum_i b_i and sum_i ||b_i||^2) on
+the first call that needs them.  Those terms are derived again when the
+packed projection arrays no longer hold the bytes they were derived from,
+which an in-place write (``Adam.step``, assigning into a weight) causes;
+rebinding repacks the model, which starts afresh.  A pass with nothing to
+capture formats no tap names, and the float64 predictions and per-head
+terms of a ``ForwardTrace`` are computed only when read, so serving that
+reads the logits pays for neither.
+
 Weights default to float32; gradient checking can run the whole model in
 float64 via ``DeepFMModel.astype``.  All forward/backward code preserves
 the model dtype, except predictions and loss terms, which are float64.
@@ -41,8 +56,9 @@ the model dtype, except predictions and loss terms, which are float64.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Optional
 
@@ -181,21 +197,24 @@ class DenseLayer:
 
 
 class _Packed:
-    """Row-major storage behind a model's dense tables and first-order weights.
+    """Storage behind a model's dense tables, first-order weights and
+    projections, and the forward-pass constants derived from them.
 
     ``tables`` is (sum vocab, dim) and ``first_order`` is (sum vocab,);
-    field i owns rows ``offsets[i]:offsets[i] + vocab[i]`` of both.  Either
-    array is None when the model has no such parameters (tensor-train
-    fields, fm disabled).  Building one copies the model's current tables
-    and first-order weights into new arrays and points the model at views
-    of them; ``DeepFMModel.packed`` is the only caller.
+    field i owns rows ``offsets[i]:offsets[i] + vocab[i]`` of both.
+    ``proj_weight`` (fields, dim, k) and ``proj_bias`` (fields, dim) hold
+    field i's projection at index i.  An array is None when the model has
+    no such parameters (tensor-train fields, fm disabled, no projections).
+    Building one copies the model's current arrays into new ones and points
+    the model at views of them; ``DeepFMModel.packed`` is the only caller.
     """
 
     def __init__(self, model):
         self.vocab = np.array([t.vocab for t in model.tables], dtype=np.int64)
         self.offsets = np.zeros_like(self.vocab)
         np.cumsum(self.vocab[:-1], out=self.offsets[1:])
-        self.tables = self.first_order = None
+        self.tables = self.first_order = self.ones = None
+        self.proj_weight = self.proj_bias = None
         dense = [isinstance(t, EmbeddingTable) for t in model.tables]
         if any(dense):
             if not all(dense):
@@ -215,7 +234,21 @@ class _Packed:
         if model.first_order:
             self.first_order = np.concatenate(model.first_order)
             model.first_order = self._split(self.first_order)
+            # sums a row's first-order weights over the fields as one product
+            self.ones = np.ones(model.n_fields, dtype=self.first_order.dtype)
+        if model.projections is not None:
+            shapes = {(p.weight.shape, p.bias.shape) for p in model.projections}
+            if len(model.projections) != len(model.tables) or len(shapes) != 1:
+                raise ShapeError(
+                    f"a model needs one projection per field, all of one shape; "
+                    f"got {len(model.projections)} of shapes {sorted(shapes)}"
+                )
+            self.proj_weight = np.array([p.weight for p in model.projections])
+            self.proj_bias = np.array([p.bias for p in model.projections])
+            for proj, w, b in zip(model.projections, self.proj_weight, self.proj_bias):
+                proj.weight, proj.bias = w, b
         self.views = self._arrays(model)
+        self._terms = self._terms_source = None
 
     def _split(self, packed) -> list:
         # ``.T`` turns a field's (vocab, dim) rows into its (dim, vocab) table
@@ -223,21 +256,39 @@ class _Packed:
 
     @staticmethod
     def _arrays(model) -> list:
-        tables = [t.weights for t in model.tables if isinstance(t, EmbeddingTable)]
-        return tables + list(model.first_order)
+        arrays = [t.weights for t in model.tables if isinstance(t, EmbeddingTable)]
+        arrays += model.first_order
+        for proj in model.projections or ():
+            arrays += (proj.weight, proj.bias)
+        return arrays
 
     def backs(self, model) -> bool:
-        """Whether every table and first-order array of ``model`` is still
-        the view this packing handed out (not rebound, not a copy)."""
+        """Whether every table, first-order and projection array of
+        ``model`` is still the view this packing handed out (not rebound,
+        not a copy)."""
         arrays = self._arrays(model)
-        # a deep copy's views own their data, so their base is None, which
-        # is also what tables or first_order is when the model has none
-        return len(arrays) == len(self.views) and all(
-            a is v
-            and v.base is not None
-            and (v.base is self.tables or v.base is self.first_order)
-            for a, v in zip(arrays, self.views)
+        views = self.views
+        # ``copy.deepcopy`` keeps the views' identities (through its memo)
+        # but gives each its own data, so the first view's base tells a
+        # copy from the original
+        return (
+            len(arrays) == len(views)
+            and all(map(operator.is_, arrays, views))
+            and (not views or views[0].base is not None)
         )
+
+    def projection_terms(self, dtype) -> tuple:
+        """``_projection_terms`` of the packed projections in ``dtype``.
+
+        Derived once and kept while the projections hold the bytes they
+        were derived from; an in-place write (``Adam.step``, a direct
+        assignment into a weight) derives them again on the next call.
+        Rebinding a projection or its arrays repacks the model instead."""
+        source = (dtype, self.proj_weight.tobytes(), self.proj_bias.tobytes())
+        if source != self._terms_source:
+            self._terms = _projection_terms(self.proj_weight, self.proj_bias, dtype)
+            self._terms_source = source
+        return self._terms
 
 
 @dataclass
@@ -256,7 +307,7 @@ class DeepFMModel:
 
     def __setattr__(self, name, value):
         # frees the old packed arrays now; ``packed()`` builds new ones
-        if name in ("tables", "first_order"):
+        if name in ("tables", "first_order", "projections"):
             object.__setattr__(self, "_packed", None)
         object.__setattr__(self, name, value)
 
@@ -272,11 +323,12 @@ class DeepFMModel:
         return emb + self.n_continuous
 
     def packed(self) -> _Packed:
-        """The packed storage behind the tables and first-order weights.
+        """The packed storage behind the tables, first-order weights and
+        projections.
 
         The one place packed storage is built: on first use, and again when
-        a table or first-order array was rebound or copied since the last
-        packing, so the arrays returned are always current."""
+        a table, first-order or projection array was rebound or copied since
+        the last packing, so the arrays returned are always current."""
         packed = self._packed
         if packed is None or not packed.backs(self):
             packed = self._packed = _Packed(self)
@@ -323,8 +375,8 @@ class DeepFMModel:
                 tables.append(EmbeddingTable(np.asarray(t.weights, dtype)))
         projections = None
         if self.projections is not None:
-            projections = [
-                ProjectionLayer(cast(p.weight), cast(p.bias))
+            projections = [  # copied into the new model's packed arrays
+                ProjectionLayer(np.asarray(p.weight, dtype), np.asarray(p.bias, dtype))
                 for p in self.projections
             ]
         mlp = [
@@ -355,14 +407,34 @@ class DeepFMModel:
         return self.astype(dtype)
 
 
-@dataclass
 class ForwardTrace:
-    predictions: np.ndarray  # float64 in (0, 1)
-    logits: np.ndarray
-    first_order_term: np.ndarray
-    pairwise_term: np.ndarray
-    deep_term: np.ndarray
-    captured: dict = field(default_factory=dict)
+    """What one forward pass computed: the float64 ``logits``, the tapped
+    ``captured`` outputs, and, computed on first read, the float64
+    ``predictions`` (sigmoid of the logits, in (0, 1)) and the three terms
+    ``first_order_term``, ``pairwise_term`` and ``deep_term`` that the
+    logits sum, from the model-dtype parts the pass kept.  A caller that
+    reads only the logits pays for none of them."""
+
+    def __init__(self, logits, first_order, pairwise, deep, captured: dict):
+        self.logits = logits
+        self._parts = (first_order, pairwise, deep)
+        self.captured = captured
+
+    @cached_property
+    def predictions(self) -> np.ndarray:
+        return sigmoid(self.logits)
+
+    @cached_property
+    def first_order_term(self) -> np.ndarray:
+        return np.asarray(self._parts[0], dtype=np.float64)
+
+    @cached_property
+    def pairwise_term(self) -> np.ndarray:
+        return np.asarray(self._parts[1], dtype=np.float64)
+
+    @cached_property
+    def deep_term(self) -> np.ndarray:
+        return np.asarray(self._parts[2], dtype=np.float64)
 
 
 def init_deepfm(
@@ -470,16 +542,18 @@ def _stacked_identity(n_fields: int, k: int, dtype) -> np.ndarray:
     return eye
 
 
-def _projection_terms(projections, dtype):
-    """Stacked projections and the fixed parts of the reduced-space
-    pairwise term.
+def _projection_terms(weight, bias, dtype) -> tuple:
+    """The fixed parts of the reduced-space pairwise term, from the packed
+    projection ``weight`` (fields, dim, k) and ``bias`` (fields, dim).
 
-    Returns the weights ``w`` (fields, dim, k), the biases ``b``
-    (fields, dim), ``p_cat`` = [P_0 | P_1 | ...] (dim, fields * k), the
-    block-diagonal ``gram`` of the P_i^T P_i (fields * k, fields * k) and
-    ``pb``, the concatenated P_i^T b_i (fields * k,)."""
-    w = np.array([p.weight for p in projections], dtype=dtype)
-    b = np.array([p.bias for p in projections], dtype=dtype)
+    Returns the weights ``w`` and biases ``b`` in ``dtype`` (the packed
+    arrays themselves when they already are), ``p_cat`` = [P_0 | P_1 | ...]
+    (dim, fields * k), the block-diagonal ``gram`` of the P_i^T P_i
+    (fields * k, fields * k), ``pb``, the concatenated P_i^T b_i
+    (fields * k,), ``b_sum`` = sum_i b_i (dim,) and ``b_sq`` = sum_i
+    ||b_i||^2."""
+    w = weight.astype(dtype, copy=False)
+    b = bias.astype(dtype, copy=False)
     n_fields, dim, k = w.shape
     wt = w.transpose(0, 2, 1)
     p_cat = w.transpose(1, 0, 2).reshape(dim, n_fields * k)
@@ -487,7 +561,8 @@ def _projection_terms(projections, dtype):
     diag = np.arange(n_fields)
     gram[diag, :, diag, :] = np.matmul(wt, w)
     pb = np.matmul(wt, b[:, :, None]).reshape(-1)
-    return w, b, p_cat, gram.reshape(n_fields * k, n_fields * k), pb
+    gram = gram.reshape(n_fields * k, n_fields * k)
+    return w, b, p_cat, gram, pb, b.sum(axis=0), (b * b).sum()
 
 
 def _run_forward(
@@ -516,15 +591,16 @@ def _run_forward(
         emb = np.stack(
             [t.lookup(idx[:, i]) for i, t in enumerate(model.tables)], axis=1
         )
-    for i in range(model.n_fields):
-        if f"emb.{i}" in capture:
-            captured[f"emb.{i}"] = emb[:, i]
+    if capture:
+        for i in range(model.n_fields):
+            if f"emb.{i}" in capture:
+                captured[f"emb.{i}"] = emb[:, i]
     flat = emb.reshape(n, -1)  # the fields' embeddings side by side
 
     proj = None
     x = flat
     if model.projections is not None:
-        proj = _projection_terms(model.projections, dtype)
+        proj = packed.projection_terms(dtype)
         if not model.fused:
             w, b = proj[:2]
             full = np.matmul(emb.transpose(1, 0, 2), w.transpose(0, 2, 1))
@@ -536,18 +612,17 @@ def _run_forward(
     s = gc = None
     if model.fm_enabled:
         if packed.first_order is not None:
-            ones = np.ones(model.n_fields, dtype=packed.first_order.dtype)
-            fo = np.take(packed.first_order, rows) @ ones
+            fo = np.take(packed.first_order, rows) @ packed.ones
         if proj is None:
             # s = sum_i e_i as one matmul with stacked identities
             s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
             sq = np.einsum("ij,ij->i", flat, flat)
         else:
             # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone
-            _, b, p_cat, gram, pb = proj
-            s = flat @ p_cat.T + b.sum(axis=0)
+            _, _, p_cat, gram, pb, b_sum, b_sq = proj
+            s = flat @ p_cat.T + b_sum
             gc = flat @ gram
-            sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + (b * b).sum()
+            sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + b_sq
         pairwise = 0.5 * (np.einsum("ij,ij->i", s, s) - sq)
 
     if model.n_continuous:
@@ -563,7 +638,7 @@ def _run_forward(
             )
         z = cur @ layer.weight.T
         z += layer.bias
-        if f"mlp.{j}" in capture:
+        if capture and f"mlp.{j}" in capture:
             captured[f"mlp.{j}"] = z
             a = np.maximum(z, 0) if layer.activation == "relu" else z
         elif layer.activation == "relu":
@@ -591,21 +666,14 @@ def _run_forward(
     logits = (fo + pairwise + deep).astype(np.float64)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
-    trace = ForwardTrace(
-        predictions=sigmoid(logits),
-        logits=logits,
-        first_order_term=np.asarray(fo, dtype=np.float64),
-        pairwise_term=np.asarray(pairwise, dtype=np.float64),
-        deep_term=np.asarray(deep, dtype=np.float64),
-        captured=captured,
-    )
+    trace = ForwardTrace(logits, fo, pairwise, deep, captured)
     cache = None
     if keep_cache:
         cache = {
             "packed": packed,
             "rows": rows,
             "emb": emb,
-            "proj": proj,
+            "proj": None if proj is None else proj[:5],
             "fm_sum": s,
             "gc": gc,
             "layers": layer_cache,
@@ -640,6 +708,17 @@ def l2_penalty(model: DeepFMModel) -> float:
     for _, p in model.named_parameters():
         total += float(np.square(p, dtype=np.float64).sum())
     return total
+
+
+def loss_bce_l2(
+    logits, labels, model: DeepFMModel | None = None, l2_ratio: float = 0.0
+) -> float:
+    """The training loss: mean BCE from logits plus ``l2_ratio`` times the
+    model's summed squared weights (``l2_penalty``), when both are given."""
+    loss = bce_from_logits(logits, labels)
+    if l2_ratio and model is not None:
+        loss += l2_ratio * l2_penalty(model)
+    return loss
 
 
 def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndarray:
@@ -720,9 +799,7 @@ def compute_gradients(
         raise ShapeError(f"labels must be ({n},), got {y.shape}")
     dtype = model.mlp[0].weight.dtype
 
-    loss = bce_from_logits(trace.logits, y)
-    if l2_ratio:
-        loss += l2_ratio * l2_penalty(model)
+    loss = loss_bce_l2(trace.logits, y, model, l2_ratio)
 
     grads = {}
     dlogit = ((trace.predictions - y) / n).astype(dtype)

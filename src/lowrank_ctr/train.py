@@ -37,15 +37,7 @@ from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
 from .errors import ConfigError, DataError, RankError
 from .metrics import MetricReport, auc, evaluate_scores, logloss
-from .nn import (
-    DeepFMModel,
-    bce_from_logits,
-    compute_gradients,
-    forward,
-    init_deepfm,
-    l2_penalty,
-    param_count,
-)
+from .nn import DeepFMModel, compute_gradients, forward, init_deepfm, param_count
 from .stats import ActivationTap
 
 
@@ -148,14 +140,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
-
-
-def loss_bce_l2(logits, labels, model: DeepFMModel | None = None, l2_ratio: float = 0.0) -> float:
-    """Mean BCE from logits plus the optional squared-weight penalty."""
-    loss = bce_from_logits(logits, labels)
-    if l2_ratio and model is not None:
-        loss += l2_ratio * l2_penalty(model)
-    return loss
+        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
 
 
 def predict(model: DeepFMModel, dataset: ClickDataset, batch_size: int = 10000) -> np.ndarray:

@@ -26,11 +26,10 @@ from lowrank_ctr.config import load_config
 from lowrank_ctr.data import FeatureBatch, SynthSpec, synth_generate
 from lowrank_ctr.linalg import low_rank_factors_svd
 from lowrank_ctr.metrics import auc, logloss
-from lowrank_ctr.nn import compute_gradients, forward, init_deepfm
+from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, loss_bce_l2
 from lowrank_ctr.stats import ActivationTap, MomentAccumulator
 from lowrank_ctr.train import (
     calibrate,
-    loss_bce_l2,
     predict,
     prepare_data,
     run_pipeline,

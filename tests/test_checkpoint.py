@@ -80,6 +80,11 @@ def test_roundtrip_with_projections_and_fuse_flag(tmp_path):
     loaded, _ = roundtrip(model, tmp_path)
     assert loaded.projections is not None and len(loaded.projections) == 2
     assert_same_params(model, loaded)
+    # read straight from the file, then copied once into packed storage
+    packed = loaded.packed()
+    for proj in loaded.projections:
+        assert proj.weight.flags.writeable and proj.weight.base is packed.proj_weight
+        assert proj.bias.flags.writeable and proj.bias.base is packed.proj_bias
 
 
 def test_roundtrip_tt_model(tmp_path):

@@ -305,11 +305,25 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     {"stages": [{"stage": "train_baseline"},
                 {"stage": "compress", "method": "svd-mlp", "rank": 4, "fuse": False, "tt_cores": 2},
                 {"stage": "finetune"}]},
+    {"model": {**BASE_CONFIG["model"], "embed_dim": 0}, "pipeline": {"mlp": None, "emb": None}},
+    {"model": {**BASE_CONFIG["model"], "n_continuous": -1}},
+    {"model": {**BASE_CONFIG["model"], "n_categorical": 0}},
+    {"model": {**BASE_CONFIG["model"], "dropout_rate": 1.5}},
+    {"model": {**BASE_CONFIG["model"], "dropout_rate": -0.1}},
+    {"data": {**BASE_CONFIG["data"], "test_fraction": 1.5}},
+    {"data": {**BASE_CONFIG["data"], "test_fraction": 0.0}},
+    {"stages": [{"stage": "train_baseline"},
+                {"stage": "compress", "method": "tt-emb", "rank": 2, "tt_cores": 0},
+                {"stage": "finetune"}]},
+    {"stages": [{"stage": "train_baseline", "dropout": 1.5}]},
 ], ids=["seed", "hidden-int", "hidden-zero", "epochs", "stages", "pipeline",
         "data", "model", "stage-name", "synth-noise-str", "embed-dim-str",
         "test-fraction-str", "split-seed-str", "dropout-rate-str", "calibrate-batch-str",
         "calibrate-batch-zero", "tt-cores-str", "synth-noise-range", "batch-size-zero",
-        "epochs-negative", "fm-enabled-str", "insert-relu-str", "options-off-method"])
+        "epochs-negative", "fm-enabled-str", "insert-relu-str", "options-off-method",
+        "embed-dim-zero", "n-continuous-negative", "n-categorical-zero", "dropout-rate-range",
+        "dropout-rate-negative", "test-fraction-range", "test-fraction-zero", "tt-cores-zero",
+        "stage-dropout-range"])
 def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))

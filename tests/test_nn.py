@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from lowrank_ctr import nn
 from lowrank_ctr.compress import (
     afm_apply_embedding,
     afm_plan_embedding,
@@ -35,11 +36,12 @@ from lowrank_ctr.nn import (
     forward,
     init_deepfm,
     l2_penalty,
+    loss_bce_l2,
     param_count,
     sigmoid,
 )
 from lowrank_ctr.stats import ActivationTap
-from lowrank_ctr.train import loss_bce_l2
+from lowrank_ctr.train import Adam
 
 
 def make_batch(indices, n_continuous=0):
@@ -419,6 +421,134 @@ def test_replacing_the_tables_frees_the_old_packed_array(compressor):
         forward(model, make_batch(idx)).logits,
         forward(model.clone(), make_batch(idx)).logits,
     )
+
+
+# -- forward-pass constants --------------------------------------------------
+
+
+def served_model(fused):
+    """A float32 projected model, already run once, and a batch of rows."""
+    model = projected_model(fused, seed=6).astype(np.float32)
+    batch = make_batch(np.random.default_rng(7).integers(0, [7, 5, 9], size=(20, 3)))
+    forward(model, batch)
+    return model, batch
+
+
+def assert_logits_match_a_fresh_clone(model, batch):
+    want = forward(model.clone(), batch).logits
+    assert forward(model, batch).logits.tobytes() == want.tobytes()
+
+
+def test_projections_are_views_of_packed_arrays():
+    model = projected_model(fused=True)
+    packed = model.packed()
+    assert packed.proj_weight.shape == (3, 4, 2) and packed.proj_bias.shape == (3, 4)
+    for i, proj in enumerate(model.projections):
+        assert proj.weight.base is packed.proj_weight and proj.bias.base is packed.proj_bias
+        np.testing.assert_array_equal(proj.weight, packed.proj_weight[i])
+        np.testing.assert_array_equal(proj.bias, packed.proj_bias[i])
+
+
+@pytest.mark.parametrize("fused", [False, True])
+@pytest.mark.parametrize("what", ["weight", "bias"])
+def test_in_place_projection_write_reaches_forward(fused, what):
+    model, batch = served_model(fused)
+    before = forward(model, batch).logits
+    getattr(model.projections[1], what)[0] += 0.5
+    assert not np.array_equal(forward(model, batch).logits, before)
+    assert_logits_match_a_fresh_clone(model, batch)
+
+
+@pytest.mark.parametrize("how", ["array", "layer", "list"])
+def test_rebound_projections_reach_forward(how):
+    model, batch = served_model(fused=True)
+    rng = np.random.default_rng(8)
+    new = [
+        ProjectionLayer(
+            rng.standard_normal((4, 2)).astype(np.float32),
+            rng.standard_normal(4).astype(np.float32),
+        )
+        for _ in range(3)
+    ]
+    if how == "array":
+        model.projections[2].weight = new[2].weight
+    elif how == "layer":
+        model.projections[2] = new[2]
+    else:
+        model.projections = new
+        assert model._packed is None  # the old packing is dropped at once
+    assert_logits_match_a_fresh_clone(model, batch)
+    # the forward pass packed the new arrays; they are views again
+    assert model.projections[2].weight.base is model.packed().proj_weight
+
+
+def test_deepcopy_derives_its_own_projection_terms():
+    model, batch = served_model(fused=False)
+    want = forward(model, batch).logits
+    other = copy.deepcopy(model)
+    for proj in other.projections:
+        proj.weight *= 2.0
+    assert_logits_match_a_fresh_clone(other, batch)
+    assert forward(model, batch).logits.tobytes() == want.tobytes()
+    assert not np.shares_memory(model.packed().proj_weight, other.packed().proj_weight)
+
+
+def test_float64_copy_derives_its_terms_in_float64():
+    model, batch = served_model(fused=False)
+    wide = model.astype(np.float64)
+    forward(wide, batch)
+    wide.projections[0].bias[1] = 3.0
+    assert_logits_match_a_fresh_clone(wide, batch)
+    terms = wide.packed().projection_terms(np.dtype(np.float64))
+    assert all(t.dtype == np.float64 for t in terms)
+
+
+def test_projection_terms_are_derived_once_per_parameter_change(monkeypatch):
+    model = projected_model(fused=True, seed=9).astype(np.float32)
+    batch = make_batch(np.random.default_rng(9).integers(0, [7, 5, 9], size=(20, 3)))
+    labels = np.random.default_rng(10).integers(0, 2, size=20)
+    derive = nn._projection_terms
+    calls = []
+    monkeypatch.setattr(nn, "_projection_terms", lambda *a: calls.append(a) or derive(*a))
+    for _ in range(5):
+        forward(model, batch)
+    assert len(calls) == 1
+    _, grads, _ = compute_gradients(model, batch, labels)
+    assert len(calls) == 1  # nothing changed since the inference calls
+    Adam(1e-2).step(model.named_parameters(), grads)  # updates in place
+    for _ in range(5):
+        forward(model, batch)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert_logits_match_a_fresh_clone(model, batch)
+
+
+@pytest.mark.parametrize("kind", ["base", "fused", "tt"])
+def test_deferred_trace_fields(kind):
+    if kind == "fused":
+        model = projected_model(fused=True, seed=11).astype(np.float32)
+    else:
+        model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=11, dropout_rate=0.0)
+        if kind == "tt":
+            tt_compress_embedding(model, max_rank=2)
+    idx = np.random.default_rng(12).integers(0, [7, 5, 9], size=(30, 3))
+    last = f"mlp.{len(model.mlp) - 1}"
+    trace = forward(model, make_batch(idx), capture=[last])
+    assert "predictions" not in vars(trace)  # nothing computed before the first read
+    assert trace.predictions.tobytes() == sigmoid(trace.logits).tobytes()
+    assert trace.predictions is trace.predictions
+    terms = (trace.first_order_term, trace.pairwise_term, trace.deep_term)
+    assert all(t.dtype == np.float64 for t in terms)
+    # each term is exactly its float32 part, and the logits are their sum
+    fo, pairwise, deep = (t.astype(np.float32) for t in terms)
+    assert all(t.tobytes() == p.astype(np.float64).tobytes() for t, p in zip(terms, (fo, pairwise, deep)))
+    assert trace.logits.tobytes() == (fo + pairwise + deep).astype(np.float64).tobytes()
+    assert deep.tobytes() == trace.captured[last][:, 0].tobytes()
+    rows = np.stack([f[idx[:, i]] for i, f in enumerate(model.first_order)], axis=1)
+    assert fo.tobytes() == (rows @ np.ones(3, dtype=np.float32)).tobytes()
+    if kind != "tt":
+        _, want_pairwise = full_width_reference(model, idx)
+        np.testing.assert_allclose(trace.pairwise_term, want_pairwise, rtol=1e-5, atol=1e-6)
 
 
 @pytest.mark.parametrize("fused", [False, True])

@@ -9,7 +9,7 @@ from lowrank_ctr.config import load_config
 from lowrank_ctr.checkpoint import save_checkpoint
 from lowrank_ctr.data import SynthSpec, split, synth_generate
 from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError, RankError
-from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty
+from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty, loss_bce_l2
 from lowrank_ctr.train import (
     Adam,
     _laid_out_like,
@@ -17,7 +17,6 @@ from lowrank_ctr.train import (
     calibrate,
     evaluate_model,
     finetune,
-    loss_bce_l2,
     run_pipeline,
     train,
     validate_pipeline,
