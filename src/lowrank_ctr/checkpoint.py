@@ -127,6 +127,8 @@ def _topology_shapes(topo: dict) -> dict:
     projected = bool(topo["has_projections"])
     if topo["fused"] and not projected:
         raise DataError("fused model without projections")
+    if topo["has_first_order"] and not topo["fm_enabled"]:
+        raise DataError("first-order weights in a model without the FM term")
     widths = sorted({int(f["dim"]) for f in fields if f["kind"] == "dense"})
     if len(widths) > 1:
         raise DataError(f"dense fields must share one width, got {widths}")

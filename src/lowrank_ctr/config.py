@@ -18,7 +18,6 @@ silently training with defaults.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -122,8 +121,6 @@ _TOP_KEYS = {"profile", "seed", "output_dir", "data", "model", "pipeline", "stag
 _DATA_KEYS = {"synth", "path", "test_fraction", "split_seed", "min_count"}
 _SYNTH_KEYS = {"n_samples", "vocab_sizes", "latent_rank", "noise", "skew", "seed"}
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
-# the defaults of each method's compress-stage option (see train.METHODS)
-_OPTION_DEFAULTS = {"insert_relu": True, "fuse": True, "tt_cores": 3}
 
 
 @dataclass
@@ -203,7 +200,7 @@ def standard_stages(profile: dict, pipeline: dict) -> list:
             continue
         method = METHODS[name]
         if method.calibrated:
-            stages.append({"stage": "calibrate", "taps": target})
+            stages.append({"stage": "calibrate"})
         rank = pipeline.get(f"{target}_rank", profile[method.rank_key])
         compress = {"stage": "compress", "method": name, "rank": rank}
         if method.option in pipeline:
@@ -226,9 +223,8 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
         if method is None:
             raise ConfigError(f"{where}: unknown method {stage.get('method')!r}")
         _reject_unknown(stage, STAGE_KEYS[name] | {method.option}, where)
-        default = _OPTION_DEFAULTS[method.option]
-        option = stage.get(method.option, default)
-        if isinstance(default, bool):
+        option = stage.get(method.option, method.default)
+        if isinstance(method.default, bool):
             option = _flag(option, f"{where}: {method.option}")
         else:
             option = int(option)
@@ -241,16 +237,10 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
         }
     _reject_unknown(stage, STAGE_KEYS[name], where)
     if name == "calibrate":
-        taps = stage.get("taps", "auto")
-        if not _valid_taps(taps):
-            raise ConfigError(
-                f"{where}: taps must be 'mlp', 'emb', 'auto' or a list of "
-                f"'emb.<i>'/'mlp.<j>' ids, got {taps!r}"
-            )
         batch_size = int(stage.get("batch_size", 10000))
         if batch_size < 1:
             raise ConfigError(f"{where}: batch size must be positive, got {batch_size}")
-        return {"stage": name, "taps": taps, "batch_size": batch_size}
+        return {"stage": name, "batch_size": batch_size}
     if name == "eval":
         return {"stage": name}
     if name == "finetune" and stage.get("epochs", 1) != 1:
@@ -267,7 +257,8 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
 def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
     """Check the stage chain and each compress stage's rank against the
     configured widths, and fill every stage, so that a config the runner
-    would reject fails before any training."""
+    would reject fails before any training.  A calibrate stage gets the
+    ``target`` of the compress stage it feeds."""
     validate_pipeline(stages)
     hidden = model["hidden_dims"]
     filled = []
@@ -289,14 +280,11 @@ def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
                 f"{where}: rank {s['rank']} outside [1, {limit}] for the configured "
                 "model widths"
             )
+    core = [s for s in filled if s["stage"] != "eval"]
+    for s, fed in zip(core, core[1:]):  # validate_pipeline: fed is a compress
+        if s["stage"] == "calibrate":
+            s["target"] = METHODS[fed["method"]].target
     return filled
-
-
-def _valid_taps(taps) -> bool:
-    """A calibrate stage's ``taps``: a selector name or a list of tap ids."""
-    if isinstance(taps, list):
-        return all(isinstance(t, str) and re.fullmatch(r"(emb|mlp)\.\d+", t) for t in taps)
-    return taps in ("mlp", "emb", "auto")
 
 
 def _read_config(source) -> dict:
@@ -395,6 +383,7 @@ def _resolve(raw: dict) -> ResolvedConfig:
         model=model,
         stages=_fill_stages(stages, model, profile, seed),
         profile_defaults=profile,
-        config_hash=config_hash(raw),
+        # where artifacts land is not part of what a run computes
+        config_hash=config_hash({k: v for k, v in raw.items() if k != "output_dir"}),
     )
 

@@ -14,11 +14,13 @@ A pipeline is a stage list: ``train_baseline``, ``calibrate``,
 ``compress``, ``finetune``, ``eval``.  ``validate_pipeline`` holds its
 protocol, which ``config.load_config`` checks before any data is built:
 ``train_baseline`` comes first, every compress stage has exactly one
-finetune directly after it, and a compress stage whose ``METHODS`` entry
-reads calibration statistics has a calibrate stage directly before it
-(eval stages are transparent to the last two rules).  Each stage reaches
-its handler filled by ``config.fill_stage``: every setting present and
-converted, a training stage's as one ``TrainConfig`` under ``"train"``.
+finetune directly after it, every calibrate stage has a compress stage
+directly after it, and a compress stage whose ``METHODS`` entry reads
+calibration statistics has a calibrate stage directly before it (eval
+stages are transparent to the last three rules).  Each stage reaches its
+handler filled by ``config.fill_stage``: every setting present and
+converted, a training stage's as one ``TrainConfig`` under ``"train"``,
+and a calibrate stage's ``target`` that of the compress stage it feeds.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import compress as comp
 from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
-from .errors import ConfigError, DataError, RankError
+from .errors import ConfigError, DataError
 from .metrics import MetricReport, auc, evaluate_scores, logloss
 from .nn import DeepFMModel, compute_gradients, forward, init_deepfm, param_count
 from .stats import ActivationTap
@@ -290,7 +292,7 @@ def calibrate(
 # the keys each stage accepts, by stage name
 STAGE_KEYS = {
     "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
-    "calibrate": {"stage", "taps", "batch_size"},
+    "calibrate": {"stage", "batch_size"},
     "compress": {"stage", "method", "rank"},  # and its method's option
     "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
     "eval": {"stage"},
@@ -306,23 +308,24 @@ class Method:
     calibrated: bool  # reads calibration taps: needs a calibrate stage first
     limit: Callable[[list, int], float]  # its highest rank, from (hidden_dims, embed_dim)
     option: str  # the one compress-stage key besides the rank that applies to it
+    default: bool | int  # the option's value when a stage does not give it
 
 
 # afm-mlp keeps k of the outputs of hidden layers two and three, svd-mlp is
 # also bounded by their inputs; a tt-emb rank only caps the core ranks
 METHODS = {
-    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu"),
-    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu"),
-    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse"),
-    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse"),
-    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), "tt_cores"),
+    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu", True),
+    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu", True),
+    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse", True),
+    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse", True),
+    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), "tt_cores", 3),
 }
 
 
 def validate_pipeline(stages: list) -> None:
     """Enforce stage ordering: train_baseline first, then
     [calibrate ->] compress -> one finetune, with the calibrate required
-    for the methods that read its taps."""
+    for the methods that read its taps and allowed only before a compress."""
     if not stages:
         raise ConfigError("pipeline has no stages")
     for s in stages:
@@ -335,6 +338,11 @@ def validate_pipeline(stages: list) -> None:
         )
     core = [(i, s) for i, s in enumerate(stages) if s["stage"] != "eval"]
     for pos, (i, s) in enumerate(core):
+        after = [t["stage"] for _, t in core[pos + 1 : pos + 3]]
+        if s["stage"] == "calibrate" and after[:1] != ["compress"]:
+            raise ConfigError(
+                f"stage {i}: calibrate must be directly followed by a compress stage"
+            )
         if s["stage"] != "compress":
             continue
         calibrated = pos > 0 and core[pos - 1][1]["stage"] == "calibrate"
@@ -344,22 +352,18 @@ def validate_pipeline(stages: list) -> None:
                 f"stage {i}: {s['method']} compress must directly follow a "
                 f"calibrate stage"
             )
-        after = [t["stage"] for _, t in core[pos + 1 : pos + 3]]
         if after[:1] != ["finetune"] or after[1:] == ["finetune"]:
             raise ConfigError(
                 f"stage {i}: compress must be followed by exactly one finetune"
             )
 
 
-def select_taps(model: DeepFMModel, selector) -> list:
-    """The tap ids a calibrate stage's ``taps`` selector names: ``"mlp"``
-    (the compressible hidden layers), ``"emb"`` (every embedding field),
-    ``"auto"`` (both) or an explicit list of ``emb.<i>``/``mlp.<j>`` ids."""
-    if not isinstance(selector, str):
-        return list(selector)
-    mlp = [f"mlp.{j}" for j in comp.MLP_COMPRESSIBLE]
-    emb = [f"emb.{i}" for i in range(model.n_fields)]
-    return {"mlp": mlp, "emb": emb, "auto": mlp + emb}[selector]
+def select_taps(model: DeepFMModel, target: str) -> list:
+    """The tap ids a compression of ``target`` reads: ``"mlp"`` the
+    compressible hidden layers, ``"emb"`` every embedding field."""
+    if target == "mlp":
+        return [f"mlp.{j}" for j in comp.MLP_COMPRESSIBLE]
+    return [f"emb.{i}" for i in range(model.n_fields)]
 
 
 def _run_compress(model, stage, taps) -> dict:
@@ -373,12 +377,7 @@ def _run_compress(model, stage, taps) -> dict:
     elif method == "svd-mlp":
         detail = comp.compress_mlp(model, rank, "svd", None, stage["insert_relu"])
     elif method == "afm-emb":
-        emb_taps = []
-        for tid in select_taps(model, "emb"):
-            if tid not in taps:
-                raise RankError(f"afm compression needs a tap for {tid}")
-            emb_taps.append(taps[tid])
-        plan = comp.afm_plan_embedding(emb_taps, rank)
+        plan = comp.afm_plan_embedding([taps[t] for t in select_taps(model, "emb")], rank)
         detail = comp.afm_apply_embedding(model, plan)
     elif method == "svd-emb":
         detail = comp.svd_compress_embedding(model, rank)
@@ -458,13 +457,12 @@ def _stage_train_baseline(run: _Run, i: int, stage: dict) -> None:
 
 
 def _stage_calibrate(run: _Run, i: int, stage: dict) -> None:
-    taps = calibrate(
+    run.taps = calibrate(
         run.model,
         run.train_ds,
-        select_taps(run.model, stage["taps"]),
+        select_taps(run.model, stage["target"]),
         batch_size=stage["batch_size"],
     )
-    run.taps = taps if run.taps is None else {**run.taps, **taps}
 
 
 def _stage_compress(run: _Run, i: int, stage: dict) -> None:

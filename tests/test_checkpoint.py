@@ -267,6 +267,10 @@ def fused_without_projections(topo, tensors):
     topo["fused"] = True
 
 
+def first_order_without_fm(topo, tensors):
+    topo["fm_enabled"] = False
+
+
 def extra_tensor(topo, tensors):
     tensors["emb.9.weight"] = np.zeros((4, 3), np.float32)
 
@@ -304,6 +308,7 @@ def bad_core(topo, tensors):
         (plain_model, non_finite, "non-finite"),
         (plain_model, mixed_fields, "mix dense tables and tensor-train"),
         (plain_model, fused_without_projections, "without projections"),
+        (plain_model, first_order_without_fm, "first-order weights in a model without the FM"),
         (plain_model, extra_tensor, "does not use"),
         (plain_model, sigmoid_layer, "unknown activation 'sigmoid'"),
     ],

@@ -243,36 +243,33 @@ def test_pipeline_rejects_afm_compress_without_calibrate(tmp_path, capsys):
     assert not list(out.rglob("*.lrck"))
 
 
-def test_pipeline_afm_emb_without_embedding_taps_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**BASE_CONFIG, "stages": [
-        {"stage": "train_baseline", "epochs": 0},
-        {"stage": "calibrate", "taps": "mlp"},
-        {"stage": "compress", "method": "afm-emb", "rank": 4},
-        {"stage": "finetune"},
-    ]}))
-    out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "needs a tap for emb.0" in err
-    assert "Traceback" not in err
+def calibrated(taps, method):
+    """A chain whose calibrate stage gives ``taps``, which no stage accepts."""
+    return [{"stage": "train_baseline"}, {"stage": "calibrate", "taps": taps},
+            {"stage": "compress", "method": method, "rank": 4}, {"stage": "finetune"}]
 
 
 @pytest.mark.parametrize("stages", [
-    [{"stage": "train_baseline"}, {"stage": "calibrate", "taps": "embs"}],
+    calibrated("embs", "afm-emb"),
     [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},
      {"stage": "finetune", "epochs": 5}],
     [{"stage": "eval"}, {"stage": "train_baseline"}],
     [{"stage": "calibrate"}, {"stage": "compress", "method": "afm-mlp", "rank": 4},
      {"stage": "finetune"}],
-], ids=["taps-typo", "finetune-epochs", "eval-first", "calibrate-first"])
+    calibrated("mlp", "afm-emb"),
+    calibrated(["emb.0"], "afm-mlp"),
+    calibrated(["mlp.9"], "afm-mlp"),
+    [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},
+     {"stage": "finetune"}, {"stage": "calibrate"}],
+], ids=["taps-typo", "finetune-epochs", "eval-first", "calibrate-first", "mlp-taps-afm-emb",
+        "emb-taps-afm-mlp", "absent-tap", "trailing-calibrate"])
 def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, "stages": stages}))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
-    assert not list(out.rglob("*.lrck"))
+    assert not out.exists()  # nothing ran: no data build, no checkpoint
 
 
 @pytest.mark.parametrize("bad", [

@@ -105,10 +105,9 @@ def test_standard_stages_mlp_then_emb():
         "calibrate", "compress", "finetune",
         "eval",
     ]
-    assert stages[1]["taps"] == "mlp"
+    assert stages[1] == stages[4] == {"stage": "calibrate"}
     assert stages[2] == {"stage": "compress", "method": "afm-mlp", "rank": 16}
     assert stages[3]["batch_size"] == 2000  # finetune_mlp overlay
-    assert stages[4]["taps"] == "emb"
     assert stages[5] == {"stage": "compress", "method": "afm-emb", "rank": 4}
     assert stages[6]["dropout"] == 0.0  # finetune_emb overlay
     assert stages[3]["learning_rate"] == stages[6]["learning_rate"] == 1e-3
@@ -166,6 +165,11 @@ def test_overrides_and_hash():
     assert rc1.config_hash != rc2.config_hash
     rc3 = load_config(dict(base))
     assert rc1.config_hash == rc3.config_hash
+    # where the artifacts land does not change what the run computes
+    rc4 = load_config(dict(base), {"output_dir": "runs/a"})
+    rc5 = load_config({**base, "output_dir": "runs/b"})
+    assert rc4.output_dir == "runs/a" and rc5.output_dir == "runs/b"
+    assert rc1.config_hash == rc4.config_hash == rc5.config_hash
 
 
 def test_config_from_file_and_string(tmp_path):
@@ -245,20 +249,28 @@ def test_tt_rank_must_be_positive():
             load_config({"pipeline": {"mlp": None, "emb": "tt-emb", "emb_rank": rank}})
 
 
-def test_calibrate_taps_selector_checked():
-    def chain(taps):
-        return [
-            {"stage": "train_baseline"},
-            {"stage": "calibrate", "taps": taps},
-            {"stage": "compress", "method": "afm-mlp"},
-            {"stage": "finetune"},
-        ]
+def test_calibrate_stage_collects_the_target_of_the_compress_it_feeds():
+    for method, target in (("afm-mlp", "mlp"), ("afm-emb", "emb"), ("svd-mlp", "mlp")):
+        filled = load_config({"stages": compress_chain(method, 4)}).stages
+        assert filled[1] == {"stage": "calibrate", "batch_size": 10000, "target": target}
+        # eval stages between the two do not count
+        stages = compress_chain(method, 4)
+        stages.insert(2, {"stage": "eval"})
+        assert load_config({"stages": stages}).stages[1]["target"] == target
+    assert [s["target"] for s in load_config({}).stages if s["stage"] == "calibrate"] == [
+        "mlp", "emb"
+    ]
 
-    for taps in ("mlp", "emb", "auto", ["mlp.1", "mlp.2", "emb.0"], []):
-        load_config({"stages": chain(taps)})
-    for taps in ("embs", "all", "mlp.1", ["emb"], ["emb.x"], ["conv.0"], [1], None):
-        with pytest.raises(ConfigError, match="taps"):
-            load_config({"stages": chain(taps)})
+    given = compress_chain("afm-emb", 4)
+    given[1]["taps"] = "emb"
+    with pytest.raises(ConfigError, match="unknown key.*taps"):
+        load_config({"stages": given})
+    twice = compress_chain("afm-mlp", 4)
+    twice.insert(1, {"stage": "calibrate"})
+    trailing = compress_chain("afm-mlp", 4) + [{"stage": "calibrate"}, {"stage": "eval"}]
+    for stages in (twice, trailing):
+        with pytest.raises(ConfigError, match="calibrate must be directly followed by a compress"):
+            load_config({"stages": stages})
 
 
 def test_finetune_stage_runs_exactly_one_epoch():

@@ -1,0 +1,61 @@
+"""The benchmark's per-layer tracer (``ctrbench/tracing.py``) still finds
+every function it wraps in the package, and puts each one back.
+
+A renamed or deleted traced function would otherwise show only as an
+``AttributeError`` in a traced benchmark run.  The tracer is read from
+its file, never edited."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TRACING = Path(__file__).resolve().parents[1] / "ctrbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("ctrbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_bindings() -> dict:
+    """(owner, attribute) -> value for every attribute of the package's
+    modules and of the classes they define."""
+    bindings = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "lowrank_ctr" and not name.startswith("lowrank_ctr."):
+            continue
+        for attr, value in list(vars(mod).items()):
+            bindings[name, attr] = value
+            if inspect.isclass(value) and value.__module__ == name:
+                for member, inner in vars(value).items():
+                    bindings[f"{name}.{attr}", member] = inner
+    return bindings
+
+
+def test_tracer_wraps_every_target_and_restores_the_package():
+    tracing = load_tracing()
+    for _, module, _, _ in tracing.TARGETS:
+        importlib.import_module(f"lowrank_ctr.{module}")
+    before = package_bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        during = package_bindings()
+        for name, module, path, _ in tracing.TARGETS:
+            owner, _, attr = path.rpartition(".")
+            key = (".".join(filter(None, ["lowrank_ctr", module, owner])), attr)
+            assert during[key] is not before[key], f"{name} is not wrapped"
+        sys.modules["lowrank_ctr.linalg"].sym_eigen(np.eye(2))
+        assert tracer.counts["linalg.sym_eigen.calls"] == 1
+    finally:
+        tracer.uninstall()
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    restored = [key for key, value in before.items() if after[key] is not value]
+    assert not restored, f"not restored: {restored}"
