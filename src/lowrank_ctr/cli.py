@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,10 +45,9 @@ from .train import (
 def _config_from(args, stages=None):
     raw = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file not found: {path}")
-        raw = _read_config(path)
+        if not os.path.isfile(args.config):  # Path.exists raises on a long name
+            raise DataError(f"config file not found: {args.config}")
+        raw = _read_config(args.config)
     if stages is not None:
         raw.pop("pipeline", None)
         raw["stages"] = stages

@@ -58,14 +58,9 @@ MLP_COMPRESSIBLE = (1, 2)  # hidden layers two and three, by mlp index
 class FcCompressionPlan:
     """Top-k output basis of one dense layer."""
 
-    layer_id: str
     basis: np.ndarray  # (out_dim, k) eigenvector columns
     mean: np.ndarray  # (out_dim,) calibration mean
     eigenvalues: np.ndarray  # full spectrum, for reporting
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,10 +70,6 @@ class EmbCompressionPlan:
     bases: tuple  # per field (dim, k)
     means: tuple  # per field (dim,)
     eigenvalues: tuple  # per field full spectrum
-
-    @property
-    def rank(self) -> int:
-        return self.bases[0].shape[1]
 
 
 def _clamped_eigen(cov: np.ndarray):
@@ -117,7 +108,6 @@ def afm_plan_fc(tap: ActivationTap, k: int) -> FcCompressionPlan:
     mean, cov = acc.covariance()
     values, vectors = _clamped_eigen(cov)
     return FcCompressionPlan(
-        layer_id=tap.layer_id,
         basis=vectors[:, :k],
         mean=mean,
         eigenvalues=values,

@@ -17,13 +17,14 @@ silently training with defaults.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .data import SynthSpec, check_test_fraction
 from .errors import ConfigError
-from .train import METHODS, STAGE_KEYS, TrainConfig, config_hash, validate_pipeline
+from .train import METHODS, TrainConfig
 
 PROFILES = {
     # industry-scale ads logs: 13 continuous + 26 categorical columns
@@ -121,6 +122,15 @@ _TOP_KEYS = {"profile", "seed", "output_dir", "data", "model", "pipeline", "stag
 _DATA_KEYS = {"synth", "path", "test_fraction", "split_seed", "min_count"}
 _SYNTH_KEYS = {"n_samples", "vocab_sizes", "latent_rank", "noise", "skew", "seed"}
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
+
+# the keys each stage accepts, by stage name
+STAGE_KEYS = {
+    "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
+    "calibrate": {"stage", "batch_size"},
+    "compress": {"stage", "method", "rank"},  # and its method's option
+    "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
+    "eval": {"stage"},
+}
 
 
 @dataclass
@@ -255,20 +265,53 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
 
 
 def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
-    """Check the stage chain and each compress stage's rank against the
-    configured widths, and fill every stage, so that a config the runner
-    would reject fails before any training.  A calibrate stage gets the
-    ``target`` of the compress stage it feeds."""
-    validate_pipeline(stages)
+    """Fill every stage and check the chain in one walk, so that a config
+    the runner would reject fails before any data is built.  The first
+    stage is ``train_baseline``.  A calibrate stage has a compress stage
+    directly after it, whose ``target`` it gets.  A compress stage has
+    exactly one finetune directly after it, a calibrate stage directly
+    before it if its method reads calibration taps, a rank the configured
+    widths allow, and a target no earlier stage compressed.  Eval stages
+    are transparent to the order rules."""
+    if not stages:
+        raise ConfigError("pipeline has no stages")
     hidden = model["hidden_dims"]
     filled = []
+    core = []  # (index, filled stage) of each non-eval stage so far
+    compressed = {}  # target -> index of the stage that compressed it
     for i, s in enumerate(stages):
-        where = f"stage {i} ({s['stage']})"
+        name = s["stage"]
+        if name not in STAGE_KEYS:
+            raise ConfigError(f"unknown stage {name!r}")
+        if i == 0 and name != "train_baseline":
+            raise ConfigError(
+                f"stage 0: the first stage must be train_baseline, got {name!r}"
+            )
+        where = f"stage {i} ({name})"
         s = fill_stage(s, profile, seed + i, where)
         filled.append(s)
-        if s["stage"] != "compress":
+        if name == "eval":
+            continue
+        if core:
+            _check_next(core, name)
+        core.append((i, s))
+        if name != "compress":
             continue
         method = METHODS[s["method"]]
+        before = core[-2][1]  # stage 0 is train_baseline, so one exists
+        if before["stage"] == "calibrate":
+            before["target"] = method.target
+        elif method.calibrated:
+            raise ConfigError(
+                f"stage {i}: {s['method']} compress must directly follow a "
+                f"calibrate stage"
+            )
+        if method.target in compressed:
+            raise ConfigError(
+                f"{where}: the {method.target} layers are already compressed "
+                f"by stage {compressed[method.target]}"
+            )
+        compressed[method.target] = i
         if method.target == "mlp" and len(hidden) != 3:
             raise ConfigError(
                 f"{where}: MLP compression needs model.hidden_dims of "
@@ -280,11 +323,24 @@ def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
                 f"{where}: rank {s['rank']} outside [1, {limit}] for the configured "
                 "model widths"
             )
-    core = [s for s in filled if s["stage"] != "eval"]
-    for s, fed in zip(core, core[1:]):  # validate_pipeline: fed is a compress
-        if s["stage"] == "calibrate":
-            s["target"] = METHODS[fed["method"]].target
+    _check_next(core, None)
     return filled
+
+
+def _check_next(core: list, name: str | None) -> None:
+    """Raise unless a non-eval stage called ``name`` (None: the end of the
+    chain) may come after the non-eval stages ``core``, given as (index,
+    stage) pairs that start with the baseline."""
+    j, last = core[-1]
+    if last["stage"] == "calibrate" and name != "compress":
+        raise ConfigError(
+            f"stage {j}: calibrate must be directly followed by a compress stage"
+        )
+    if last["stage"] == name == "finetune" and core[-2][1]["stage"] == "compress":
+        j = core[-2][0]  # a second finetune after that compress stage
+    elif last["stage"] != "compress" or name == "finetune":
+        return
+    raise ConfigError(f"stage {j}: compress must be followed by exactly one finetune")
 
 
 def _read_config(source) -> dict:
@@ -387,3 +443,8 @@ def _resolve(raw: dict) -> ResolvedConfig:
         config_hash=config_hash({k: v for k, v in raw.items() if k != "output_dir"}),
     )
 
+
+def config_hash(raw: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()

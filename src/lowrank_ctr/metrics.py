@@ -7,7 +7,6 @@ LogLoss clamps predictions to [1e-7, 1 - 1e-7] before taking logs.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass, asdict
@@ -71,9 +70,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def evaluate_scores(labels, scores) -> MetricReport:

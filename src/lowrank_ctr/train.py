@@ -10,22 +10,12 @@ mean binary cross entropy from logits plus ``l2_ratio`` times the summed
 squared weights; the decay and the loss penalty are configured
 independently and both active by default.
 
-A pipeline is a stage list: ``train_baseline``, ``calibrate``,
-``compress``, ``finetune``, ``eval``.  ``validate_pipeline`` holds its
-protocol, which ``config.load_config`` checks before any data is built:
-``train_baseline`` comes first, every compress stage has exactly one
-finetune directly after it, every calibrate stage has a compress stage
-directly after it, and a compress stage whose ``METHODS`` entry reads
-calibration statistics has a calibrate stage directly before it (eval
-stages are transparent to the last three rules).  Each stage reaches its
-handler filled by ``config.fill_stage``: every setting present and
-converted, a training stage's as one ``TrainConfig`` under ``"train"``,
-and a calibrate stage's ``target`` that of the compress stage it feeds.
+A pipeline is a stage list that ``config.load_config`` has checked and
+filled; ``STAGE_HANDLERS`` holds the handler of each stage kind.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
@@ -289,16 +279,6 @@ def calibrate(
 # ---------------------------------------------------------------------------
 # pipeline
 
-# the keys each stage accepts, by stage name
-STAGE_KEYS = {
-    "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
-    "calibrate": {"stage", "batch_size"},
-    "compress": {"stage", "method", "rank"},  # and its method's option
-    "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
-    "eval": {"stage"},
-}
-
-
 @dataclass(frozen=True)
 class Method:
     """What the rest of the package knows about one compression method."""
@@ -320,42 +300,6 @@ METHODS = {
     "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse", True),
     "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), "tt_cores", 3),
 }
-
-
-def validate_pipeline(stages: list) -> None:
-    """Enforce stage ordering: train_baseline first, then
-    [calibrate ->] compress -> one finetune, with the calibrate required
-    for the methods that read its taps and allowed only before a compress."""
-    if not stages:
-        raise ConfigError("pipeline has no stages")
-    for s in stages:
-        if s["stage"] not in STAGE_KEYS:
-            raise ConfigError(f"unknown stage {s['stage']!r}")
-    if stages[0]["stage"] != "train_baseline":
-        raise ConfigError(
-            f"stage 0: the first stage must be train_baseline, got "
-            f"{stages[0]['stage']!r}"
-        )
-    core = [(i, s) for i, s in enumerate(stages) if s["stage"] != "eval"]
-    for pos, (i, s) in enumerate(core):
-        after = [t["stage"] for _, t in core[pos + 1 : pos + 3]]
-        if s["stage"] == "calibrate" and after[:1] != ["compress"]:
-            raise ConfigError(
-                f"stage {i}: calibrate must be directly followed by a compress stage"
-            )
-        if s["stage"] != "compress":
-            continue
-        calibrated = pos > 0 and core[pos - 1][1]["stage"] == "calibrate"
-        method = METHODS.get(s.get("method"))
-        if method is not None and method.calibrated and not calibrated:
-            raise ConfigError(
-                f"stage {i}: {s['method']} compress must directly follow a "
-                f"calibrate stage"
-            )
-        if after[:1] != ["finetune"] or after[1:] == ["finetune"]:
-            raise ConfigError(
-                f"stage {i}: compress must be followed by exactly one finetune"
-            )
 
 
 def select_taps(model: DeepFMModel, target: str) -> list:
@@ -540,8 +484,3 @@ def run_pipeline(resolved, out_dir) -> dict:
         )
     return manifest
 
-
-def config_hash(raw: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lowrank_ctr.checkpoint import load_checkpoint
@@ -219,6 +220,35 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_name_too_long_for_a_file_is_not_found(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", "c" * 300, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "config file not found" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_pipeline_reads_a_criteo_shaped_tsv(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    n = 4000
+    labels = rng.integers(0, 2, size=(n, 1)).astype(str)
+    cont = rng.integers(0, 50, size=(n, 13)).astype(str)
+    cont[rng.random(cont.shape) < 0.2] = ""  # a blank count reads as 0
+    cats = np.char.add([f"f{i}-" for i in range(26)], rng.integers(0, 20, size=(n, 26)).astype(str))
+    cats[rng.random(cats.shape) < 0.05] = ""  # a blank token is index 0
+    data = tmp_path / "clicks.tsv"
+    data.write_text("".join("\t".join(row) + "\n" for row in np.hstack([labels, cont, cats])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "criteo", "data": {"path": str(data)}}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all(s["status"] == "completed" for s in manifest["stages"])
+    model = load_checkpoint(out / "checkpoints" / "stage06-finetune.lrck")
+    assert (model.n_fields, model.n_continuous, model.fused) == (26, 13, True)
+
+
 def test_pipeline_rejects_bad_mlp_config_before_training(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -249,6 +279,14 @@ def calibrated(taps, method):
             {"stage": "compress", "method": method, "rank": 4}, {"stage": "finetune"}]
 
 
+def compressed_twice(first, second):
+    """A chain that compresses one target with ``first``, then again with ``second``."""
+    again = [{"stage": "calibrate"}] if METHODS[second].calibrated else []
+    return [{"stage": "train_baseline"},
+            {"stage": "compress", "method": first, "rank": 4}, {"stage": "finetune"},
+            *again, {"stage": "compress", "method": second, "rank": 4}, {"stage": "finetune"}]
+
+
 @pytest.mark.parametrize("stages", [
     calibrated("embs", "afm-emb"),
     [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},
@@ -261,8 +299,12 @@ def calibrated(taps, method):
     calibrated(["mlp.9"], "afm-mlp"),
     [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},
      {"stage": "finetune"}, {"stage": "calibrate"}],
+    compressed_twice("svd-mlp", "afm-mlp"),
+    compressed_twice("svd-emb", "svd-emb"),
+    compressed_twice("svd-emb", "tt-emb"),
 ], ids=["taps-typo", "finetune-epochs", "eval-first", "calibrate-first", "mlp-taps-afm-emb",
-        "emb-taps-afm-mlp", "absent-tap", "trailing-calibrate"])
+        "emb-taps-afm-mlp", "absent-tap", "trailing-calibrate", "svd-mlp-then-afm-mlp",
+        "svd-emb-twice", "svd-emb-then-tt-emb"])
 def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, "stages": stages}))

@@ -410,15 +410,21 @@ def test_fuse_preserves_mlp_path():
 
 
 def test_fuse_shape_criteo_profile():
-    model = init_deepfm([50] * 26, 16, [400, 400, 400], seed=23)
+    model = init_deepfm([50] * 26, 16, [400, 400, 400], n_continuous=13, seed=23)
     rng = np.random.default_rng(23)
-    idx = rng.integers(0, 50, size=(500, 26))
-    plan = afm_plan_embedding(embedding_taps(model, idx), 2)
+    batch = FeatureBatch(
+        rng.integers(0, 50, size=(500, 26)), rng.random((500, 13), dtype=np.float32)
+    )
+    names = [f"emb.{i}" for i in range(26)]
+    captured = forward(model, batch, capture=names).captured
+    plan = afm_plan_embedding([tap_from(n, captured[n]) for n in names], 2)
     afm_apply_embedding(model, plan)
-    assert model.mlp[0].weight.shape == (400, 416)
+    assert model.mlp[0].weight.shape == (400, 429)
+    unfused = forward(model, batch).logits
     fuse_projection_into_first_fc(model)
-    assert model.mlp[0].weight.shape == (400, 52)
-    assert model.mlp_input_dim() == 52
+    assert model.mlp[0].weight.shape == (400, 65)  # continuous block kept last
+    assert model.mlp_input_dim() == 65
+    np.testing.assert_allclose(forward(model, batch).logits, unfused, rtol=0, atol=1e-5)
 
 
 def test_fuse_requires_projections():

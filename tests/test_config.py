@@ -6,11 +6,13 @@ import pytest
 
 from lowrank_ctr.config import (
     PROFILES,
+    STAGE_KEYS,
     SYNTH_DATA_DEFAULTS,
     load_config,
     standard_stages,
 )
 from lowrank_ctr.errors import ConfigError
+from lowrank_ctr.train import STAGE_HANDLERS
 
 
 def names(stages):
@@ -95,6 +97,70 @@ def test_stage_list_validation():
             {"stage": "compress", "method": "afm-mlp"},
             {"stage": "finetune"},
         ]})
+
+
+GOOD_CHAINS = [
+    ["train_baseline", "eval"],
+    ["train_baseline", "calibrate", "compress", "finetune", "eval"],
+    ["train_baseline", "calibrate", "eval", "compress", "eval", "finetune"],
+    ["train_baseline", "calibrate", "compress", "finetune",
+     "calibrate", "compress:afm-emb", "finetune", "eval"],
+    # only the afm methods read calibration taps
+    ["train_baseline", "compress:svd-mlp", "finetune",
+     "compress:tt-emb", "finetune", "eval"],
+    ["train_baseline", "compress:svd-emb", "finetune"],
+    ["train_baseline", "calibrate", "compress:svd-mlp", "finetune"],
+]
+
+BAD_CHAINS = [
+    [],
+    ["train_baseline", "compress", "finetune"],            # no calibrate
+    ["train_baseline", "compress:afm-emb", "finetune"],    # no calibrate
+    ["train_baseline", "calibrate", "compress"],            # no finetune
+    ["train_baseline", "calibrate", "compress", "eval"],    # eval is not a finetune
+    ["train_baseline", "calibrate", "compress", "finetune", "finetune"],
+    ["train_baseline", "calibrate", "finetune", "compress", "finetune"],
+    ["train_baseline", "compress:svd-mlp"],                 # no finetune
+    ["train_baseline", "compress:tt-emb", "finetune", "finetune"],
+    ["train_baseline", "warmup"],                           # unknown stage
+    ["eval", "train_baseline"],                             # no model to evaluate
+    ["calibrate", "compress", "finetune"],                  # no model to calibrate
+    ["train_baseline", "calibrate", "calibrate", "compress", "finetune"],
+    ["train_baseline", "calibrate", "compress", "finetune", "calibrate"],
+    ["train_baseline", "calibrate", "eval"],                # calibrate feeds no compress
+    # a target is compressed at most once
+    ["train_baseline", "compress:svd-mlp", "finetune", "calibrate", "compress", "finetune"],
+    ["train_baseline", "compress:svd-emb", "finetune", "compress:svd-emb", "finetune"],
+    ["train_baseline", "compress:svd-emb", "finetune", "compress:tt-emb", "finetune"],
+]
+
+
+def stage_chain(chain):
+    """Stage dicts from names; ``compress:<method>`` picks the method,
+    a bare ``compress`` is afm-mlp."""
+    stages = []
+    for name in chain:
+        stage, _, method = name.partition(":")
+        if stage == "compress":
+            stages.append({"stage": stage, "method": method or "afm-mlp"})
+        else:
+            stages.append({"stage": stage})
+    return stages
+
+
+def test_load_config_accepts_legal_chains():
+    for chain in GOOD_CHAINS:
+        load_config({"stages": stage_chain(chain)})
+
+
+def test_load_config_rejects_broken_chains():
+    for chain in BAD_CHAINS:
+        with pytest.raises(ConfigError):
+            load_config({"stages": stage_chain(chain)})
+
+
+def test_every_stage_kind_has_keys_and_a_handler():
+    assert set(STAGE_KEYS) == set(STAGE_HANDLERS)
 
 
 def test_standard_stages_mlp_then_emb():

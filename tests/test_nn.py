@@ -185,15 +185,17 @@ def test_l2_ratio_shifts_loss_by_penalty():
     assert np.isclose(loss1 - loss0, 1e-5 * l2_penalty(model), atol=1e-9)
 
 
-def fd_check(model, batch, labels, l2_ratio=1e-4, h=1e-6, rtol=1e-4):
-    """Central finite differences against analytic gradients, all params."""
+def fd_check(model, batch, labels, l2_ratio=1e-4, h=1e-6, rtol=1e-4, dropout=0.0):
+    """Central finite differences against analytic gradients, all params.
+    Every pass draws its dropout masks from the same seed, so they agree."""
     _, grads, _ = compute_gradients(
-        model, batch, labels, l2_ratio=l2_ratio, dropout_override=0.0
+        model, batch, labels, l2_ratio=l2_ratio,
+        rng=np.random.default_rng(0), dropout_override=dropout,
     )
 
     def loss_at():
         trace = forward(model, batch, mode="train",
-                        rng=np.random.default_rng(0), dropout_override=0.0)
+                        rng=np.random.default_rng(0), dropout_override=dropout)
         return loss_bce_l2(trace.logits, labels, model, l2_ratio)
 
     for name, p in model.named_parameters():
@@ -217,6 +219,19 @@ def test_gradients_match_finite_differences():
     batch = make_batch([[0, 1], [2, 3], [1, 0], [2, 2]])
     labels = np.array([1, 0, 0, 1])
     fd_check(model, batch, labels)
+
+
+def test_gradients_with_dropout_match_finite_differences():
+    model = init_deepfm([3, 4], 2, [4, 4], seed=8, dtype=np.float64)
+    batch = make_batch([[0, 1], [2, 3], [1, 0], [2, 2]])
+    labels = np.array([1, 0, 0, 1])
+    losses = [
+        compute_gradients(model, batch, labels, rng=np.random.default_rng(0),
+                          dropout_override=rate)[0]
+        for rate in (0.0, 0.5)
+    ]
+    assert losses[0] != losses[1]  # the masks drop units
+    fd_check(model, batch, labels, dropout=0.5)
 
 
 def test_gradients_with_projections_match_finite_differences():

@@ -20,7 +20,6 @@ from lowrank_ctr.train import (
     finetune,
     run_pipeline,
     train,
-    validate_pipeline,
 )
 
 
@@ -270,62 +269,6 @@ def test_calibrate_rejects_bad_taps_and_empty_data():
     taps = calibrate(model, empty, ["emb.0"])
     with pytest.raises(EmptyAccumulatorError):
         taps["emb.0"].accumulator.covariance()
-
-
-GOOD_CHAINS = [
-    ["train_baseline", "eval"],
-    ["train_baseline", "calibrate", "compress", "finetune", "eval"],
-    ["train_baseline", "calibrate", "eval", "compress", "eval", "finetune"],
-    ["train_baseline", "calibrate", "compress", "finetune",
-     "calibrate", "compress:afm-emb", "finetune", "eval"],
-    # only the afm methods read calibration taps
-    ["train_baseline", "compress:svd-mlp", "finetune",
-     "compress:tt-emb", "finetune", "eval"],
-    ["train_baseline", "compress:svd-emb", "finetune"],
-    ["train_baseline", "calibrate", "compress:svd-mlp", "finetune"],
-]
-
-BAD_CHAINS = [
-    [],
-    ["train_baseline", "compress", "finetune"],            # no calibrate
-    ["train_baseline", "compress:afm-emb", "finetune"],    # no calibrate
-    ["train_baseline", "calibrate", "compress"],            # no finetune
-    ["train_baseline", "calibrate", "compress", "eval"],    # eval is not a finetune
-    ["train_baseline", "calibrate", "compress", "finetune", "finetune"],
-    ["train_baseline", "calibrate", "finetune", "compress", "finetune"],
-    ["train_baseline", "compress:svd-mlp"],                 # no finetune
-    ["train_baseline", "compress:tt-emb", "finetune", "finetune"],
-    ["train_baseline", "warmup"],                           # unknown stage
-    ["eval", "train_baseline"],                             # no model to evaluate
-    ["calibrate", "compress", "finetune"],                  # no model to calibrate
-    ["train_baseline", "calibrate", "calibrate", "compress", "finetune"],
-    ["train_baseline", "calibrate", "compress", "finetune", "calibrate"],
-    ["train_baseline", "calibrate", "eval"],                # calibrate feeds no compress
-]
-
-
-def stage_chain(chain):
-    """Stage dicts from names; ``compress:<method>`` picks the method,
-    a bare ``compress`` is afm-mlp."""
-    stages = []
-    for name in chain:
-        stage, _, method = name.partition(":")
-        if stage == "compress":
-            stages.append({"stage": stage, "method": method or "afm-mlp"})
-        else:
-            stages.append({"stage": stage})
-    return stages
-
-
-def test_validate_pipeline_accepts_legal_chains():
-    for chain in GOOD_CHAINS:
-        validate_pipeline(stage_chain(chain))
-
-
-def test_validate_pipeline_rejects_broken_chains():
-    for chain in BAD_CHAINS:
-        with pytest.raises(ConfigError):
-            validate_pipeline(stage_chain(chain))
 
 
 def tiny_pipeline_config(tmp_path, stages, seed=0, n_samples=2000):
