@@ -267,12 +267,12 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
 def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
     """Fill every stage and check the chain in one walk, so that a config
     the runner would reject fails before any data is built.  The first
-    stage is ``train_baseline``.  A calibrate stage has a compress stage
-    directly after it, whose ``target`` it gets.  A compress stage has
-    exactly one finetune directly after it, a calibrate stage directly
-    before it if its method reads calibration taps, a rank the configured
-    widths allow, and a target no earlier stage compressed.  Eval stages
-    are transparent to the order rules."""
+    stage, and no other, is ``train_baseline``.  A calibrate stage has a
+    compress stage directly after it, whose ``target`` it gets.  A compress
+    stage has exactly one finetune directly after it, a calibrate stage
+    directly before it if its method reads calibration taps, a rank the
+    configured widths allow, and a target no earlier stage compressed.
+    Eval stages are transparent to the order rules."""
     if not stages:
         raise ConfigError("pipeline has no stages")
     hidden = model["hidden_dims"]
@@ -287,6 +287,8 @@ def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
             raise ConfigError(
                 f"stage 0: the first stage must be train_baseline, got {name!r}"
             )
+        if i > 0 and name == "train_baseline":
+            raise ConfigError(f"stage {i}: only the first stage may be train_baseline")
         where = f"stage {i} ({name})"
         s = fill_stage(s, profile, seed + i, where)
         filled.append(s)
@@ -349,10 +351,10 @@ def _read_config(source) -> dict:
         return dict(source)
     text = str(source)
     try:
-        is_path = Path(text).exists()
+        is_file = Path(text).is_file()
     except OSError:  # e.g. a JSON string too long to be a file name
-        is_path = False
-    if is_path:
+        is_file = False
+    if is_file:
         text = Path(text).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)

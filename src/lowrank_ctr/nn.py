@@ -17,14 +17,16 @@ are the projections (one (fields, dim, k) weight and one (fields, dim)
 bias, of which each ``ProjectionLayer`` holds field i's views).  A forward
 pass therefore fetches every field's embedding with one gather, and that
 (n, fields, dim) block is both the pairwise-term stack and, reshaped, the
-MLP input.  ``DeepFMModel.packed`` is the one place that storage is built:
-a forward pass calls it, and it packs on first use and again when a
-table, first-order or projection array was rebound or copied
-(``copy.deepcopy``) since the last packing, so code that makes tables only
-hands the model plain arrays.  Writing into a table's weights writes into
-the packed array; assigning a model's ``tables``, ``first_order`` or
-``projections`` drops its packing at once, so a compressor's replaced
-tables are freed.
+MLP input.  ``DeepFMModel.packed`` is the one place that storage is built,
+on first use, so code that makes tables only hands the model plain
+arrays.  A model holds its ``tables``, ``first_order`` and
+``projections`` as tuples, and ``EmbeddingTable`` and ``ProjectionLayer``
+are frozen, so once packed the per-field objects are fixed views: writing
+into a table's weights writes into the packed array, and rebinding a
+field or its array raises.  Storage is replaced by assigning a whole
+list, which drops the packing at once, so a compressor's replaced tables
+are freed.  ``copy.deepcopy`` (and ``clone``) copies a model without its
+packing, and the copy packs its own arrays on first use.
 
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
@@ -44,19 +46,20 @@ block-diagonal P_i^T P_i, the P_i^T b_i, sum_i b_i and sum_i ||b_i||^2) on
 the first call that needs them.  Those terms are derived again when the
 packed projection arrays no longer hold the bytes they were derived from,
 which an in-place write (``Adam.step``, assigning into a weight) causes;
-rebinding repacks the model, which starts afresh.  A pass with nothing to
-capture formats no tap names, and the float64 predictions and per-head
-terms of a ``ForwardTrace`` are computed only when read, so serving that
-reads the logits pays for neither.
+assigning new projections repacks the model, which starts afresh.  A pass
+with nothing to capture formats no tap names, and the float64 predictions
+and per-head terms of a ``ForwardTrace`` are computed only when read, so
+serving that reads the logits pays for neither.
 
-Weights default to float32; gradient checking can run the whole model in
-float64 via ``DeepFMModel.astype``.  All forward/backward code preserves
-the model dtype, except predictions and loss terms, which are float64.
+Weights default to float32; gradient checking builds the whole model in
+float64 with ``init_deepfm(dtype=...)``.  All forward/backward code
+preserves the model dtype, except predictions and loss terms, which are
+float64.
 """
 
 from __future__ import annotations
 
-import operator
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
@@ -97,7 +100,7 @@ class FeatureBatch:
         return self.indices.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingTable:
     weights: np.ndarray  # (dim, vocab); in a model, a view of its packed rows
 
@@ -175,7 +178,7 @@ def _tt_chain(tt: TTCores, idx, dtype):
     return digits, slices, chain
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionLayer:
     """Restores a reduced embedding to full width: e = weight @ e_c + bias."""
 
@@ -194,6 +197,8 @@ class DenseLayer:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ShapeError(f"dropout rate {self.dropout_rate} outside [0, 1)")
 
 
 class _Packed:
@@ -205,77 +210,63 @@ class _Packed:
     ``proj_weight`` (fields, dim, k) and ``proj_bias`` (fields, dim) hold
     field i's projection at index i.  An array is None when the model has
     no such parameters (tensor-train fields, fm disabled, no projections).
-    Building one copies the model's current arrays into new ones and points
-    the model at views of them; ``DeepFMModel.packed`` is the only caller.
+    Building one copies the model's current arrays into new ones and gives
+    the model new per-field objects that are views of them;
+    ``DeepFMModel.packed`` is the only caller.
     """
 
     def __init__(self, model):
-        self.vocab = np.array([t.vocab for t in model.tables], dtype=np.int64)
+        tables, first_order, projections = (
+            model.tables, model.first_order, model.projections
+        )
+        self.vocab = np.array([t.vocab for t in tables], dtype=np.int64)
         self.offsets = np.zeros_like(self.vocab)
         np.cumsum(self.vocab[:-1], out=self.offsets[1:])
         self.tables = self.first_order = self.ones = None
         self.proj_weight = self.proj_bias = None
-        dense = [isinstance(t, EmbeddingTable) for t in model.tables]
+        dense = [isinstance(t, EmbeddingTable) for t in tables]
         if any(dense):
             if not all(dense):
                 raise ShapeError("a model's fields are all dense or all tensor-train")
-            widths = sorted({t.dim for t in model.tables})
+            widths = sorted({t.dim for t in tables})
             if len(widths) != 1:
                 raise ShapeError(f"dense fields must share one width, got {widths}")
             # filled field by field: a concatenation of the (vocab, dim)
             # transposes would come out column-major
             self.tables = np.empty(
                 (int(self.vocab.sum()), widths[0]),
-                dtype=np.result_type(*[t.weights for t in model.tables]),
+                dtype=np.result_type(*[t.weights for t in tables]),
             )
-            for table, view in zip(model.tables, self._split(self.tables)):
+            views = self._split(self.tables)
+            for table, view in zip(tables, views):
                 view[...] = table.weights
-                table.weights = view
-        if model.first_order:
-            self.first_order = np.concatenate(model.first_order)
-            model.first_order = self._split(self.first_order)
+            tables = tuple(map(EmbeddingTable, views))
+        if first_order:
+            self.first_order = np.concatenate(first_order)
+            first_order = tuple(self._split(self.first_order))
             # sums a row's first-order weights over the fields as one product
-            self.ones = np.ones(model.n_fields, dtype=self.first_order.dtype)
-        if model.projections is not None:
-            shapes = {(p.weight.shape, p.bias.shape) for p in model.projections}
-            if len(model.projections) != len(model.tables) or len(shapes) != 1:
+            self.ones = np.ones(len(tables), dtype=self.first_order.dtype)
+        if projections is not None:
+            shapes = {(p.weight.shape, p.bias.shape) for p in projections}
+            if len(projections) != len(tables) or len(shapes) != 1:
                 raise ShapeError(
                     f"a model needs one projection per field, all of one shape; "
-                    f"got {len(model.projections)} of shapes {sorted(shapes)}"
+                    f"got {len(projections)} of shapes {sorted(shapes)}"
                 )
-            self.proj_weight = np.array([p.weight for p in model.projections])
-            self.proj_bias = np.array([p.bias for p in model.projections])
-            for proj, w, b in zip(model.projections, self.proj_weight, self.proj_bias):
-                proj.weight, proj.bias = w, b
-        self.views = self._arrays(model)
+            self.proj_weight = np.array([p.weight for p in projections])
+            self.proj_bias = np.array([p.bias for p in projections])
+            projections = tuple(
+                map(ProjectionLayer, self.proj_weight, self.proj_bias)
+            )
+        # past ``DeepFMModel.__setattr__``, which would drop this packing
+        object.__setattr__(model, "tables", tables)
+        object.__setattr__(model, "first_order", first_order)
+        object.__setattr__(model, "projections", projections)
         self._terms = self._terms_source = None
 
     def _split(self, packed) -> list:
         # ``.T`` turns a field's (vocab, dim) rows into its (dim, vocab) table
         return [packed[o : o + v].T for o, v in zip(self.offsets, self.vocab)]
-
-    @staticmethod
-    def _arrays(model) -> list:
-        arrays = [t.weights for t in model.tables if isinstance(t, EmbeddingTable)]
-        arrays += model.first_order
-        for proj in model.projections or ():
-            arrays += (proj.weight, proj.bias)
-        return arrays
-
-    def backs(self, model) -> bool:
-        """Whether every table, first-order and projection array of
-        ``model`` is still the view this packing handed out (not rebound,
-        not a copy)."""
-        arrays = self._arrays(model)
-        views = self.views
-        # ``copy.deepcopy`` keeps the views' identities (through its memo)
-        # but gives each its own data, so the first view's base tells a
-        # copy from the original
-        return (
-            len(arrays) == len(views)
-            and all(map(operator.is_, arrays, views))
-            and (not views or views[0].base is not None)
-        )
 
     def projection_terms(self, dtype) -> tuple:
         """``_projection_terms`` of the packed projections in ``dtype``.
@@ -283,7 +274,7 @@ class _Packed:
         Derived once and kept while the projections hold the bytes they
         were derived from; an in-place write (``Adam.step``, a direct
         assignment into a weight) derives them again on the next call.
-        Rebinding a projection or its arrays repacks the model instead."""
+        Assigning new projections repacks the model instead."""
         source = (dtype, self.proj_weight.tobytes(), self.proj_bias.tobytes())
         if source != self._terms_source:
             self._terms = _projection_terms(self.proj_weight, self.proj_bias, dtype)
@@ -293,12 +284,12 @@ class _Packed:
 
 @dataclass
 class DeepFMModel:
-    tables: list
-    first_order: list  # per-field (vocab,) arrays; empty when fm disabled
+    tables: tuple
+    first_order: tuple  # per-field (vocab,) arrays; empty when fm disabled
     mlp: list
     n_continuous: int
     embed_dim: int  # field width consumed by the pairwise term
-    projections: Optional[list] = None
+    projections: Optional[tuple] = None
     fm_enabled: bool = True
     fused: bool = False
     _packed: Optional[_Packed] = field(
@@ -306,10 +297,17 @@ class DeepFMModel:
     )
 
     def __setattr__(self, name, value):
-        # frees the old packed arrays now; ``packed()`` builds new ones
+        # a tuple, so no field is rebound in place; assigning one frees the
+        # old packed arrays now, and ``packed()`` builds new ones
         if name in ("tables", "first_order", "projections"):
             object.__setattr__(self, "_packed", None)
+            if value is not None:
+                value = tuple(value)
         object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        # a copy (``copy.deepcopy``, ``copy.copy``) packs its own arrays
+        return {**self.__dict__, "_packed": None}
 
     @property
     def n_fields(self) -> int:
@@ -324,15 +322,10 @@ class DeepFMModel:
 
     def packed(self) -> _Packed:
         """The packed storage behind the tables, first-order weights and
-        projections.
-
-        The one place packed storage is built: on first use, and again when
-        a table, first-order or projection array was rebound or copied since
-        the last packing, so the arrays returned are always current."""
-        packed = self._packed
-        if packed is None or not packed.backs(self):
-            packed = self._packed = _Packed(self)
-        return packed
+        projections; the one place it is built, on first use."""
+        if self._packed is None:
+            self._packed = _Packed(self)
+        return self._packed
 
     def named_parameters(self) -> list:
         """(name, array) pairs in a fixed order; arrays are live views."""
@@ -354,57 +347,8 @@ class DeepFMModel:
             out.append((f"mlp.{j}.bias", layer.bias))
         return out
 
-    def astype(self, dtype) -> "DeepFMModel":
-        """Deep copy with every parameter cast to ``dtype``."""
-
-        def cast(a):
-            return np.asarray(a, dtype=dtype).copy()
-
-        tables = []
-        for t in self.tables:
-            if isinstance(t, TTEmbeddingTable):
-                cores = TTCores(
-                    tuple(cast(c) for c in t.cores.cores),
-                    t.cores.row_factors,
-                    t.cores.col_factors,
-                    t.cores.ranks,
-                )
-                tables.append(TTEmbeddingTable(cores, t.vocab, t.dim))
-            else:
-                # copied into the new model's own packed rows below
-                tables.append(EmbeddingTable(np.asarray(t.weights, dtype)))
-        projections = None
-        if self.projections is not None:
-            projections = [  # copied into the new model's packed arrays
-                ProjectionLayer(np.asarray(p.weight, dtype), np.asarray(p.bias, dtype))
-                for p in self.projections
-            ]
-        mlp = [
-            DenseLayer(
-                cast(l.weight),
-                cast(l.bias),
-                l.activation,
-                l.dropout_rate,
-                l.dropout_site,
-            )
-            for l in self.mlp
-        ]
-        model = DeepFMModel(
-            tables=tables,
-            first_order=[np.asarray(f, dtype) for f in self.first_order],
-            mlp=mlp,
-            n_continuous=self.n_continuous,
-            embed_dim=self.embed_dim,
-            projections=projections,
-            fm_enabled=self.fm_enabled,
-            fused=self.fused,
-        )
-        model.packed()
-        return model
-
     def clone(self) -> "DeepFMModel":
-        dtype = self.mlp[0].weight.dtype if self.mlp else np.float32
-        return self.astype(dtype)
+        return copy.deepcopy(self)
 
 
 class ForwardTrace:
@@ -576,6 +520,9 @@ def _run_forward(
 ):
     if mode not in ("infer", "train"):
         raise ShapeError(f"mode must be 'infer' or 'train', got {mode!r}")
+    # a layer's own rate is checked where the layer is made
+    if dropout_override is not None and not 0.0 <= dropout_override < 1.0:
+        raise ShapeError(f"dropout rate {dropout_override} outside [0, 1)")
     packed = model.packed()
     _validate_batch(model, batch, packed.vocab)
     capture = set(capture or ())
@@ -649,8 +596,6 @@ def _run_forward(
         mask = None
         rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
         if rate > 0.0:
-            if not 0.0 <= rate < 1.0:
-                raise ShapeError(f"dropout rate {rate} outside [0, 1)")
             if rng is None:
                 raise ShapeError("training forward with dropout needs an rng")
             keep = 1.0 - rate
@@ -894,22 +839,12 @@ def compute_gradients(
 
 
 def param_count(model: DeepFMModel) -> dict:
-    """Exact parameter tally per component."""
-    emb = 0
-    for t in model.tables:
-        if isinstance(t, TTEmbeddingTable):
-            emb += t.cores.param_count()
-        else:
-            emb += t.weights.size
-    proj = 0
-    if model.projections is not None:
-        proj = sum(p.weight.size + p.bias.size for p in model.projections)
-    fo = sum(f.size for f in model.first_order)
-    mlp = sum(l.weight.size + l.bias.size for l in model.mlp)
-    return {
-        "embeddings": int(emb),
-        "projections": int(proj),
-        "first_order": int(fo),
-        "mlp": int(mlp),
-        "total": int(emb + proj + fo + mlp),
+    """Exact parameter tally per component, by ``named_parameters`` name."""
+    kinds = {
+        "emb": "embeddings", "proj": "projections", "fo": "first_order", "mlp": "mlp"
     }
+    counts = dict.fromkeys(kinds.values(), 0)
+    for name, p in model.named_parameters():
+        counts[kinds[name.partition(".")[0]]] += p.size
+    counts["total"] = sum(counts.values())
+    return counts

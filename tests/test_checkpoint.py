@@ -43,14 +43,12 @@ def test_roundtrip_bit_exact(tmp_path):
 
     # no read-only view of the file stays in the model: every table and
     # first-order array is a writable view of the model's packed storage
-    for m in (loaded, loaded.astype(np.float64)):
-        tables = [t.weights for t in m.tables]
-        first_order = list(m.first_order)
-        packed = m.packed()
-        for arr in tables:
-            assert arr.flags.writeable and np.shares_memory(arr, packed.tables)
-        for arr in first_order:
-            assert arr.flags.writeable and np.shares_memory(arr, packed.first_order)
+    packed = loaded.packed()
+    for table in loaded.tables:
+        assert table.weights.flags.writeable
+        assert np.shares_memory(table.weights, packed.tables)
+    for arr in loaded.first_order:
+        assert arr.flags.writeable and np.shares_memory(arr, packed.first_order)
 
     idx = np.array([[3, 5], [10, 0]])
     batch = FeatureBatch(idx, np.ones((2, 2), dtype=np.float32))
@@ -288,6 +286,12 @@ def sigmoid_layer(topo, tensors):
     topo["mlp"][0]["activation"] = "sigmoid"
 
 
+def dropout_rate(rate):
+    def edit(topo, tensors):
+        topo["mlp"][0]["dropout_rate"] = rate
+    return edit
+
+
 def bad_core(topo, tensors):
     core = tensors["emb.0.core.0"]
     tensors["emb.0.core.0"] = np.zeros(core.shape[:-1] + (core.shape[-1] + 1,), np.float32)
@@ -311,6 +315,8 @@ def bad_core(topo, tensors):
         (plain_model, first_order_without_fm, "first-order weights in a model without the FM"),
         (plain_model, extra_tensor, "does not use"),
         (plain_model, sigmoid_layer, "unknown activation 'sigmoid'"),
+        (plain_model, dropout_rate(-0.5), r"dropout rate -0.5 outside \[0, 1\)"),
+        (plain_model, dropout_rate(1.5), r"dropout rate 1.5 outside \[0, 1\)"),
     ],
 )
 def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):

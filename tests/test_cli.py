@@ -302,9 +302,11 @@ def compressed_twice(first, second):
     compressed_twice("svd-mlp", "afm-mlp"),
     compressed_twice("svd-emb", "svd-emb"),
     compressed_twice("svd-emb", "tt-emb"),
+    [{"stage": "train_baseline"}, {"stage": "compress", "method": "svd-mlp", "rank": 4},
+     {"stage": "finetune"}, {"stage": "train_baseline"}, {"stage": "eval"}],
 ], ids=["taps-typo", "finetune-epochs", "eval-first", "calibrate-first", "mlp-taps-afm-emb",
         "emb-taps-afm-mlp", "absent-tap", "trailing-calibrate", "svd-mlp-then-afm-mlp",
-        "svd-emb-twice", "svd-emb-then-tt-emb"])
+        "svd-emb-twice", "svd-emb-then-tt-emb", "second-baseline"])
 def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, "stages": stages}))

@@ -132,6 +132,8 @@ BAD_CHAINS = [
     ["train_baseline", "compress:svd-mlp", "finetune", "calibrate", "compress", "finetune"],
     ["train_baseline", "compress:svd-emb", "finetune", "compress:svd-emb", "finetune"],
     ["train_baseline", "compress:svd-emb", "finetune", "compress:tt-emb", "finetune"],
+    # a second baseline would discard every stage before it
+    ["train_baseline", "compress:svd-mlp", "finetune", "train_baseline", "eval"],
 ]
 
 
@@ -246,6 +248,11 @@ def test_config_from_file_and_string(tmp_path):
     from_string = load_config(json.dumps(raw))
     assert from_file.seed == from_string.seed == 3
     assert from_file.config_hash == from_string.config_hash
+
+
+def test_config_naming_a_directory_fails_as_json(tmp_path):
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(tmp_path))
 
 
 def test_config_from_a_json_string_longer_than_a_file_name():

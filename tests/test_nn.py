@@ -1,15 +1,18 @@
 """Tests for the DeepFM model: forward math, gradients, parameter tally."""
 
 import copy
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
 
 from lowrank_ctr import nn
+from lowrank_ctr.checkpoint import load_checkpoint, save_checkpoint
 from lowrank_ctr.compress import (
     afm_apply_embedding,
     afm_plan_embedding,
+    compress_mlp,
     fuse_projection_into_first_fc,
     svd_compress_embedding,
     tt_compress_embedding,
@@ -241,8 +244,7 @@ def test_gradients_with_projections_match_finite_differences():
         ProjectionLayer(rng.standard_normal((4, 2)), rng.standard_normal(4)),
         ProjectionLayer(rng.standard_normal((4, 2)), rng.standard_normal(4)),
     ]
-    for t in model.tables:
-        t.weights = np.ascontiguousarray(t.weights[:2, :])  # reduced tables
+    model.tables = [EmbeddingTable(t.weights[:2, :]) for t in model.tables]  # reduced
     batch = make_batch([[0, 1], [2, 0]])
     labels = np.array([0, 1])
     fd_check(model, batch, labels)
@@ -270,15 +272,14 @@ def test_param_count_uncompressed():
 def test_param_count_compressed_with_projections():
     model = init_deepfm([10, 20, 30], 4, [8], seed=0)
     rng = np.random.default_rng(0)
-    model.projections = []
-    for t in model.tables:
-        t.weights = np.ascontiguousarray(t.weights[:2, :])
-        model.projections.append(
-            ProjectionLayer(
-                rng.standard_normal((4, 2)).astype(np.float32),
-                np.zeros(4, dtype=np.float32),
-            )
+    model.tables = [EmbeddingTable(t.weights[:2, :]) for t in model.tables]
+    model.projections = [
+        ProjectionLayer(
+            rng.standard_normal((4, 2)).astype(np.float32),
+            np.zeros(4, dtype=np.float32),
         )
+        for _ in model.tables
+    ]
     counts = param_count(model)
     assert counts["embeddings"] + counts["projections"] == 2 * 60 + 3 * (4 * 2 + 4)  # 156
 
@@ -332,9 +333,9 @@ def full_width_reference(model, idx, raw=None):
     return first + pairwise + x[:, 0], pairwise
 
 
-def projected_model(fused, seed=0):
-    """A float64 model with reduced tables and random projections."""
-    model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=seed, dtype=np.float64, dropout_rate=0.0)
+def projected_model(fused, seed=0, dtype=np.float64):
+    """A model with reduced tables and random projections."""
+    model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=seed, dtype=dtype, dropout_rate=0.0)
     rng = np.random.default_rng(seed)
     taps = []
     for i in range(3):
@@ -379,12 +380,14 @@ def test_rebound_weights_reach_forward():
     idx = np.array([[1, 4], [5, 0]])
     forward(model, make_batch(idx))
     mine = np.arange(18, dtype=np.float64).reshape(3, 6) / 10.0
-    model.tables[1].weights = mine
-    model.first_order[0] = np.full(6, 0.25)
+    model.tables = [model.tables[0], EmbeddingTable(mine)]
+    model.first_order = [np.full(6, 0.25), model.first_order[1]]
+    assert model._packed is None  # the old packing is dropped at once
     want, _ = full_width_reference(model, idx)
     np.testing.assert_allclose(forward(model, make_batch(idx)).logits, want, rtol=1e-12, atol=1e-12)
-    # the forward pass packed the new arrays; the tables are views again
+    # the forward pass packed copies of the new arrays; the tables are views
     assert np.shares_memory(model.tables[1].weights, model.packed().tables)
+    assert not np.shares_memory(model.tables[1].weights, mine)
     model.tables[1].weights[:, 4] = 0.0
     want, _ = full_width_reference(model, idx)
     np.testing.assert_allclose(forward(model, make_batch(idx)).logits, want, rtol=1e-12, atol=1e-12)
@@ -438,12 +441,112 @@ def test_replacing_the_tables_frees_the_old_packed_array(compressor):
     )
 
 
+def invariant_model(kind, tmp_path):
+    """A float32 model of ``kind``, not yet run, for the packing invariant."""
+    model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=13, dropout_rate=0.0)
+    idx = np.random.default_rng(13).integers(0, [7, 5, 9], size=(40, 3))
+
+    def taps(names):
+        out = {}
+        for name, samples in forward(model, make_batch(idx), capture=names).captured.items():
+            out[name] = ActivationTap.for_dim(name, samples.shape[1])
+            out[name].accumulator.update(samples.astype(np.float64))
+        return out
+
+    if kind == "afm-mlp":
+        compress_mlp(model, 2, "afm", taps(["mlp.1", "mlp.2"]))
+    elif kind in ("svd-emb", "svd-emb-fused"):
+        svd_compress_embedding(model, 2)
+        if kind == "svd-emb-fused":
+            fuse_projection_into_first_fc(model)
+    elif kind == "afm-emb":
+        emb_taps = taps([f"emb.{i}" for i in range(3)])
+        afm_apply_embedding(model, afm_plan_embedding(list(emb_taps.values()), 2))
+    elif kind == "tt-emb":
+        tt_compress_embedding(model, max_rank=2)
+    elif kind == "checkpoint":
+        save_checkpoint(model, tmp_path / "model.lrck")
+        model = load_checkpoint(tmp_path / "model.lrck")
+    elif kind != "init":
+        forward(model, make_batch(idx))  # the original is packed before the copy
+        copier = {"clone": DeepFMModel.clone, "deepcopy": copy.deepcopy, "copy": copy.copy}
+        model = copier[kind](model)
+    return model
+
+
+def packed_array_of(packed, name):
+    """The packed array that parameter ``name`` is a view of, or None."""
+    kind, _, rest = name.partition(".")
+    if kind == "emb" and rest.endswith(".weight"):
+        return packed.tables
+    if kind == "fo":
+        return packed.first_order
+    if kind == "proj":
+        return packed.proj_weight if rest.endswith(".weight") else packed.proj_bias
+    return None
+
+
+@pytest.mark.parametrize("kind", [
+    "init", "afm-mlp", "svd-emb", "svd-emb-fused", "afm-emb", "tt-emb",
+    "checkpoint", "clone", "deepcopy", "copy",
+])
+def test_forward_reads_the_arrays_adam_updates_and_checkpoints_write(kind, tmp_path):
+    model = invariant_model(kind, tmp_path)
+    batch = make_batch(np.random.default_rng(14).integers(0, [7, 5, 9], size=(20, 3)))
+    before = forward(model, batch).logits
+    packed = model.packed()
+    viewed = 0
+    for name, p in model.named_parameters():
+        base = packed_array_of(packed, name)
+        if base is not None:
+            assert np.shares_memory(p, base), name
+            viewed += 1
+    projected = kind in ("svd-emb", "svd-emb-fused", "afm-emb")
+    assert viewed == (3 if kind == "tt-emb" else 6) + (6 if projected else 0)
+
+    # a per-field object and its arrays are fixed once packed
+    with pytest.raises(TypeError):
+        model.tables[0] = model.tables[0]
+    with pytest.raises(TypeError):
+        model.first_order[0] = model.first_order[0]
+    if kind != "tt-emb":
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.tables[0].weights = model.tables[0].weights.copy()
+    if model.projections is not None:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.projections[1].bias = model.projections[1].bias.copy()
+
+    # Adam's in-place update reaches the forward pass and the checkpoint
+    rng = np.random.default_rng(15)
+    params = model.named_parameters()
+    Adam(1e-2).step(params, {n: rng.standard_normal(p.shape).astype(p.dtype) for n, p in params})
+    after = forward(model, batch).logits
+    assert not np.array_equal(after, before)
+    save_checkpoint(model, tmp_path / "stepped.lrck")
+    loaded = load_checkpoint(tmp_path / "stepped.lrck")
+    assert forward(loaded, batch).logits.tobytes() == after.tobytes()
+
+
+def test_shallow_copy_packs_its_own_arrays():
+    model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=16, dropout_rate=0.0)
+    batch = make_batch(np.random.default_rng(16).integers(0, [7, 5, 9], size=(20, 3)))
+    want = forward(model, batch).logits
+    views = [p for _, p in model.named_parameters()]
+    other = copy.copy(model)
+    forward(other, batch)  # packs the copy's own arrays
+    for kind in ("tables", "first_order"):
+        assert not np.shares_memory(getattr(model.packed(), kind), getattr(other.packed(), kind))
+    other.packed().tables[...] = 0.0
+    assert all(a is b for a, (_, b) in zip(views, model.named_parameters()))
+    assert forward(model, batch).logits.tobytes() == want.tobytes()
+
+
 # -- forward-pass constants --------------------------------------------------
 
 
 def served_model(fused):
     """A float32 projected model, already run once, and a batch of rows."""
-    model = projected_model(fused, seed=6).astype(np.float32)
+    model = projected_model(fused, seed=6, dtype=np.float32)
     batch = make_batch(np.random.default_rng(7).integers(0, [7, 5, 9], size=(20, 3)))
     forward(model, batch)
     return model, batch
@@ -485,16 +588,17 @@ def test_rebound_projections_reach_forward(how):
         )
         for _ in range(3)
     ]
-    if how == "array":
-        model.projections[2].weight = new[2].weight
-    elif how == "layer":
-        model.projections[2] = new[2]
-    else:
-        model.projections = new
-        assert model._packed is None  # the old packing is dropped at once
+    old = model.projections
+    if how == "array":  # field 2 gets a new weight, through a new list
+        new = [*old[:2], ProjectionLayer(new[2].weight, old[2].bias)]
+    elif how == "layer":  # field 2 gets a new projection
+        new = [*old[:2], new[2]]
+    model.projections = new
+    assert model._packed is None  # the old packing is dropped at once
     assert_logits_match_a_fresh_clone(model, batch)
     # the forward pass packed the new arrays; they are views again
     assert model.projections[2].weight.base is model.packed().proj_weight
+    np.testing.assert_array_equal(model.projections[2].weight, new[2].weight)
 
 
 def test_deepcopy_derives_its_own_projection_terms():
@@ -502,15 +606,17 @@ def test_deepcopy_derives_its_own_projection_terms():
     want = forward(model, batch).logits
     other = copy.deepcopy(model)
     for proj in other.projections:
-        proj.weight *= 2.0
+        proj.weight[...] *= 2.0
     assert_logits_match_a_fresh_clone(other, batch)
     assert forward(model, batch).logits.tobytes() == want.tobytes()
     assert not np.shares_memory(model.packed().proj_weight, other.packed().proj_weight)
 
 
 def test_float64_copy_derives_its_terms_in_float64():
-    model, batch = served_model(fused=False)
-    wide = model.astype(np.float64)
+    _, batch = served_model(fused=False)
+    model = projected_model(fused=False, seed=6)
+    forward(model, batch)
+    wide = copy.deepcopy(model)
     forward(wide, batch)
     wide.projections[0].bias[1] = 3.0
     assert_logits_match_a_fresh_clone(wide, batch)
@@ -519,7 +625,7 @@ def test_float64_copy_derives_its_terms_in_float64():
 
 
 def test_projection_terms_are_derived_once_per_parameter_change(monkeypatch):
-    model = projected_model(fused=True, seed=9).astype(np.float32)
+    model = projected_model(fused=True, seed=9, dtype=np.float32)
     batch = make_batch(np.random.default_rng(9).integers(0, [7, 5, 9], size=(20, 3)))
     labels = np.random.default_rng(10).integers(0, 2, size=20)
     derive = nn._projection_terms
@@ -541,7 +647,7 @@ def test_projection_terms_are_derived_once_per_parameter_change(monkeypatch):
 @pytest.mark.parametrize("kind", ["base", "fused", "tt"])
 def test_deferred_trace_fields(kind):
     if kind == "fused":
-        model = projected_model(fused=True, seed=11).astype(np.float32)
+        model = projected_model(fused=True, seed=11, dtype=np.float32)
     else:
         model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=11, dropout_rate=0.0)
         if kind == "tt":
@@ -614,7 +720,7 @@ def test_mixed_dense_and_tt_fields_are_rejected():
     model = init_deepfm([4, 6], 4, [3], seed=10)
     tt = init_deepfm([4, 6], 4, [3], seed=10)
     tt_compress_embedding(tt, max_rank=2, n_cores=2)
-    model.tables[1] = tt.tables[1]
+    model.tables = [model.tables[0], tt.tables[1]]
     with pytest.raises(ShapeError):
         forward(model, make_batch([[0, 1]]))
 
