@@ -35,10 +35,10 @@ from .train import (
     _run_compress,
     calibrate,
     evaluate_model,
-    finetune,
     prepare_data,
     run_pipeline,
     select_taps,
+    train,
 )
 
 
@@ -97,11 +97,13 @@ def cmd_compress(args) -> int:
     if getattr(args, f"no_{method.option}", False):
         stage[method.option] = False  # --no-insert-relu or --no-fuse
     stage = fill_stage(stage, rc.profile_defaults, rc.seed, "compress")
+    calib = {"stage": "calibrate", "batch_size": args.calib_batch_size}
+    calib = fill_stage(calib, rc.profile_defaults, rc.seed, "--calib-batch-size")
     taps = None
     if method.calibrated:
         train_ds, _ = prepare_data(rc)
         ids = select_taps(model, method.target)
-        taps = calibrate(model, train_ds, ids, batch_size=args.calib_batch_size)
+        taps = calibrate(model, train_ds, ids, batch_size=calib["batch_size"])
     report = _run_compress(model, stage, taps)
     save_checkpoint(model, args.model_out)
     _emit(report, args.report)
@@ -115,7 +117,7 @@ def cmd_finetune(args) -> int:
              **_given(args, "learning_rate", "batch_size", "dropout")}
     cfg = fill_stage(stage, rc.profile_defaults, rc.seed, "finetune")["train"]
     train_ds, test_ds = prepare_data(rc)
-    rows = finetune(model, train_ds, cfg, test_dataset=test_ds)
+    rows = train(model, train_ds, cfg, test_dataset=test_ds, stage="finetune")
     save_checkpoint(model, args.model_out)
     _emit(rows[-1], args.report)
     return 0
@@ -132,6 +134,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag, least in (("batch_size", 1), ("batches", 20), ("warmup", 0)):
+        value = getattr(args, flag)
+        if value < least:
+            name = "--" + flag.replace("_", "-")
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
     model = load_checkpoint(args.model_in)
     rc = _config_from(args)
     _, test_ds = prepare_data(rc)

@@ -4,14 +4,18 @@ Three families, all producing the same target structure per component:
 
 * output-PCA ("activation mimicking"): eigendecompose the covariance of a
   layer's calibration outputs, keep the top-k eigenvectors U_k, and split
-  the layer so it reproduces U_k U_k^T (y - mean) + mean.  Applied to a
-  dense layer this gives two stacked layers; applied to an embedding table
-  it gives a reduced table plus a per-field projection back to full width.
-* plain SVD of the weights, arranged into the identical two-layer /
-  table-plus-projection shapes, so the two initializations are swappable.
+  the layer so it reproduces U_k U_k^T (y - mean) + mean.
+* plain SVD of the weights, in the identical shapes, so the two
+  initializations are swappable; ``svd_split_fc`` also returns the
+  weights' singular values.
 * tensor-train factorization of embedding tables (rows = items), whose
   lookup rebuilds a batch's rows through one batched chain of core-slice
   products.
+
+A dense layer splits into two stacked layers.  An embedding table is a
+bias-free linear map of a one-hot item, so it is split by the same two
+functions: layer A's weight becomes the reduced table and layer B becomes
+the per-field projection back to full width.
 
 Dense layers two and three of the MLP are the compressible ones: the first
 layer reads the raw feature concatenation and the output head is a single
@@ -83,17 +87,16 @@ def _clamped_eigen(cov: np.ndarray):
     return np.maximum(values, 0.0), eig.eigenvectors
 
 
-def _check_rank(k: int, dim: int) -> int:
-    k = int(k)
-    if not 1 <= k <= dim:
-        raise RankError(f"rank {k} outside [1, {dim}]")
-    return k
-
-
-def _retained_fraction(spectrum: np.ndarray, k: int) -> float:
-    """Share of the spectrum's total mass held by its top k entries."""
+def _report_entry(k: int, before: int, after: int, spectrum: np.ndarray) -> dict:
+    """Report entry of one split component; ``retained_fraction`` is the
+    share of the spectrum's total mass held by its top k entries."""
     total = float(spectrum.sum())
-    return float(spectrum[:k].sum() / total) if total > 0 else 1.0
+    return {
+        "rank": int(k),
+        "params_before": int(before),
+        "params_after": int(after),
+        "retained_fraction": float(spectrum[:k].sum() / total) if total > 0 else 1.0,
+    }
 
 
 def afm_plan_fc(tap: ActivationTap, k: int) -> FcCompressionPlan:
@@ -104,7 +107,9 @@ def afm_plan_fc(tap: ActivationTap, k: int) -> FcCompressionPlan:
             f"tap {tap.layer_id}: {acc.n} samples for dimension {acc.dim}; "
             "need at least one sample per dimension"
         )
-    k = _check_rank(k, acc.dim)
+    k = int(k)
+    if not 1 <= k <= acc.dim:
+        raise RankError(f"rank {k} outside [1, {acc.dim}]")
     mean, cov = acc.covariance()
     values, vectors = _clamped_eigen(cov)
     return FcCompressionPlan(
@@ -162,27 +167,13 @@ def svd_split_fc(layer: DenseLayer, k: int, insert_relu: bool = True):
 
     Same target shapes as the output-PCA split: layer A holds
     sqrt(S_k) V_k^T with zero bias, layer B holds U_k sqrt(S_k) with the
-    original bias.
+    original bias.  Returns (layer A, layer B, the weights' singular
+    values); a rank outside [1, min(out, in)] raises RankError.
     """
-    return _svd_split_fc(layer, k, insert_relu)[:2]
-
-
-def _svd_split_fc(layer: DenseLayer, k: int, insert_relu: bool):
-    """:func:`svd_split_fc`, also returning the weights' singular values."""
-    k = _check_rank(k, min(layer.weight.shape))
     res = svd_thin(layer.weight.astype(np.float64))
     m1, m2 = svd_factors(res, k)
     layer_a, layer_b = _split_layers(layer, m2, m1, layer.bias, insert_relu)
     return layer_a, layer_b, res.singular_values
-
-
-def _compressible_mlp_indices(model: DeepFMModel) -> tuple:
-    if len(model.mlp) != 4:
-        raise ShapeError(
-            "MLP compression expects three hidden layers plus the output "
-            f"head, got {len(model.mlp)} layers"
-        )
-    return MLP_COMPRESSIBLE
 
 
 def compress_mlp(
@@ -198,11 +189,15 @@ def compress_mlp(
     taps) or "svd".  Returns a report fragment with per-layer spectra and
     parameter deltas.
     """
-    indices = _compressible_mlp_indices(model)
+    if len(model.mlp) != 4:
+        raise ShapeError(
+            "MLP compression expects three hidden layers plus the output "
+            f"head, got {len(model.mlp)} layers"
+        )
     detail = {}
     new_mlp = []
     for j, layer in enumerate(model.mlp):
-        if j not in indices:
+        if j not in MLP_COMPRESSIBLE:
             new_mlp.append(layer)
             continue
         before = layer.weight.size + layer.bias.size
@@ -213,17 +208,12 @@ def compress_mlp(
             la, lb = afm_split_fc(layer, plan, insert_relu)
             spectrum = plan.eigenvalues
         elif method == "svd":
-            la, lb, sigma = _svd_split_fc(layer, k, insert_relu)
+            la, lb, sigma = svd_split_fc(layer, k, insert_relu)
             spectrum = sigma**2
         else:
             raise RankError(f"unknown mlp compression method {method!r}")
         after = la.weight.size + la.bias.size + lb.weight.size + lb.bias.size
-        detail[f"mlp.{j}"] = {
-            "rank": int(k),
-            "params_before": int(before),
-            "params_after": int(after),
-            "retained_fraction": _retained_fraction(spectrum, k),
-        }
+        detail[f"mlp.{j}"] = _report_entry(k, before, after, spectrum)
         new_mlp.extend([la, lb])
     model.mlp = new_mlp
     return detail
@@ -252,35 +242,33 @@ def _check_plain_tables(model: DeepFMModel) -> None:
             raise ShapeError(f"field {i} already holds tensor-train cores")
 
 
+def _table_layer(table: EmbeddingTable) -> DenseLayer:
+    """The table as the bias-free linear map of a one-hot item; the weight
+    is the table's own array, not a copy."""
+    return DenseLayer(table.weights, np.zeros(table.dim, table.weights.dtype), "none")
+
+
 def _install_projections(model: DeepFMModel, parts: list) -> dict:
-    """Swap each table for its reduced weights plus a projection back to
-    full width, in place.  ``parts`` holds per field the float64 tuple
-    (reduced table, projection weight, projection bias, spectrum)."""
+    """Swap each table for layer A's weight as its reduced table and layer
+    B as its projection back to full width, in place.  ``parts`` holds per
+    field the triple (layer A, layer B, spectrum) of the table's split;
+    the counts leave out the zero biases of the table and of layer A."""
     detail = {}
-    new_tables = []
-    projections = []
-    for i, (table, (reduced, weight, bias, spectrum)) in enumerate(
-        zip(model.tables, parts)
-    ):
-        dtype = table.weights.dtype
-        new_tables.append(EmbeddingTable(reduced.astype(dtype)))
-        projections.append(ProjectionLayer(weight.astype(dtype), bias.astype(dtype)))
-        k = weight.shape[1]
-        detail[f"emb.{i}"] = {
-            "rank": int(k),
-            "params_before": int(table.weights.size),
-            "params_after": int(reduced.size + weight.size + bias.size),
-            "retained_fraction": _retained_fraction(spectrum, k),
-        }
-    model.tables = new_tables
-    model.projections = projections
+    for i, (table, (la, lb, spectrum)) in enumerate(zip(model.tables, parts)):
+        after = la.weight.size + lb.weight.size + lb.bias.size
+        detail[f"emb.{i}"] = _report_entry(
+            la.weight.shape[0], table.weights.size, after, spectrum
+        )
+    model.tables = [EmbeddingTable(la.weight) for la, _, _ in parts]
+    model.projections = [ProjectionLayer(lb.weight, lb.bias) for _, lb, _ in parts]
     return detail
 
 
 def afm_apply_embedding(model: DeepFMModel, plan: EmbCompressionPlan) -> dict:
     """Reduce every embedding table to k rows and add projections, in place.
 
-    Table i becomes U_k^T D (k x vocab); the projection weight is U_k and
+    Each table is split by :func:`afm_split_fc` as a bias-free layer:
+    table i becomes U_k^T D (k x vocab); the projection weight is U_k and
     its bias (I - U_k U_k^T) mean keeps the reconstruction centered on the
     calibration distribution.
     """
@@ -290,29 +278,27 @@ def afm_apply_embedding(model: DeepFMModel, plan: EmbCompressionPlan) -> dict:
         )
     _check_plain_tables(model)
     parts = []
-    for i, (table, u, mean) in enumerate(zip(model.tables, plan.bases, plan.means)):
-        if u.shape[0] != table.dim:
-            raise ShapeError(
-                f"field {i}: plan dimension {u.shape[0]} vs table dim {table.dim}"
-            )
-        reduced = u.T @ table.weights.astype(np.float64)
-        parts.append((reduced, u, mean - u @ (u.T @ mean), plan.eigenvalues[i]))
+    for table, u, mean, values in zip(
+        model.tables, plan.bases, plan.means, plan.eigenvalues
+    ):
+        field_plan = FcCompressionPlan(u, mean, values)
+        la, lb = afm_split_fc(_table_layer(table), field_plan, insert_relu=False)
+        parts.append((la, lb, values))
     return _install_projections(model, parts)
 
 
 def svd_compress_embedding(model: DeepFMModel, k: int) -> dict:
     """Reduce embedding tables via SVD of the weights, in place.
 
-    Identical target shapes to the output-PCA variant; the projection bias
-    is zero because plain SVD carries no mean information.
+    Each table is split by :func:`svd_split_fc` as a bias-free layer, so
+    the shapes match the output-PCA variant; the projection bias is zero
+    because plain SVD carries no mean information.
     """
     _check_plain_tables(model)
     parts = []
     for table in model.tables:
-        k_i = _check_rank(k, min(table.dim, table.vocab))
-        res = svd_thin(table.weights.astype(np.float64))
-        m1, m2 = svd_factors(res, k_i)
-        parts.append((m2, m1, np.zeros(table.dim), res.singular_values**2))
+        la, lb, sigma = svd_split_fc(_table_layer(table), k, insert_relu=False)
+        parts.append((la, lb, sigma**2))
     return _install_projections(model, parts)
 
 

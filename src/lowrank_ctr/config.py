@@ -123,12 +123,14 @@ _DATA_KEYS = {"synth", "path", "test_fraction", "split_seed", "min_count"}
 _SYNTH_KEYS = {"n_samples", "vocab_sizes", "latent_rank", "noise", "skew", "seed"}
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
 
-# the keys each stage accepts, by stage name
+# the keys each stage accepts, by stage name; a training stage takes every
+# TrainConfig setting but the seed, which the run derives
+_TRAIN_KEYS = {"stage"} | {f.name for f in fields(TrainConfig)} - {"seed"}
 STAGE_KEYS = {
-    "train_baseline": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
+    "train_baseline": _TRAIN_KEYS,
     "calibrate": {"stage", "batch_size"},
     "compress": {"stage", "method", "rank"},  # and its method's option
-    "finetune": {"stage", "learning_rate", "batch_size", "epochs", "l2_ratio", "weight_decay", "dropout"},
+    "finetune": _TRAIN_KEYS,
     "eval": {"stage"},
 }
 

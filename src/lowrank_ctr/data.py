@@ -22,7 +22,6 @@ from .nn import FeatureBatch
 class FieldDictionary:
     """Token-to-index map for one categorical field (0 = out of vocabulary)."""
 
-    field_id: int
     mapping: dict = field(default_factory=dict)
 
     @property
@@ -41,9 +40,9 @@ class FieldDictionary:
         return out
 
     @classmethod
-    def identity(cls, field_id: int, vocab: int) -> "FieldDictionary":
+    def identity(cls, vocab: int) -> "FieldDictionary":
         """str(i) -> i for datasets that already carry integer indices."""
-        return cls(field_id, {str(i): i for i in range(1, vocab)})
+        return cls({str(i): i for i in range(1, vocab)})
 
 
 @dataclass
@@ -107,25 +106,20 @@ def build_dictionaries(
     """First pass over a TSV: frequency-thresholded per-field dictionaries.
 
     Tokens appearing at least ``min_count`` times get indices in order of
-    first appearance; everything else folds into index 0.
+    first appearance (a dict keeps its keys in insertion order); everything
+    else folds into index 0.
     """
     counts = [dict() for _ in range(n_categorical)]
-    first_seen = [dict() for _ in range(n_categorical)]
     for _, parts in _parse_rows(path, n_continuous, n_categorical):
         cats = parts[1 + n_continuous :]
         for i, token in enumerate(cats):
             if not token:
                 continue
             counts[i][token] = counts[i].get(token, 0) + 1
-            if token not in first_seen[i]:
-                first_seen[i][token] = len(first_seen[i])
     dictionaries = []
-    for i in range(n_categorical):
-        kept = [t for t in first_seen[i] if counts[i][t] >= min_count]
-        kept.sort(key=first_seen[i].__getitem__)
-        dictionaries.append(
-            FieldDictionary(i, {t: j + 1 for j, t in enumerate(kept)})
-        )
+    for field_counts in counts:
+        kept = [t for t, c in field_counts.items() if c >= min_count]
+        dictionaries.append(FieldDictionary({t: j + 1 for j, t in enumerate(kept)}))
     return dictionaries
 
 
@@ -187,10 +181,7 @@ def write_tsv(dataset: ClickDataset, path, dictionaries: list | None = None) -> 
     reproduces the same transformed values and identical index tensors.
     """
     if dictionaries is None:
-        dictionaries = [
-            FieldDictionary.identity(i, v)
-            for i, v in enumerate(dataset.vocab_sizes)
-        ]
+        dictionaries = [FieldDictionary.identity(v) for v in dataset.vocab_sizes]
     token_maps = [d.tokens_by_index() for d in dictionaries]
     raw_cont = np.expm1(dataset.continuous.astype(np.float64))
     with open(path, "w", encoding="utf-8") as fh:

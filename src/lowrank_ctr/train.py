@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -216,24 +216,6 @@ def train(
     return rows
 
 
-def finetune(
-    model: DeepFMModel,
-    dataset: ClickDataset,
-    cfg: TrainConfig,
-    test_dataset: ClickDataset | None = None,
-    metrics_path=None,
-) -> list:
-    """Exactly one epoch over the data at the fine-tune settings."""
-    return train(
-        model,
-        dataset,
-        replace(cfg, epochs=1),
-        test_dataset=test_dataset,
-        metrics_path=metrics_path,
-        stage="finetune",
-    )
-
-
 def tap_dims(model: DeepFMModel, tap_ids) -> dict:
     dims = {}
     for tid in tap_ids:
@@ -421,12 +403,13 @@ def _stage_compress(run: _Run, i: int, stage: dict) -> None:
 
 
 def _stage_finetune(run: _Run, i: int, stage: dict) -> None:
-    finetune(
+    train(
         run.model,
         run.train_ds,
         stage["train"],
         test_dataset=run.test_ds,
         metrics_path=run.metrics_path,
+        stage="finetune",
     )
     run.checkpoint(_tag(i, stage))
 

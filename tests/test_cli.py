@@ -396,6 +396,36 @@ def test_finetune_at_zero_learning_rate_keeps_the_model(workdir, tmp_path, capsy
     assert tuned.read_bytes() == workdir["checkpoint"].read_bytes()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_compress_rejects_calib_batch_size_below_one(workdir, capsys, tmp_path, value):
+    out = tmp_path / "never.lrck"
+    rc = main([
+        "compress",
+        "--config", str(workdir["config"]),
+        "--model-in", str(workdir["checkpoint"]),
+        "--model-out", str(out),
+        "--method", "afm-mlp",
+        "--rank", "4",
+        "--calib-batch-size", value,
+    ])
+    assert rc == 2
+    assert "--calib-batch-size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"),
+    ("--batch-size", "-5"),
+    ("--batches", "5"),
+    ("--warmup", "-1"),
+])
+def test_bench_rejects_out_of_range_flags_before_loading(tmp_path, capsys, flag, value):
+    # the checkpoint does not exist: loading it first would exit 3
+    rc = main(["bench", "--model-in", str(tmp_path / "absent.lrck"), flag, value])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_bench_rejects_oversized_batches(workdir, capsys):
     rc = main([
         "bench",

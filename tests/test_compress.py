@@ -161,14 +161,14 @@ def test_svd_split_full_rank_identity():
     rng = np.random.default_rng(6)
     layer = DenseLayer(rng.standard_normal((4, 4)), rng.standard_normal(4),
                        activation="relu")
-    la, lb = svd_split_fc(layer, 4, insert_relu=False)
+    la, lb, _ = svd_split_fc(layer, 4, insert_relu=False)
     x = rng.standard_normal((1000, 4))
     assert np.max(np.abs(run_layer(lb, run_layer(la, x)) - run_layer(layer, x))) <= 1e-5
 
 
 def test_svd_split_diagonal_hand_case():
     layer = DenseLayer(np.diag([3.0, 1.0]), np.zeros(2), activation="none")
-    la, lb = svd_split_fc(layer, 1, insert_relu=False)
+    la, lb, _ = svd_split_fc(layer, 1, insert_relu=False)
     s3 = np.sqrt(3.0)
     np.testing.assert_allclose(la.weight, [[s3, 0.0]], atol=1e-12)
     np.testing.assert_allclose(lb.weight, [[s3], [0.0]], atol=1e-12)

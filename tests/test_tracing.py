@@ -59,3 +59,29 @@ def test_tracer_wraps_every_target_and_restores_the_package():
     assert after.keys() == before.keys()
     restored = [key for key, value in before.items() if after[key] is not value]
     assert not restored, f"not restored: {restored}"
+
+
+def test_traced_split_functions_are_reached():
+    """Compressing a dense layer or an embedding table goes through the
+    traced split functions, so their spans and counts are not empty."""
+    tracing = load_tracing()
+    for _, module, _, _ in tracing.TARGETS:
+        importlib.import_module(f"lowrank_ctr.{module}")
+    comp = sys.modules["lowrank_ctr.compress"]
+    nn = sys.modules["lowrank_ctr.nn"]
+    stats = sys.modules["lowrank_ctr.stats"]
+    vocab = [7, 7, 7]
+    rng = np.random.default_rng(0)
+    taps = []
+    for i in range(len(vocab)):
+        tap = stats.ActivationTap.for_dim(f"emb.{i}", 4)
+        tap.accumulator.update(rng.standard_normal((50, 4)))
+        taps.append(tap)
+    with tracing.Tracer() as tracer:
+        comp.compress_mlp(nn.init_deepfm(vocab, 4, [8, 8, 8], seed=1), 3, "svd")
+        assert tracer.counts["compress.svd_split_fc.calls"] == 2
+        comp.svd_compress_embedding(nn.init_deepfm(vocab, 4, [8, 8, 8], seed=2), 2)
+        assert tracer.counts["compress.svd_split_fc.calls"] == 2 + len(vocab)
+        plan = comp.afm_plan_embedding(taps, 2)
+        comp.afm_apply_embedding(nn.init_deepfm(vocab, 4, [8, 8, 8], seed=3), plan)
+        assert tracer.counts["compress.afm_split_fc.calls"] == len(vocab)

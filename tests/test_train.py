@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lowrank_ctr.config import load_config
+from lowrank_ctr.config import PROFILES, load_config
 from lowrank_ctr.checkpoint import save_checkpoint
 from lowrank_ctr.data import SynthSpec, split, synth_generate
 from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError
@@ -17,7 +17,6 @@ from lowrank_ctr.train import (
     TrainConfig,
     calibrate,
     evaluate_model,
-    finetune,
     run_pipeline,
     train,
 )
@@ -209,12 +208,20 @@ def test_training_is_deterministic():
 
 
 def test_finetune_runs_exactly_one_epoch():
-    ds = synth_generate(SynthSpec(n_samples=500, vocab_sizes=[10, 10], seed=2))
-    model = small_model()
-    rows = finetune(model, ds, TrainConfig(learning_rate=1e-3, epochs=7,
-                                           batch_size=100))
-    assert len(rows) == 1
-    assert rows[0]["stage"] == "finetune"
+    """The runner and the CLI train a finetune stage with its filled
+    TrainConfig as it is, so every one must hold a single epoch."""
+    explicit = [{"stage": "train_baseline", "epochs": 3},
+                {"stage": "compress", "method": "svd-mlp", "rank": 2},
+                {"stage": "finetune", "epochs": 1, "batch_size": 100}]
+    sources = [{"pipeline": {"order": "mlp-emb"}},
+               {"pipeline": {"order": "emb-mlp", "mlp": "svd-mlp", "emb": "tt-emb"}},
+               {"stages": explicit}]
+    for profile in sorted(PROFILES):
+        for source in sources:
+            rc = load_config({"profile": profile, "data": {"path": "unread.tsv"}, **source})
+            tunes = [s["train"] for s in rc.stages if s["stage"] == "finetune"]
+            assert len(tunes) == (1 if "stages" in source else 2)
+            assert all(cfg.epochs == 1 for cfg in tunes)
 
 
 def test_loss_bce_l2_values():
