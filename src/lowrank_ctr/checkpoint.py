@@ -176,10 +176,11 @@ def load_checkpoint(path) -> DeepFMModel:
 
     Any inconsistency (a tensor whose shape the topology does not imply, an
     MLP whose widths do not chain from the input width down to 1, a
-    non-finite value, mixed dense and tensor-train fields) raises DataError
-    before a model is built.  The payload is mapped, not read, and dense
-    tables, first-order weights and projections are copied from it once,
-    by ``DeepFMModel.packed``."""
+    non-finite value, mixed dense and tensor-train fields, tensors that do
+    not tile the payload in manifest order) raises DataError before a model
+    is built.  The payload is mapped, not read, and dense tables,
+    first-order weights and projections are copied from it once, into the
+    storage the model builds when it is made."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -216,10 +217,22 @@ def load_checkpoint(path) -> DeepFMModel:
 
 def _build(manifest: dict, payload) -> DeepFMModel:
     entries = {}
+    end = 0  # where the previous tensor ended
     for entry in manifest["tensors"]:
+        name, start, nbytes = entry["name"], int(entry["offset"]), int(entry["nbytes"])
         if entry["dtype"] != "f32":
             raise DataError(f"unsupported tensor dtype {entry['dtype']}")
-        entries[entry["name"]] = entry
+        if name in entries:
+            raise DataError(f"duplicate tensor {name}")
+        if start != end or nbytes < 0:
+            raise DataError(
+                f"tensor {name}: {nbytes} bytes at offset {start}, where the "
+                f"previous tensor ends at {end}"
+            )
+        end = start + nbytes
+        entries[name] = entry
+    if end != len(payload):  # a truncated payload, or bytes after the last tensor
+        raise DataError(f"the tensors end at byte {end} of a {len(payload)}-byte payload")
 
     topo = manifest["topology"]
     if topo.get("kind") != "deepfm":
@@ -238,15 +251,9 @@ def _build(manifest: dict, payload) -> DeepFMModel:
                 f"tensor {name} has shape {stored}, the topology implies {tuple(want)}"
             )
         count = math.prod(stored)
-        start = int(entry["offset"])
-        if entry["nbytes"] != 4 * count or start < 0:
-            raise DataError(
-                f"tensor {name}: {entry['nbytes']} bytes at offset {start} "
-                f"for shape {stored}"
-            )
-        if start + 4 * count > len(payload):
-            raise DataError(f"truncated payload for {name}")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+        if entry["nbytes"] != 4 * count:
+            raise DataError(f"tensor {name}: {entry['nbytes']} bytes for shape {stored}")
+        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=int(entry["offset"]))
         if not np.isfinite(arr).all():
             raise DataError(f"tensor {name} holds non-finite values")
         return arr.reshape(stored)
@@ -311,7 +318,7 @@ def _build(manifest: dict, payload) -> DeepFMModel:
         raise DataError("model has no MLP layers")
     if entries:
         raise DataError(f"tensors the topology does not use: {sorted(entries)}")
-    model = DeepFMModel(
+    return DeepFMModel(
         tables=tables,
         first_order=first_order,
         mlp=mlp,
@@ -321,6 +328,3 @@ def _build(manifest: dict, payload) -> DeepFMModel:
         fm_enabled=bool(topo["fm_enabled"]),
         fused=fused,
     )
-    # copies the payload views out of the file, which no array then maps
-    model.packed()
-    return model

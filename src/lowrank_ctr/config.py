@@ -148,14 +148,16 @@ class ModelSpec:
     fm_enabled: bool = True
 
     def __post_init__(self):
-        self.n_continuous = int(self.n_continuous)
-        self.n_categorical = int(self.n_categorical)
-        self.embed_dim = int(self.embed_dim)
-        self.dropout_rate = float(self.dropout_rate)
+        self.n_continuous = _number(self.n_continuous, int, "model.n_continuous")
+        self.n_categorical = _number(self.n_categorical, int, "model.n_categorical")
+        self.embed_dim = _number(self.embed_dim, int, "model.embed_dim")
+        self.dropout_rate = _number(self.dropout_rate, float, "model.dropout_rate")
         self.fm_enabled = _flag(self.fm_enabled, "model.fm_enabled")
         hidden = self.hidden_dims
-        if not hidden or not all(isinstance(h, int) and h > 0 for h in hidden):
+        widths = [_number(h, int, "model.hidden_dims") for h in hidden or ()]
+        if not isinstance(hidden, list) or not widths or min(widths) < 1:
             raise ConfigError(f"model.hidden_dims must list positive widths, got {hidden!r}")
+        self.hidden_dims = widths
         if self.n_continuous < 0:
             raise ConfigError(f"model.n_continuous must be >= 0, got {self.n_continuous}")
         if self.n_categorical < 1:
@@ -191,6 +193,15 @@ def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, got {value!r}")
     return value
+
+
+def _number(value, kind: type, where: str):
+    """``value`` as ``kind``, int or float; a boolean, or a fraction where
+    an int is due, raises ConfigError naming ``where``."""
+    if isinstance(value, bool) or (kind is int and not float(value).is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def standard_stages(profile: dict, pipeline: dict) -> list:
@@ -239,30 +250,34 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
         if isinstance(method.default, bool):
             option = _flag(option, f"{where}: {method.option}")
         else:
-            option = int(option)
+            option = _number(option, int, f"{where}: {method.option}")
             if option < 1:
                 raise ConfigError(f"{where}: {method.option} must be >= 1, got {option}")
         return {
             **stage,
-            "rank": int(stage.get("rank", profile[method.rank_key])),
+            "rank": _number(stage.get("rank", profile[method.rank_key]), int, f"{where}: rank"),
             method.option: option,
         }
     _reject_unknown(stage, STAGE_KEYS[name], where)
     if name == "calibrate":
-        batch_size = int(stage.get("batch_size", 10000))
+        batch_size = _number(stage.get("batch_size", 10000), int, f"{where}: batch_size")
         if batch_size < 1:
             raise ConfigError(f"{where}: batch size must be positive, got {batch_size}")
         return {"stage": name, "batch_size": batch_size}
     if name == "eval":
         return {"stage": name}
-    if name == "finetune" and stage.get("epochs", 1) != 1:
+    train_keys = ("learning_rate", "batch_size", "l2_ratio", "weight_decay")
+    settings = {**{key: profile[key] for key in train_keys}, **stage}
+    del settings["stage"]
+    for key, value in settings.items():
+        if value is not None:  # a null dropout keeps the stored rates
+            kind = int if key in ("batch_size", "epochs") else float
+            settings[key] = _number(value, kind, f"{where}: {key}")
+    if name == "finetune" and settings.get("epochs", 1) != 1:
         raise ConfigError(
             f"{where}: a finetune stage runs exactly one epoch, got "
             f"epochs {stage['epochs']!r}"
         )
-    train_keys = ("learning_rate", "batch_size", "l2_ratio", "weight_decay")
-    settings = {**{key: profile[key] for key in train_keys}, **stage}
-    del settings["stage"]
     return {"stage": name, "train": TrainConfig(**settings, seed=seed)}
 
 
@@ -390,7 +405,7 @@ def _resolve(raw: dict) -> ResolvedConfig:
             f"unknown profile {profile_name!r}; choose from {sorted(PROFILES)}"
         )
     profile = PROFILES[profile_name]
-    seed = int(raw.get("seed", 0))
+    seed = _number(raw.get("seed", 0), int, "seed")
 
     data = dict(raw.get("data", {}))
     _reject_unknown(data, _DATA_KEYS, "data")
@@ -405,20 +420,20 @@ def _resolve(raw: dict) -> ResolvedConfig:
         synth = {**SYNTH_DATA_DEFAULTS, **(data["synth"] or {})}
         _reject_unknown(synth, _SYNTH_KEYS, "data.synth")
         spec = SynthSpec(
-            n_samples=int(synth["n_samples"]),
-            vocab_sizes=[int(v) for v in synth["vocab_sizes"]],
-            latent_rank=int(synth["latent_rank"]),
-            noise=float(synth["noise"]),
-            skew=float(synth["skew"]),
-            seed=int(synth["seed"]),
+            n_samples=_number(synth["n_samples"], int, "data.synth.n_samples"),
+            vocab_sizes=[_number(v, int, "data.synth.vocab_sizes") for v in synth["vocab_sizes"]],
+            latent_rank=_number(synth["latent_rank"], int, "data.synth.latent_rank"),
+            noise=_number(synth["noise"], float, "data.synth.noise"),
+            skew=_number(synth["skew"], float, "data.synth.skew"),
+            seed=_number(synth["seed"], int, "data.synth.seed"),
         )
         spec.validate()  # load_config reports its DataError as a config error
         data["synth"] = asdict(spec)
     data["test_fraction"] = check_test_fraction(
-        float(data.get("test_fraction", profile["test_fraction"]))
+        _number(data.get("test_fraction", profile["test_fraction"]), float, "data.test_fraction")
     )
-    data["min_count"] = int(data.get("min_count", profile["min_count"]))
-    data["split_seed"] = int(data.get("split_seed", seed))
+    data["min_count"] = _number(data.get("min_count", profile["min_count"]), int, "data.min_count")
+    data["split_seed"] = _number(data.get("split_seed", seed), int, "data.split_seed")
 
     model = dict(raw.get("model", {}))
     _reject_unknown(model, _MODEL_KEYS, "model")

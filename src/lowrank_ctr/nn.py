@@ -17,16 +17,15 @@ are the projections (one (fields, dim, k) weight and one (fields, dim)
 bias, of which each ``ProjectionLayer`` holds field i's views).  A forward
 pass therefore fetches every field's embedding with one gather, and that
 (n, fields, dim) block is both the pairwise-term stack and, reshaped, the
-MLP input.  ``DeepFMModel.packed`` is the one place that storage is built,
-on first use, so code that makes tables only hands the model plain
-arrays.  A model holds its ``tables``, ``first_order`` and
-``projections`` as tuples, and ``EmbeddingTable`` and ``ProjectionLayer``
-are frozen, so once packed the per-field objects are fixed views: writing
-into a table's weights writes into the packed array, and rebinding a
-field or its array raises.  Storage is replaced by assigning a whole
-list, which drops the packing at once, so a compressor's replaced tables
-are freed.  ``copy.deepcopy`` (and ``clone``) copies a model without its
-packing, and the copy packs its own arrays on first use.
+MLP input.  Those packed arrays are the model's only storage for these
+parameters.  They are built when ``tables``, ``first_order`` or
+``projections`` is assigned, in the constructor or as a whole list (as the
+compressors do): the given arrays are copied in and the old storage is
+freed at once.  Reading one of the three gives a tuple of per-field views,
+and ``EmbeddingTable`` and ``ProjectionLayer`` are frozen, so writing into
+a table's weights writes into the packed array, and rebinding a field or
+its array raises.  ``clone`` (and ``copy.deepcopy``, ``copy.copy``) copies
+every array once.
 
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
@@ -39,17 +38,17 @@ P_i^T b_i.  Full-width vectors are built only when the MLP reads them:
 when ``fused`` is set, the first MLP layer has absorbed the projections and
 consumes the reduced embeddings directly.
 
-What a forward pass needs of the parameters alone is derived once per
-packing, not per call: the first-order ``ones`` vector when the model is
-packed, and the projection terms (``p_cat`` = [P_0 | P_1 | ...], the
+What a forward pass needs of the parameters alone is derived once, not
+per call: the first-order ``ones`` vector when the weights are assigned,
+and the projection terms (``p_cat`` = [P_0 | P_1 | ...], the
 block-diagonal P_i^T P_i, the P_i^T b_i, sum_i b_i and sum_i ||b_i||^2) on
 the first call that needs them.  Those terms are derived again when the
-packed projection arrays no longer hold the bytes they were derived from,
-which an in-place write (``Adam.step``, assigning into a weight) causes;
-assigning new projections repacks the model, which starts afresh.  A pass
-with nothing to capture formats no tap names, and the float64 predictions
-and per-head terms of a ``ForwardTrace`` are computed only when read, so
-serving that reads the logits pays for neither.
+projection arrays no longer hold the bytes they were derived from, which
+an in-place write (``Adam.step``, assigning into a weight) causes;
+assigning new projections drops them at once.  A pass with nothing to
+capture formats no tap names, and the float64 predictions and per-head
+terms of a ``ForwardTrace`` are computed only when read, so serving that
+reads the logits pays for neither.
 
 Weights default to float32; gradient checking builds the whole model in
 float64 with ``init_deepfm(dtype=...)``.  All forward/backward code
@@ -60,7 +59,7 @@ float64.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
 from typing import Optional
@@ -201,29 +200,41 @@ class DenseLayer:
             raise ShapeError(f"dropout rate {self.dropout_rate} outside [0, 1)")
 
 
-class _Packed:
-    """Storage behind a model's dense tables, first-order weights and
-    projections, and the forward-pass constants derived from them.
+class DeepFMModel:
+    """Dense tables live in ``emb_rows`` (sum vocab, dim) and first-order
+    weights in ``fo_rows`` (sum vocab,); field i owns rows
+    ``offsets[i]:offsets[i] + vocab[i]`` of both.  Projections live in
+    ``proj_weight`` (fields, dim, k) and ``proj_bias`` (fields, dim), field
+    i's at index i.  An array is None when the model has no such
+    parameters (tensor-train fields, which are the tuple ``tt_tables``, fm
+    disabled, no projections)."""
 
-    ``tables`` is (sum vocab, dim) and ``first_order`` is (sum vocab,);
-    field i owns rows ``offsets[i]:offsets[i] + vocab[i]`` of both.
-    ``proj_weight`` (fields, dim, k) and ``proj_bias`` (fields, dim) hold
-    field i's projection at index i.  An array is None when the model has
-    no such parameters (tensor-train fields, fm disabled, no projections).
-    Building one copies the model's current arrays into new ones and gives
-    the model new per-field objects that are views of them;
-    ``DeepFMModel.packed`` is the only caller.
-    """
+    def __init__(
+        self, tables, first_order, mlp: list, n_continuous: int, embed_dim: int,
+        projections=None, fm_enabled: bool = True, fused: bool = False,
+    ):
+        self.mlp = mlp
+        self.n_continuous = n_continuous
+        self.embed_dim = embed_dim  # field width consumed by the pairwise term
+        self.fm_enabled = fm_enabled
+        self.fused = fused
+        self.tables = tables
+        self.first_order = first_order  # per-field (vocab,) arrays, or none
+        self.projections = projections
 
-    def __init__(self, model):
-        tables, first_order, projections = (
-            model.tables, model.first_order, model.projections
-        )
-        self.vocab = np.array([t.vocab for t in tables], dtype=np.int64)
-        self.offsets = np.zeros_like(self.vocab)
-        np.cumsum(self.vocab[:-1], out=self.offsets[1:])
-        self.tables = self.first_order = self.ones = None
-        self.proj_weight = self.proj_bias = None
+    def _split(self, rows) -> tuple:
+        # ``.T`` turns a field's (vocab, dim) rows into its (dim, vocab) table
+        return tuple(rows[o : o + v].T for o, v in zip(self.offsets, self.vocab))
+
+    @property
+    def tables(self) -> tuple:
+        if self.emb_rows is None:
+            return self.tt_tables
+        return tuple(map(EmbeddingTable, self._split(self.emb_rows)))
+
+    @tables.setter
+    def tables(self, tables):
+        tables = tuple(tables)
         dense = [isinstance(t, EmbeddingTable) for t in tables]
         if any(dense):
             if not all(dense):
@@ -231,101 +242,69 @@ class _Packed:
             widths = sorted({t.dim for t in tables})
             if len(widths) != 1:
                 raise ShapeError(f"dense fields must share one width, got {widths}")
+        self.vocab = np.array([t.vocab for t in tables], dtype=np.int64)
+        self.offsets = np.zeros_like(self.vocab)
+        np.cumsum(self.vocab[:-1], out=self.offsets[1:])
+        self.emb_rows, self.tt_tables = None, tables
+        if any(dense):
             # filled field by field: a concatenation of the (vocab, dim)
             # transposes would come out column-major
-            self.tables = np.empty(
+            self.emb_rows = np.empty(
                 (int(self.vocab.sum()), widths[0]),
                 dtype=np.result_type(*[t.weights for t in tables]),
             )
-            views = self._split(self.tables)
-            for table, view in zip(tables, views):
+            for table, view in zip(tables, self._split(self.emb_rows)):
                 view[...] = table.weights
-            tables = tuple(map(EmbeddingTable, views))
+            self.tt_tables = ()
+
+    @property
+    def first_order(self) -> tuple:
+        return () if self.fo_rows is None else self._split(self.fo_rows)
+
+    @first_order.setter
+    def first_order(self, first_order):
+        first_order = list(first_order)
+        self.fo_rows = self.ones = None
         if first_order:
-            self.first_order = np.concatenate(first_order)
-            first_order = tuple(self._split(self.first_order))
+            self.fo_rows = np.concatenate(first_order)
             # sums a row's first-order weights over the fields as one product
-            self.ones = np.ones(len(tables), dtype=self.first_order.dtype)
+            self.ones = np.ones(len(first_order), dtype=self.fo_rows.dtype)
+
+    @property
+    def projections(self) -> Optional[tuple]:
+        if self.proj_weight is None:
+            return None
+        return tuple(map(ProjectionLayer, self.proj_weight, self.proj_bias))
+
+    @projections.setter
+    def projections(self, projections):
+        weight = bias = None
         if projections is not None:
+            projections = tuple(projections)
             shapes = {(p.weight.shape, p.bias.shape) for p in projections}
-            if len(projections) != len(tables) or len(shapes) != 1:
+            if len(projections) != self.n_fields or len(shapes) != 1:
                 raise ShapeError(
                     f"a model needs one projection per field, all of one shape; "
                     f"got {len(projections)} of shapes {sorted(shapes)}"
                 )
-            self.proj_weight = np.array([p.weight for p in projections])
-            self.proj_bias = np.array([p.bias for p in projections])
-            projections = tuple(
-                map(ProjectionLayer, self.proj_weight, self.proj_bias)
-            )
-        # past ``DeepFMModel.__setattr__``, which would drop this packing
-        object.__setattr__(model, "tables", tables)
-        object.__setattr__(model, "first_order", first_order)
-        object.__setattr__(model, "projections", projections)
+            weight = np.array([p.weight for p in projections])
+            bias = np.array([p.bias for p in projections])
+        self.proj_weight, self.proj_bias = weight, bias
         self._terms = self._terms_source = None
 
-    def _split(self, packed) -> list:
-        # ``.T`` turns a field's (vocab, dim) rows into its (dim, vocab) table
-        return [packed[o : o + v].T for o, v in zip(self.offsets, self.vocab)]
-
     def projection_terms(self, dtype) -> tuple:
-        """``_projection_terms`` of the packed projections in ``dtype``.
-
-        Derived once and kept while the projections hold the bytes they
-        were derived from; an in-place write (``Adam.step``, a direct
-        assignment into a weight) derives them again on the next call.
-        Assigning new projections repacks the model instead."""
+        """``_projection_terms`` of the projections in ``dtype``, derived
+        again only when the projections no longer hold the bytes they were
+        derived from (after an in-place write) or are assigned anew."""
         source = (dtype, self.proj_weight.tobytes(), self.proj_bias.tobytes())
         if source != self._terms_source:
             self._terms = _projection_terms(self.proj_weight, self.proj_bias, dtype)
             self._terms_source = source
         return self._terms
 
-
-@dataclass
-class DeepFMModel:
-    tables: tuple
-    first_order: tuple  # per-field (vocab,) arrays; empty when fm disabled
-    mlp: list
-    n_continuous: int
-    embed_dim: int  # field width consumed by the pairwise term
-    projections: Optional[tuple] = None
-    fm_enabled: bool = True
-    fused: bool = False
-    _packed: Optional[_Packed] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __setattr__(self, name, value):
-        # a tuple, so no field is rebound in place; assigning one frees the
-        # old packed arrays now, and ``packed()`` builds new ones
-        if name in ("tables", "first_order", "projections"):
-            object.__setattr__(self, "_packed", None)
-            if value is not None:
-                value = tuple(value)
-        object.__setattr__(self, name, value)
-
-    def __getstate__(self):
-        # a copy (``copy.deepcopy``, ``copy.copy``) packs its own arrays
-        return {**self.__dict__, "_packed": None}
-
     @property
     def n_fields(self) -> int:
-        return len(self.tables)
-
-    def mlp_input_dim(self) -> int:
-        if self.fused:
-            emb = sum(t.dim for t in self.tables)
-        else:
-            emb = self.n_fields * self.embed_dim
-        return emb + self.n_continuous
-
-    def packed(self) -> _Packed:
-        """The packed storage behind the tables, first-order weights and
-        projections; the one place it is built, on first use."""
-        if self._packed is None:
-            self._packed = _Packed(self)
-        return self._packed
+        return len(self.vocab)
 
     def named_parameters(self) -> list:
         """(name, array) pairs in a fixed order; arrays are live views."""
@@ -348,7 +327,10 @@ class DeepFMModel:
         return out
 
     def clone(self) -> "DeepFMModel":
+        """A deep copy: every array copied once, no memory shared."""
         return copy.deepcopy(self)
+
+    __copy__ = clone
 
 
 class ForwardTrace:
@@ -446,7 +428,7 @@ def init_deepfm(
     )
 
 
-def _validate_batch(model: DeepFMModel, batch: FeatureBatch, vocab) -> None:
+def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
     idx = batch.indices
     if idx.ndim != 2 or idx.shape[1] != model.n_fields:
         raise ShapeError(
@@ -462,12 +444,12 @@ def _validate_batch(model: DeepFMModel, batch: FeatureBatch, vocab) -> None:
         raise ShapeError("indices and continuous blocks disagree on length")
     if idx.shape[0] == 0:
         raise ShapeError("empty batch")
-    bad = (idx < 0) | (idx >= vocab)
+    bad = (idx < 0) | (idx >= model.vocab)
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         raise DataError(
             f"field {i}: index range [{idx[:, i].min()}, {idx[:, i].max()}] "
-            f"outside vocabulary of size {vocab[i]}"
+            f"outside vocabulary of size {model.vocab[i]}"
         )
 
 
@@ -523,20 +505,19 @@ def _run_forward(
     # a layer's own rate is checked where the layer is made
     if dropout_override is not None and not 0.0 <= dropout_override < 1.0:
         raise ShapeError(f"dropout rate {dropout_override} outside [0, 1)")
-    packed = model.packed()
-    _validate_batch(model, batch, packed.vocab)
+    _validate_batch(model, batch)
     capture = set(capture or ())
     idx = batch.indices
     n = idx.shape[0]
     dtype = model.mlp[0].weight.dtype
     captured = {}
 
-    rows = idx + packed.offsets  # each field's item, as a row of the packed arrays
-    if packed.tables is not None:
-        emb = np.take(packed.tables, rows, axis=0)  # (n, fields, dim)
+    rows = idx + model.offsets  # each field's item, as a row of the packed arrays
+    if model.emb_rows is not None:
+        emb = np.take(model.emb_rows, rows, axis=0)  # (n, fields, dim)
     else:
         emb = np.stack(
-            [t.lookup(idx[:, i]) for i, t in enumerate(model.tables)], axis=1
+            [t.lookup(idx[:, i]) for i, t in enumerate(model.tt_tables)], axis=1
         )
     if capture:
         for i in range(model.n_fields):
@@ -546,8 +527,8 @@ def _run_forward(
 
     proj = None
     x = flat
-    if model.projections is not None:
-        proj = packed.projection_terms(dtype)
+    if model.proj_weight is not None:
+        proj = model.projection_terms(dtype)
         if not model.fused:
             w, b = proj[:2]
             full = np.matmul(emb.transpose(1, 0, 2), w.transpose(0, 2, 1))
@@ -558,8 +539,8 @@ def _run_forward(
     pairwise = np.zeros(n, dtype=dtype)
     s = gc = None
     if model.fm_enabled:
-        if packed.first_order is not None:
-            fo = np.take(packed.first_order, rows) @ packed.ones
+        if model.fo_rows is not None:
+            fo = np.take(model.fo_rows, rows) @ model.ones
         if proj is None:
             # s = sum_i e_i as one matmul with stacked identities
             s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
@@ -615,7 +596,6 @@ def _run_forward(
     cache = None
     if keep_cache:
         cache = {
-            "packed": packed,
             "rows": rows,
             "emb": emb,
             "proj": None if proj is None else proj[:5],
@@ -810,25 +790,24 @@ def compute_gradients(
         d_emb = d_flat.reshape(n, n_fields, k)
 
     idx = batch.indices
-    packed = cache["packed"]
-    if packed.tables is not None:
-        g_tables = np.empty_like(packed.tables)
-        for i, (o, v) in enumerate(zip(packed.offsets, packed.vocab)):
+    if model.emb_rows is not None:
+        g_tables = np.empty_like(model.emb_rows)
+        for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
             g_tables[o : o + v] = _scatter_rows(d_emb[:, i], idx[:, i], v)
             grads[f"emb.{i}.weight"] = g_tables[o : o + v].T
     else:
-        for i, table in enumerate(model.tables):
+        for i, table in enumerate(model.tt_tables):
             core_grads = _tt_lookup_grads(table, idx[:, i], d_emb[:, i])
             for j, g in enumerate(core_grads):
                 grads[f"emb.{i}.core.{j}"] = g.astype(dtype)
 
-    if packed.first_order is not None:
+    if model.fo_rows is not None:
         g_fo = np.bincount(
             cache["rows"].ravel(),
             weights=np.repeat(dlogit.astype(np.float64), n_fields),
-            minlength=packed.first_order.shape[0],
+            minlength=model.fo_rows.shape[0],
         ).astype(dtype)
-        for i, (o, v) in enumerate(zip(packed.offsets, packed.vocab)):
+        for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
             grads[f"fo.{i}.weight"] = g_fo[o : o + v]
 
     if l2_ratio:

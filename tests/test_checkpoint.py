@@ -43,12 +43,12 @@ def test_roundtrip_bit_exact(tmp_path):
 
     # no read-only view of the file stays in the model: every table and
     # first-order array is a writable view of the model's packed storage
-    packed = loaded.packed()
+    assert loaded.emb_rows.flags.writeable and loaded.fo_rows.flags.writeable
     for table in loaded.tables:
         assert table.weights.flags.writeable
-        assert np.shares_memory(table.weights, packed.tables)
+        assert np.shares_memory(table.weights, loaded.emb_rows)
     for arr in loaded.first_order:
-        assert arr.flags.writeable and np.shares_memory(arr, packed.first_order)
+        assert arr.flags.writeable and np.shares_memory(arr, loaded.fo_rows)
 
     idx = np.array([[3, 5], [10, 0]])
     batch = FeatureBatch(idx, np.ones((2, 2), dtype=np.float32))
@@ -79,10 +79,9 @@ def test_roundtrip_with_projections_and_fuse_flag(tmp_path):
     assert loaded.projections is not None and len(loaded.projections) == 2
     assert_same_params(model, loaded)
     # read straight from the file, then copied once into packed storage
-    packed = loaded.packed()
     for proj in loaded.projections:
-        assert proj.weight.flags.writeable and proj.weight.base is packed.proj_weight
-        assert proj.bias.flags.writeable and proj.bias.base is packed.proj_bias
+        assert proj.weight.flags.writeable and proj.weight.base is loaded.proj_weight
+        assert proj.bias.flags.writeable and proj.bias.base is loaded.proj_bias
 
 
 def test_roundtrip_tt_model(tmp_path):
@@ -194,10 +193,12 @@ def test_rejects_corrupt_manifest_bytes(tmp_path):
 
 def craft(tmp_path, model, edit):
     """Write ``model`` as a checkpoint after ``edit(topology, tensors)`` has
-    changed its topology or its named tensors; offsets follow the edit."""
+    changed its topology or its named tensors; offsets follow the edit.  An
+    edit may return a function of (tensor table, payload chunks) that then
+    changes the table or the payload."""
     manifest = manifest_for(model)
     tensors = dict(model.named_parameters())
-    edit(manifest["topology"], tensors)
+    relayout = edit(manifest["topology"], tensors)
     entries, chunks, offset = [], [], 0
     for name, arr in tensors.items():
         data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
@@ -205,6 +206,8 @@ def craft(tmp_path, model, edit):
                         "offset": offset, "nbytes": len(data)})
         chunks.append(data)
         offset += len(data)
+    if relayout is not None:
+        relayout(entries, chunks)
     manifest["tensors"] = entries
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = tmp_path / "crafted.lrck"
@@ -292,6 +295,25 @@ def dropout_rate(rate):
     return edit
 
 
+def duplicate_entry(topo, tensors):
+    def relayout(entries, chunks):  # the last tensor twice, tiling the payload
+        end = entries[-1]["offset"] + entries[-1]["nbytes"]
+        entries.append({**entries[-1], "offset": end})
+        chunks.append(chunks[-1])
+    return relayout
+
+
+def overlapping_entry(topo, tensors):
+    def relayout(entries, chunks):  # emb.1.weight read from emb.0.weight's bytes
+        entry = next(e for e in entries if e["name"] == "emb.1.weight")
+        entry["offset"] = 0
+    return relayout
+
+
+def trailing_bytes(topo, tensors):
+    return lambda entries, chunks: chunks.append(bytes(64))
+
+
 def bad_core(topo, tensors):
     core = tensors["emb.0.core.0"]
     tensors["emb.0.core.0"] = np.zeros(core.shape[:-1] + (core.shape[-1] + 1,), np.float32)
@@ -317,6 +339,9 @@ def bad_core(topo, tensors):
         (plain_model, sigmoid_layer, "unknown activation 'sigmoid'"),
         (plain_model, dropout_rate(-0.5), r"dropout rate -0.5 outside \[0, 1\)"),
         (plain_model, dropout_rate(1.5), r"dropout rate 1.5 outside \[0, 1\)"),
+        (plain_model, duplicate_entry, "duplicate tensor mlp.3.bias"),
+        (plain_model, overlapping_entry, "emb.1.weight: 112 bytes at offset 0, where the previous"),
+        (plain_model, trailing_bytes, r"end at byte \d+ of a \d+-byte payload"),
     ],
 )
 def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):

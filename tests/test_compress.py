@@ -423,7 +423,6 @@ def test_fuse_shape_criteo_profile():
     unfused = forward(model, batch).logits
     fuse_projection_into_first_fc(model)
     assert model.mlp[0].weight.shape == (400, 65)  # continuous block kept last
-    assert model.mlp_input_dim() == 65
     np.testing.assert_allclose(forward(model, batch).logits, unfused, rtol=0, atol=1e-5)
 
 

@@ -362,6 +362,47 @@ def test_first_stage_must_train_the_baseline():
             load_config({"stages": [{"stage": first}] + compress_chain("afm-mlp", 4)})
 
 
+def compress_chain_with(method, option, value):
+    return [
+        {"stage": "train_baseline"},
+        {"stage": "compress", "method": method, option: value},
+        {"stage": "finetune"},
+    ]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"pipeline": {"mlp_rank": 2.7}}, r"\(compress\): rank must be an integer, got 2.7"),
+    ({"seed": 3.5}, "seed must be an integer, got 3.5"),
+    ({"stages": [{"stage": "train_baseline"}, {"stage": "calibrate", "batch_size": 2.5},
+                 {"stage": "compress", "method": "afm-mlp"}, {"stage": "finetune"}]},
+     r"\(calibrate\): batch_size must be an integer, got 2.5"),
+    ({"data": {"synth": {"vocab_sizes": [10.5, 20, 20]}}},
+     "data.synth.vocab_sizes must be an integer, got 10.5"),
+    ({"stages": compress_chain_with("tt-emb", "tt_cores", True)},
+     "tt_cores must be an integer, got True"),
+    ({"model": {"hidden_dims": [True, 64, 64]}}, "model.hidden_dims must be an integer, got True"),
+    ({"stages": [{"stage": "train_baseline", "learning_rate": True}]},
+     "learning_rate must be a number, got True"),
+], ids=["rank", "seed", "calibrate-batch-size", "vocab-sizes", "tt-cores", "hidden-dims",
+        "learning-rate"])
+def test_numeric_settings_reject_booleans_and_fractions(config, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(config)
+
+
+def test_numeric_settings_take_whole_floats_and_ints_for_floats():
+    rc = load_config({
+        "seed": 3.0,
+        "model": {"hidden_dims": [8.0, 8, 8]},
+        "stages": [{"stage": "train_baseline", "learning_rate": 1, "batch_size": 500.0},
+                   *compress_chain_with("tt-emb", "tt_cores", 2.0)[1:]],
+    })
+    assert rc.seed == 3 and rc.model["hidden_dims"] == [8, 8, 8]
+    train = rc.stages[0]["train"]
+    assert train.learning_rate == 1.0 and train.batch_size == 500
+    assert type(rc.stages[1]["tt_cores"]) is int and rc.stages[1]["tt_cores"] == 2
+
+
 def test_profiles_are_self_consistent():
     for name, prof in PROFILES.items():
         for key in ("n_continuous", "n_categorical", "embed_dim", "hidden_dims",

@@ -353,15 +353,14 @@ def projected_model(fused, seed=0, dtype=np.float64):
 
 def test_tables_are_views_of_one_packed_array():
     model = init_deepfm([4, 6, 3], 5, [4], seed=0)
-    packed = model.packed()
-    assert packed.tables.shape == (13, 5) and packed.tables.flags.c_contiguous
-    assert packed.first_order.shape == (13,)
+    assert model.emb_rows.shape == (13, 5) and model.emb_rows.flags.c_contiguous
+    assert model.fo_rows.shape == (13,)
     for i, (table, fo) in enumerate(zip(model.tables, model.first_order)):
-        start = int(packed.offsets[i])
+        start = int(model.offsets[i])
         assert table.weights.shape == (5, table.vocab)
-        np.testing.assert_array_equal(table.weights, packed.tables[start : start + table.vocab].T)
-        assert np.shares_memory(table.weights, packed.tables)
-        assert np.shares_memory(fo, packed.first_order)
+        np.testing.assert_array_equal(table.weights, model.emb_rows[start : start + table.vocab].T)
+        assert np.shares_memory(table.weights, model.emb_rows)
+        assert np.shares_memory(fo, model.fo_rows)
 
 
 def test_in_place_table_writes_reach_forward():
@@ -382,11 +381,10 @@ def test_rebound_weights_reach_forward():
     mine = np.arange(18, dtype=np.float64).reshape(3, 6) / 10.0
     model.tables = [model.tables[0], EmbeddingTable(mine)]
     model.first_order = [np.full(6, 0.25), model.first_order[1]]
-    assert model._packed is None  # the old packing is dropped at once
     want, _ = full_width_reference(model, idx)
     np.testing.assert_allclose(forward(model, make_batch(idx)).logits, want, rtol=1e-12, atol=1e-12)
-    # the forward pass packed copies of the new arrays; the tables are views
-    assert np.shares_memory(model.tables[1].weights, model.packed().tables)
+    # the assignment copied the new arrays into new storage; the tables are views
+    assert np.shares_memory(model.tables[1].weights, model.emb_rows)
     assert not np.shares_memory(model.tables[1].weights, mine)
     model.tables[1].weights[:, 4] = 0.0
     want, _ = full_width_reference(model, idx)
@@ -402,8 +400,8 @@ def test_copies_share_no_memory(how):
     np.testing.assert_array_equal(forward(other, make_batch(idx)).logits, before)
     for (name, a), (_, b) in zip(model.named_parameters(), other.named_parameters()):
         assert not np.shares_memory(a, b), name
-    for kind in ("tables", "first_order"):
-        assert not np.shares_memory(getattr(model.packed(), kind), getattr(other.packed(), kind))
+    for kind in ("emb_rows", "fo_rows", "proj_weight", "proj_bias"):
+        assert not np.shares_memory(getattr(model, kind), getattr(other, kind))
     for _, p in other.named_parameters():
         p[...] = 0.0
     np.testing.assert_array_equal(forward(other, make_batch(idx)).logits, 0.0)
@@ -413,7 +411,7 @@ def test_copies_share_no_memory(how):
 @pytest.mark.parametrize("kind", ["fm-off", "tt"])
 def test_deepcopy_with_one_packed_array_repacks(kind):
     """A copy of a model with only packed tables (fm disabled) or only packed
-    first-order weights (tensor-train fields) packs its own arrays again."""
+    first-order weights (tensor-train fields) has arrays of its own."""
     model = init_deepfm([6, 6], 4, [5], seed=5, dtype=np.float64, fm_enabled=kind == "tt")
     if kind == "tt":
         tt_compress_embedding(model, 2)
@@ -429,20 +427,21 @@ def test_deepcopy_with_one_packed_array_repacks(kind):
 @pytest.mark.parametrize("compressor", [svd_compress_embedding, tt_compress_embedding])
 def test_replacing_the_tables_frees_the_old_packed_array(compressor):
     model = init_deepfm([10_000] * 10, 16, [8, 8, 8], seed=0)
-    old = weakref.ref(model.packed().tables)  # 6.4 MB of float32
+    old = weakref.ref(model.emb_rows)  # 6.4 MB of float32
     compressor(model, 4)
     assert old() is None
-    model.first_order = list(model.first_order)
-    assert model._packed is None
+    old = weakref.ref(model.fo_rows)
+    model.first_order = list(model.first_order)  # copied in from views of the old array
+    assert old() is None
     idx = np.array([[1] * 10, [9_999] * 10])
-    np.testing.assert_array_equal(  # repacked from the current arrays
+    np.testing.assert_array_equal(
         forward(model, make_batch(idx)).logits,
         forward(model.clone(), make_batch(idx)).logits,
     )
 
 
 def invariant_model(kind, tmp_path):
-    """A float32 model of ``kind``, not yet run, for the packing invariant."""
+    """A float32 model of ``kind``, not yet run, for the storage invariant."""
     model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=13, dropout_rate=0.0)
     idx = np.random.default_rng(13).integers(0, [7, 5, 9], size=(40, 3))
 
@@ -468,21 +467,21 @@ def invariant_model(kind, tmp_path):
         save_checkpoint(model, tmp_path / "model.lrck")
         model = load_checkpoint(tmp_path / "model.lrck")
     elif kind != "init":
-        forward(model, make_batch(idx))  # the original is packed before the copy
+        forward(model, make_batch(idx))  # the original has run before the copy
         copier = {"clone": DeepFMModel.clone, "deepcopy": copy.deepcopy, "copy": copy.copy}
         model = copier[kind](model)
     return model
 
 
-def packed_array_of(packed, name):
-    """The packed array that parameter ``name`` is a view of, or None."""
+def storage_of(model, name):
+    """The model's packed array that parameter ``name`` is a view of, or None."""
     kind, _, rest = name.partition(".")
     if kind == "emb" and rest.endswith(".weight"):
-        return packed.tables
+        return model.emb_rows
     if kind == "fo":
-        return packed.first_order
+        return model.fo_rows
     if kind == "proj":
-        return packed.proj_weight if rest.endswith(".weight") else packed.proj_bias
+        return model.proj_weight if rest.endswith(".weight") else model.proj_bias
     return None
 
 
@@ -494,17 +493,16 @@ def test_forward_reads_the_arrays_adam_updates_and_checkpoints_write(kind, tmp_p
     model = invariant_model(kind, tmp_path)
     batch = make_batch(np.random.default_rng(14).integers(0, [7, 5, 9], size=(20, 3)))
     before = forward(model, batch).logits
-    packed = model.packed()
     viewed = 0
     for name, p in model.named_parameters():
-        base = packed_array_of(packed, name)
+        base = storage_of(model, name)
         if base is not None:
             assert np.shares_memory(p, base), name
             viewed += 1
     projected = kind in ("svd-emb", "svd-emb-fused", "afm-emb")
     assert viewed == (3 if kind == "tt-emb" else 6) + (6 if projected else 0)
 
-    # a per-field object and its arrays are fixed once packed
+    # a per-field object and its arrays are fixed views of the storage
     with pytest.raises(TypeError):
         model.tables[0] = model.tables[0]
     with pytest.raises(TypeError):
@@ -531,14 +529,13 @@ def test_shallow_copy_packs_its_own_arrays():
     model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=16, dropout_rate=0.0)
     batch = make_batch(np.random.default_rng(16).integers(0, [7, 5, 9], size=(20, 3)))
     want = forward(model, batch).logits
-    views = [p for _, p in model.named_parameters()]
     other = copy.copy(model)
-    forward(other, batch)  # packs the copy's own arrays
-    for kind in ("tables", "first_order"):
-        assert not np.shares_memory(getattr(model.packed(), kind), getattr(other.packed(), kind))
-    other.packed().tables[...] = 0.0
-    assert all(a is b for a, (_, b) in zip(views, model.named_parameters()))
+    for kind in ("emb_rows", "fo_rows"):
+        assert not np.shares_memory(getattr(model, kind), getattr(other, kind))
+    other.emb_rows[...] = 0.0
+    other.fo_rows[...] = 0.0
     assert forward(model, batch).logits.tobytes() == want.tobytes()
+    assert not np.array_equal(forward(other, batch).logits, want)
 
 
 # -- forward-pass constants --------------------------------------------------
@@ -559,12 +556,11 @@ def assert_logits_match_a_fresh_clone(model, batch):
 
 def test_projections_are_views_of_packed_arrays():
     model = projected_model(fused=True)
-    packed = model.packed()
-    assert packed.proj_weight.shape == (3, 4, 2) and packed.proj_bias.shape == (3, 4)
+    assert model.proj_weight.shape == (3, 4, 2) and model.proj_bias.shape == (3, 4)
     for i, proj in enumerate(model.projections):
-        assert proj.weight.base is packed.proj_weight and proj.bias.base is packed.proj_bias
-        np.testing.assert_array_equal(proj.weight, packed.proj_weight[i])
-        np.testing.assert_array_equal(proj.bias, packed.proj_bias[i])
+        assert proj.weight.base is model.proj_weight and proj.bias.base is model.proj_bias
+        np.testing.assert_array_equal(proj.weight, model.proj_weight[i])
+        np.testing.assert_array_equal(proj.bias, model.proj_bias[i])
 
 
 @pytest.mark.parametrize("fused", [False, True])
@@ -594,10 +590,10 @@ def test_rebound_projections_reach_forward(how):
     elif how == "layer":  # field 2 gets a new projection
         new = [*old[:2], new[2]]
     model.projections = new
-    assert model._packed is None  # the old packing is dropped at once
     assert_logits_match_a_fresh_clone(model, batch)
-    # the forward pass packed the new arrays; they are views again
-    assert model.projections[2].weight.base is model.packed().proj_weight
+    # the assignment copied the new arrays in; the projections are views of them
+    assert model.projections[2].weight.base is model.proj_weight
+    assert not np.shares_memory(model.proj_weight, new[2].weight)
     np.testing.assert_array_equal(model.projections[2].weight, new[2].weight)
 
 
@@ -609,7 +605,7 @@ def test_deepcopy_derives_its_own_projection_terms():
         proj.weight[...] *= 2.0
     assert_logits_match_a_fresh_clone(other, batch)
     assert forward(model, batch).logits.tobytes() == want.tobytes()
-    assert not np.shares_memory(model.packed().proj_weight, other.packed().proj_weight)
+    assert not np.shares_memory(model.proj_weight, other.proj_weight)
 
 
 def test_float64_copy_derives_its_terms_in_float64():
@@ -620,7 +616,7 @@ def test_float64_copy_derives_its_terms_in_float64():
     forward(wide, batch)
     wide.projections[0].bias[1] = 3.0
     assert_logits_match_a_fresh_clone(wide, batch)
-    terms = wide.packed().projection_terms(np.dtype(np.float64))
+    terms = wide.projection_terms(np.dtype(np.float64))
     assert all(t.dtype == np.float64 for t in terms)
 
 
@@ -720,9 +716,11 @@ def test_mixed_dense_and_tt_fields_are_rejected():
     model = init_deepfm([4, 6], 4, [3], seed=10)
     tt = init_deepfm([4, 6], 4, [3], seed=10)
     tt_compress_embedding(tt, max_rank=2, n_cores=2)
-    model.tables = [model.tables[0], tt.tables[1]]
-    with pytest.raises(ShapeError):
-        forward(model, make_batch([[0, 1]]))
+    want = forward(model, make_batch([[0, 1]])).logits
+    with pytest.raises(ShapeError, match="all dense or all tensor-train"):
+        model.tables = [model.tables[0], tt.tables[1]]
+    # the rejected assignment left the storage as it was
+    assert forward(model, make_batch([[0, 1]])).logits.tobytes() == want.tobytes()
 
 
 def tt_grads_per_row(table, idx, d_rows):
