@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -196,12 +197,16 @@ def _flag(value, where: str) -> bool:
 
 
 def _number(value, kind: type, where: str):
-    """``value`` as ``kind``, int or float; a boolean, or a fraction where
-    an int is due, raises ConfigError naming ``where``."""
+    """``value`` as ``kind``, int or float; a boolean, a fraction where an
+    int is due, or a NaN or infinite float raises ConfigError naming
+    ``where``."""
     if isinstance(value, bool) or (kind is int and not float(value).is_integer()):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where} must be {noun}, got {value!r}")
-    return kind(value)
+    number = kind(value)
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def standard_stages(profile: dict, pipeline: dict) -> list:

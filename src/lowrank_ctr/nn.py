@@ -628,10 +628,14 @@ def forward(
 
 
 def l2_penalty(model: DeepFMModel) -> float:
-    """Sum of squared entries over every trainable tensor, in float64."""
+    """Sum of squared entries over every trainable tensor: one BLAS dot
+    per array, in the array's dtype, and the dots summed as a Python
+    float.  Training only logs it, as part of the loss; no gradient reads
+    it (``compute_gradients`` adds ``2 * l2_ratio * p`` itself)."""
     total = 0.0
     for _, p in model.named_parameters():
-        total += float(np.square(p, dtype=np.float64).sum())
+        flat = p.ravel(order="K")  # a view, also of a table's transposed rows
+        total += float(np.dot(flat, flat))
     return total
 
 
@@ -639,7 +643,8 @@ def loss_bce_l2(
     logits, labels, model: DeepFMModel | None = None, l2_ratio: float = 0.0
 ) -> float:
     """The training loss: mean BCE from logits plus ``l2_ratio`` times the
-    model's summed squared weights (``l2_penalty``), when both are given."""
+    model's summed squared weights (``l2_penalty``, one dot per array),
+    when both are given.  The value is logged only; no gradient reads it."""
     loss = bce_from_logits(logits, labels)
     if l2_ratio and model is not None:
         loss += l2_ratio * l2_penalty(model)
@@ -713,7 +718,8 @@ def compute_gradients(
     maps parameter names to arrays of matching shape.  Gradients flow
     through every head, the projections, and the embedding lookups
     (tensor-train cores included).  The dense tables' gradients are views
-    of one packed array laid out like the tables themselves.
+    of one packed array laid out like the tables themselves; the batch's
+    sums are scattered into only the rows it touches.
     """
     y = np.asarray(labels, dtype=np.float64)
     trace, cache = _run_forward(
@@ -790,11 +796,21 @@ def compute_gradients(
         d_emb = d_flat.reshape(n, n_fields, k)
 
     idx = batch.indices
-    if model.emb_rows is not None:
+    dense = model.emb_rows is not None
+    if dense:
+        # each field's rows start at the L2 term (+ 0.0, as 0 + (2λ)p turns
+        # -0.0 into 0.0), and only the rows the batch touches get its sums
         g_tables = np.empty_like(model.emb_rows)
         for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
-            g_tables[o : o + v] = _scatter_rows(d_emb[:, i], idx[:, i], v)
-            grads[f"emb.{i}.weight"] = g_tables[o : o + v].T
+            rows = g_tables[o : o + v]
+            if l2_ratio:
+                np.multiply(model.emb_rows[o : o + v], 2.0 * l2_ratio, out=rows)
+                rows += 0.0
+            else:
+                rows.fill(0.0)
+            items, slot = np.unique(idx[:, i], return_inverse=True)
+            rows[items] += _scatter_rows(d_emb[:, i], slot, len(items)).astype(rows.dtype)
+            grads[f"emb.{i}.weight"] = rows.T
     else:
         for i, table in enumerate(model.tt_tables):
             core_grads = _tt_lookup_grads(table, idx[:, i], d_emb[:, i])
@@ -812,7 +828,8 @@ def compute_gradients(
 
     if l2_ratio:
         for name, p in model.named_parameters():
-            grads[name] += (2.0 * l2_ratio) * p
+            if not (dense and name.startswith("emb.")):  # tables have theirs
+                grads[name] += (2.0 * l2_ratio) * p
 
     return loss, grads, trace
 

@@ -8,7 +8,10 @@ moments m_hat and v_hat,
 where the decay term reads the pre-update parameter.  The training loss is
 mean binary cross entropy from logits plus ``l2_ratio`` times the summed
 squared weights; the decay and the loss penalty are configured
-independently and both active by default.
+independently and both active by default.  The penalty's value (one BLAS
+dot per parameter array, in the array's dtype, summed as a Python float)
+only enters the logged ``train_loss``: the gradient adds
+``2 * l2_ratio * p`` to each parameter's gradient directly.
 
 A pipeline is a stage list that ``config.load_config`` has checked and
 filled; ``STAGE_HANDLERS`` holds the handler of each stage kind.
@@ -134,6 +137,10 @@ class TrainConfig:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+        for key in ("learning_rate", "l2_ratio", "weight_decay"):
+            value = getattr(self, key)
+            if not value >= 0.0:  # NaN fails too
+                raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
 def predict(model: DeepFMModel, dataset: ClickDataset, batch_size: int = 10000) -> np.ndarray:

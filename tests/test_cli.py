@@ -357,6 +357,7 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
                 {"stage": "compress", "method": "tt-emb", "rank": 2, "tt_cores": 0},
                 {"stage": "finetune"}]},
     {"stages": [{"stage": "train_baseline", "dropout": 1.5}]},
+    {"stages": [{"stage": "train_baseline", "learning_rate": float("nan")}]},
 ], ids=["seed", "hidden-int", "hidden-zero", "epochs", "stages", "pipeline",
         "data", "model", "stage-name", "synth-noise-str", "embed-dim-str",
         "test-fraction-str", "split-seed-str", "dropout-rate-str", "calibrate-batch-str",
@@ -364,7 +365,7 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
         "epochs-negative", "fm-enabled-str", "insert-relu-str", "options-off-method",
         "embed-dim-zero", "n-continuous-negative", "n-categorical-zero", "dropout-rate-range",
         "dropout-rate-negative", "test-fraction-range", "test-fraction-zero", "tt-cores-zero",
-        "stage-dropout-range"])
+        "stage-dropout-range", "learning-rate-nan"])
 def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))

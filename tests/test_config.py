@@ -12,7 +12,7 @@ from lowrank_ctr.config import (
     standard_stages,
 )
 from lowrank_ctr.errors import ConfigError
-from lowrank_ctr.train import STAGE_HANDLERS
+from lowrank_ctr.train import STAGE_HANDLERS, TrainConfig
 
 
 def names(stages):
@@ -388,6 +388,38 @@ def compress_chain_with(method, option, value):
 def test_numeric_settings_reject_booleans_and_fractions(config, message):
     with pytest.raises(ConfigError, match=message):
         load_config(config)
+
+
+def train_stage(**settings):
+    return {"stages": [{"stage": "train_baseline", **settings}]}
+
+
+@pytest.mark.parametrize("config, message", [
+    (train_stage(learning_rate=float("nan")), "learning_rate must be finite, got nan"),
+    (train_stage(l2_ratio=float("-inf")), "l2_ratio must be finite, got -inf"),
+    (train_stage(weight_decay=float("inf")), "weight_decay must be finite, got inf"),
+    ({"data": {"synth": {"skew": float("inf")}}}, "data.synth.skew must be finite, got inf"),
+    ({"data": {"synth": {"noise": float("nan")}}}, "data.synth.noise must be finite, got nan"),
+    ({"data": {"test_fraction": float("nan")}}, "data.test_fraction must be finite, got nan"),
+    ({"model": {"dropout_rate": float("nan")}}, "model.dropout_rate must be finite, got nan"),
+    ({"seed": float("inf")}, "seed must be an integer, got inf"),
+    ('{"stages": [{"stage": "train_baseline", "learning_rate": NaN}]}',
+     "learning_rate must be finite, got nan"),
+    ('{"data": {"synth": {"skew": Infinity}}}', "data.synth.skew must be finite, got inf"),
+], ids=["learning-rate-nan", "l2-ratio-minus-inf", "weight-decay-inf", "skew-inf", "noise-nan",
+        "test-fraction-nan", "dropout-rate-nan", "seed-inf", "json-nan", "json-infinity"])
+def test_numeric_settings_reject_nan_and_infinity(config, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(config)
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "l2_ratio", "weight_decay"])
+def test_training_rates_must_not_be_negative(key):
+    with pytest.raises(ConfigError, match=f"{key} must be >= 0, got -0.001"):
+        load_config(train_stage(**{key: -1e-3}))
+    with pytest.raises(ConfigError, match=f"{key} must be >= 0, got nan"):
+        TrainConfig(**{key: float("nan")})  # built directly, as library callers do
+    assert getattr(load_config(train_stage(**{key: 0})).stages[0]["train"], key) == 0.0
 
 
 def test_numeric_settings_take_whole_floats_and_ints_for_floats():

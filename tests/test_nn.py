@@ -712,6 +712,64 @@ def test_unfused_projected_gradients_without_fm_match_finite_differences():
     fd_check(model, batch, np.array([0, 1]))
 
 
+def dense_scatter(grad_rows, idx, vocab):
+    """Sum (n, k) rows into a (vocab, k) float64 gradient over every item
+    of the vocabulary by one ``bincount``, duplicates added."""
+    n, k = grad_rows.shape
+    flat = idx.astype(np.int64)[:, None] * k + np.arange(k, dtype=np.int64)
+    out = np.bincount(
+        flat.ravel(),
+        weights=grad_rows.astype(np.float64, copy=False).ravel(),
+        minlength=vocab * k,
+    )
+    return out.reshape(vocab, k)
+
+
+def row_grads(model, batch, labels):
+    """Each batch row's gradient w.r.t. the embedding it looked up, per
+    field as (n, k): read off a copy of the model whose field i holds one
+    item per batch row (row r's item), so no two rows share an item and
+    the copy computes the same forward pass as the model."""
+    idx, n = batch.indices, len(batch)
+    spread = model.clone()
+    spread.tables = [EmbeddingTable(t.weights[:, idx[:, i]]) for i, t in enumerate(model.tables)]
+    spread.first_order = [fo[idx[:, i]] for i, fo in enumerate(model.first_order)]
+    own = make_batch(np.repeat(np.arange(n)[:, None], model.n_fields, axis=1))
+    _, grads, _ = compute_gradients(spread, own, labels)
+    return [grads[f"emb.{i}.weight"].T for i in range(model.n_fields)]
+
+
+@pytest.mark.parametrize("l2_ratio", [0.0, 1e-3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["dense", "projected", "fused"])
+def test_table_gradient_equals_the_dense_scatter(kind, dtype, l2_ratio):
+    if kind == "dense":
+        model = init_deepfm([7, 5, 9], 4, [6, 6, 6], seed=3, dtype=dtype, dropout_rate=0.0)
+    else:
+        model = projected_model(fused=kind == "fused", seed=3, dtype=dtype)
+    rng = np.random.default_rng(3)
+    n = 30
+    # field 0: one item in every row; field 1: repeats among items 0-2;
+    # field 2: items 0 and 8 untouched
+    idx = np.stack([np.full(n, 4), rng.integers(0, 3, n), rng.integers(1, 8, n)], axis=1)
+    model.tables[2].weights[:, 0] = -0.0  # the dense sum 0 + (2λ)(-0.0) is +0.0
+    batch, labels = make_batch(idx), rng.integers(0, 2, n)
+    _, grads, _ = compute_gradients(model, batch, labels, l2_ratio=l2_ratio)
+    for i, (table, d_rows) in enumerate(zip(model.tables, row_grads(model, batch, labels))):
+        want = dense_scatter(d_rows, idx[:, i], table.vocab).astype(dtype)
+        if l2_ratio:
+            want += (2.0 * l2_ratio) * table.weights.T
+        got = grads[f"emb.{i}.weight"]
+        assert got.dtype == dtype and got.T.tobytes() == want.tobytes(), i
+
+
+def test_l2_penalty_agrees_with_the_float64_sum():
+    for dtype, rtol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+        model = init_deepfm([10000] * 10, 16, [64, 64, 64], seed=1, dtype=dtype)
+        exact = sum(float(np.square(p, dtype=np.float64).sum()) for _, p in model.named_parameters())
+        assert l2_penalty(model) == pytest.approx(exact, rel=rtol, abs=0)
+
+
 def test_mixed_dense_and_tt_fields_are_rejected():
     model = init_deepfm([4, 6], 4, [3], seed=10)
     tt = init_deepfm([4, 6], 4, [3], seed=10)

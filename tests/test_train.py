@@ -119,7 +119,8 @@ def test_training_steps_are_bit_identical_to_the_formulas():
         batch, labels = ds.batch(sel), ds.labels[sel]
         loss, grads, _ = compute_gradients(model, batch, labels, l2_ratio=l2)
         loss0, plain, _ = compute_gradients(twin, batch, labels)
-        penalty = sum(float((p.astype(np.float64) ** 2).sum()) for _, p in twin.named_parameters())
+        flats = [p.ravel(order="K") for _, p in twin.named_parameters()]
+        penalty = sum(float(np.dot(flat, flat)) for flat in flats)
         assert l2_penalty(twin) == penalty
         assert loss == loss0 + l2 * penalty
         for name, p in twin.named_parameters():
