@@ -283,7 +283,10 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
             f"{where}: a finetune stage runs exactly one epoch, got "
             f"epochs {stage['epochs']!r}"
         )
-    return {"stage": name, "train": TrainConfig(**settings, seed=seed)}
+    try:
+        return {"stage": name, "train": TrainConfig(**settings, seed=seed)}
+    except ConfigError as exc:  # its range rules do not know the stage
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:

@@ -798,19 +798,29 @@ def compute_gradients(
     idx = batch.indices
     dense = model.emb_rows is not None
     if dense:
-        # each field's rows start at the L2 term (+ 0.0, as 0 + (2λ)p turns
-        # -0.0 into 0.0), and only the rows the batch touches get its sums
+        # the packed rows the batch touches, in order, and where each
+        # (row, field) lookup sits among them
+        touched = np.zeros(len(model.emb_rows), dtype=bool)
+        touched[cache["rows"]] = True
+        items = np.flatnonzero(touched)
+        place = np.empty(len(touched), dtype=np.int64)
+        place[items] = np.arange(len(items))
+        slots = place[cache["rows"]]
+        starts = np.searchsorted(items, [*model.offsets, len(touched)])
+        # a field's gradient starts at the L2 term (+ 0.0, as 0 + (2λ)p turns
+        # -0.0 into 0.0), and only its touched rows get the batch's sums
         g_tables = np.empty_like(model.emb_rows)
         for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
-            rows = g_tables[o : o + v]
+            field = g_tables[o : o + v]
             if l2_ratio:
-                np.multiply(model.emb_rows[o : o + v], 2.0 * l2_ratio, out=rows)
-                rows += 0.0
+                np.multiply(model.emb_rows[o : o + v], 2.0 * l2_ratio, out=field)
+                field += 0.0
             else:
-                rows.fill(0.0)
-            items, slot = np.unique(idx[:, i], return_inverse=True)
-            rows[items] += _scatter_rows(d_emb[:, i], slot, len(items)).astype(rows.dtype)
-            grads[f"emb.{i}.weight"] = rows.T
+                field.fill(0.0)
+            lo, hi = starts[i], starts[i + 1]
+            sums = _scatter_rows(d_emb[:, i], slots[:, i] - lo, hi - lo)
+            g_tables[items[lo:hi]] += sums.astype(g_tables.dtype)
+            grads[f"emb.{i}.weight"] = field.T
     else:
         for i, table in enumerate(model.tt_tables):
             core_grads = _tt_lookup_grads(table, idx[:, i], d_emb[:, i])

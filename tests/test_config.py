@@ -415,7 +415,7 @@ def test_numeric_settings_reject_nan_and_infinity(config, message):
 
 @pytest.mark.parametrize("key", ["learning_rate", "l2_ratio", "weight_decay"])
 def test_training_rates_must_not_be_negative(key):
-    with pytest.raises(ConfigError, match=f"{key} must be >= 0, got -0.001"):
+    with pytest.raises(ConfigError, match=rf"\(train_baseline\): {key} must be >= 0, got -0.001"):
         load_config(train_stage(**{key: -1e-3}))
     with pytest.raises(ConfigError, match=f"{key} must be >= 0, got nan"):
         TrainConfig(**{key: float("nan")})  # built directly, as library callers do
