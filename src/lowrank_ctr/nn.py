@@ -664,6 +664,18 @@ def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndar
     return out.reshape(vocab, k)
 
 
+def _touched_rows(rows: np.ndarray, n_rows: int):
+    """The distinct entries of ``rows`` (ints in [0, n_rows)) in ascending
+    order, and each entry's index among them: ``np.unique`` with
+    ``return_inverse``, by a mask instead of a sort."""
+    touched = np.zeros(n_rows, dtype=bool)
+    touched[rows] = True
+    items = np.flatnonzero(touched)
+    place = np.empty(n_rows, dtype=np.int64)
+    place[items] = np.arange(len(items))
+    return items, place[rows]
+
+
 def _tt_lookup_grads(table: TTEmbeddingTable, idx: np.ndarray, d_rows: np.ndarray):
     """Gradients of row lookups w.r.t. every core, in float64.
 
@@ -798,15 +810,9 @@ def compute_gradients(
     idx = batch.indices
     dense = model.emb_rows is not None
     if dense:
-        # the packed rows the batch touches, in order, and where each
-        # (row, field) lookup sits among them
-        touched = np.zeros(len(model.emb_rows), dtype=bool)
-        touched[cache["rows"]] = True
-        items = np.flatnonzero(touched)
-        place = np.empty(len(touched), dtype=np.int64)
-        place[items] = np.arange(len(items))
-        slots = place[cache["rows"]]
-        starts = np.searchsorted(items, [*model.offsets, len(touched)])
+        n_rows = len(model.emb_rows)
+        items, slots = _touched_rows(cache["rows"], n_rows)
+        starts = np.searchsorted(items, [*model.offsets, n_rows])
         # a field's gradient starts at the L2 term (+ 0.0, as 0 + (2λ)p turns
         # -0.0 into 0.0), and only its touched rows get the batch's sums
         g_tables = np.empty_like(model.emb_rows)

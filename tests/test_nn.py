@@ -763,6 +763,13 @@ def test_table_gradient_equals_the_dense_scatter(kind, dtype, l2_ratio):
         assert got.dtype == dtype and got.T.tobytes() == want.tobytes(), i
 
 
+def test_touched_rows_match_unique():
+    rows = np.random.default_rng(4).integers(3, 40, size=(30, 3))
+    items, slots = nn._touched_rows(rows, 50)
+    want_items, want_slots = np.unique(rows, return_inverse=True)
+    assert np.array_equal(items, want_items) and np.array_equal(slots, want_slots)
+
+
 def test_l2_penalty_agrees_with_the_float64_sum():
     for dtype, rtol in ((np.float32, 1e-6), (np.float64, 1e-12)):
         model = init_deepfm([10000] * 10, 16, [64, 64, 64], seed=1, dtype=dtype)
