@@ -268,13 +268,7 @@ def _build(manifest: dict, payload) -> DeepFMModel:
         if fspec["kind"] == "tt":
             ranks = fspec["ranks"]
             cores = tuple(take(f"emb.{i}.core.{j}") for j in range(len(ranks) - 1))
-            tt = TTCores(
-                cores,
-                tuple(fspec["row_factors"]),
-                tuple(fspec["col_factors"]),
-                tuple(ranks),
-            )
-            tables.append(TTEmbeddingTable(tt, fspec["vocab"], fspec["dim"]))
+            tables.append(TTEmbeddingTable(TTCores(cores), fspec["vocab"], fspec["dim"]))
         else:
             tables.append(EmbeddingTable(read(f"emb.{i}.weight")))
         if topo["has_first_order"]:

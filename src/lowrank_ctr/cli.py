@@ -155,16 +155,15 @@ def cmd_bench(args) -> int:
         batches.append(test_ds.batch(slice(start, start + size)))
         start += size
     report = bench_throughput(
-        lambda b: forward(model, b, mode="infer"),
-        batches,
-        warmup=args.warmup,
-        batch_size=size,
+        lambda b: forward(model, b, mode="infer"), batches, warmup=args.warmup
     )
     _emit(report, args.report)
     return 0
 
 
 def cmd_synth(args) -> int:
+    if args.n_samples is not None and args.n_samples < 2:
+        raise ConfigError(f"--n-samples must be >= 2, got {args.n_samples}")
     rc = _config_from(args)
     if "synth" not in rc.data:
         raise ConfigError("synth command needs a data.synth block (or the synth profile)")

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import NumericError, RankError, ShapeError
 from .linalg import (
+    TTCores,
     plan_tt_factors,
     svd_factors,
     svd_thin,
@@ -302,39 +303,26 @@ def svd_compress_embedding(model: DeepFMModel, k: int) -> dict:
     return _install_projections(model, parts)
 
 
-def tt_compress_embedding(
-    model: DeepFMModel,
-    max_rank: int,
-    factor_plans: list | None = None,
-    n_cores: int = 3,
-) -> dict:
+def tt_compress_embedding(model: DeepFMModel, max_rank: int, n_cores: int = 3) -> dict:
     """Replace embedding tables with tensor-train cores, in place.
 
     Each table is transposed to (vocab, dim) so rows are items, padded up
-    to the factor products, and decomposed.  ``factor_plans`` optionally
-    gives (row_factors, col_factors) per field; otherwise near-balanced
-    factorizations are derived.  Lookups after this rebuild each batch's
-    rows through the core chain.
+    to the factor products that :func:`plan_tt_factors` picks for its
+    vocabulary and width over ``n_cores`` cores, and decomposed with bond
+    ranks capped at ``max_rank``.  The cores keep the table's dtype.
+    Lookups after this rebuild each batch's rows through the core chain.
     """
     _check_plain_tables(model)
     detail = {}
     new_tables = []
     for i, table in enumerate(model.tables):
-        if factor_plans is not None:
-            rf, cf = factor_plans[i]
-        else:
-            rf = plan_tt_factors(table.vocab, n_cores)
-            cf = plan_tt_factors(table.dim, n_cores)
+        rf = plan_tt_factors(table.vocab, n_cores)
+        cf = plan_tt_factors(table.dim, n_cores)
         dtype = table.weights.dtype
         cores = tt_decompose_matrix(
             table.weights.astype(np.float64).T, rf, cf, max_rank=max_rank
         )
-        cast = type(cores)(
-            tuple(c.astype(dtype) for c in cores.cores),
-            cores.row_factors,
-            cores.col_factors,
-            cores.ranks,
-        )
+        cast = TTCores(tuple(c.astype(dtype) for c in cores.cores))
         new_tables.append(TTEmbeddingTable(cast, table.vocab, table.dim))
         detail[f"emb.{i}"] = {
             "max_rank": int(max_rank),

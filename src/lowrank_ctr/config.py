@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .data import SynthSpec, check_test_fraction
@@ -110,18 +111,16 @@ PROFILES = {
     },
 }
 
+# the synth profile's data size; the other settings default as in SynthSpec
 SYNTH_DATA_DEFAULTS = {
     "n_samples": 1_000_000,
     "vocab_sizes": [10000] * 10,
-    "latent_rank": 4,
-    "noise": 0.1,
-    "skew": 1.1,
-    "seed": 0,
+    **{f.name: f.default for f in fields(SynthSpec) if f.default is not MISSING},
 }
 
 _TOP_KEYS = {"profile", "seed", "output_dir", "data", "model", "pipeline", "stages"}
 _DATA_KEYS = {"synth", "path", "test_fraction", "split_seed", "min_count"}
-_SYNTH_KEYS = {"n_samples", "vocab_sizes", "latent_rank", "noise", "skew", "seed"}
+_SYNTH_KEYS = {f.name for f in fields(SynthSpec)}
 _PIPELINE_KEYS = {"order", "mlp", "emb", "mlp_rank", "emb_rank", "insert_relu", "fuse"}
 
 # the keys each stage accepts, by stage name; a training stage takes every
@@ -197,16 +196,22 @@ def _flag(value, where: str) -> bool:
 
 
 def _number(value, kind: type, where: str):
-    """``value`` as ``kind``, int or float; a boolean, a fraction where an
-    int is due, or a NaN or infinite float raises ConfigError naming
-    ``where``."""
-    if isinstance(value, bool) or (kind is int and not float(value).is_integer()):
-        noun = "an integer" if kind is int else "a number"
+    """``value`` as ``kind``, int or float; anything but a JSON number (a
+    string or a boolean, say), a fraction where an int is due, a NaN or
+    infinite float, or an int too large for a float raises ConfigError
+    naming ``where``."""
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where} must be {noun}, got {value!r}")
-    number = kind(value)
-    if kind is float and not math.isfinite(number):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large, got {value!r}") from None
+    if kind is int and not number.is_integer():
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
+    return kind(value)
 
 
 def standard_stages(profile: dict, pipeline: dict) -> list:

@@ -31,19 +31,6 @@ class FieldDictionary:
     def index_of(self, token: str) -> int:
         return self.mapping.get(token, 0)
 
-    def tokens_by_index(self) -> list:
-        """Canonical token per index; index 0 renders as the empty cell."""
-        out = [""] * self.vocab
-        for token, idx in self.mapping.items():
-            if not out[idx]:
-                out[idx] = token
-        return out
-
-    @classmethod
-    def identity(cls, vocab: int) -> "FieldDictionary":
-        """str(i) -> i for datasets that already carry integer indices."""
-        return cls({str(i): i for i in range(1, vocab)})
-
 
 @dataclass
 class ClickDataset:
@@ -123,26 +110,12 @@ def build_dictionaries(
     return dictionaries
 
 
-def load_tsv(
-    path,
-    n_continuous: int,
-    n_categorical: int,
-    dictionaries: list | None = None,
-    min_count: int = 10,
-) -> tuple:
-    """Load a TSV into a ClickDataset.
-
-    Without ``dictionaries`` this makes two passes (count, then map).
-    Returns (dataset, dictionaries).
+def load_tsv(path, n_continuous: int, n_categorical: int, min_count: int = 10) -> tuple:
+    """Load a TSV into a ClickDataset in two passes: the first builds the
+    per-field dictionaries (see :func:`build_dictionaries`), the second
+    maps every token through them.  Returns (dataset, dictionaries).
     """
-    if dictionaries is None:
-        dictionaries = build_dictionaries(
-            path, n_continuous, n_categorical, min_count
-        )
-    if len(dictionaries) != n_categorical:
-        raise DataError(
-            f"got {len(dictionaries)} dictionaries for {n_categorical} fields"
-        )
+    dictionaries = build_dictionaries(path, n_continuous, n_categorical, min_count)
     labels = []
     cont_rows = []
     cat_rows = []
@@ -173,16 +146,14 @@ def load_tsv(
     return dataset, dictionaries
 
 
-def write_tsv(dataset: ClickDataset, path, dictionaries: list | None = None) -> None:
+def write_tsv(dataset: ClickDataset, path) -> None:
     """Inverse of ``load_tsv`` up to the continuous transform.
 
-    Categorical indices render as their canonical tokens (index 0 as the
-    empty cell); continuous values are inverted through expm1 so a reload
-    reproduces the same transformed values and identical index tensors.
+    Categorical index ``i`` renders as the token ``str(i)`` and index 0
+    (out of vocabulary) as the empty cell, so a reload relabels each field
+    in order of first appearance; continuous values are inverted through
+    expm1 so a reload reproduces the same transformed values.
     """
-    if dictionaries is None:
-        dictionaries = [FieldDictionary.identity(v) for v in dataset.vocab_sizes]
-    token_maps = [d.tokens_by_index() for d in dictionaries]
     raw_cont = np.expm1(dataset.continuous.astype(np.float64))
     with open(path, "w", encoding="utf-8") as fh:
         for r in range(len(dataset)):
@@ -191,7 +162,8 @@ def write_tsv(dataset: ClickDataset, path, dictionaries: list | None = None) -> 
                 v = raw_cont[r, c]
                 cells.append("" if v == 0.0 else repr(float(v)))
             for i in range(dataset.n_fields):
-                cells.append(token_maps[i][int(dataset.indices[r, i])])
+                idx = int(dataset.indices[r, i])
+                cells.append(str(idx) if idx else "")
             fh.write("\t".join(cells) + "\n")
 
 

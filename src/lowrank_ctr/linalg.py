@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import NumericError, RankError, ShapeError
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
+        raise ShapeError(f"matrix must be 2-D, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
-        raise NumericError(f"{name} contains non-finite values")
+        raise NumericError("matrix contains non-finite values")
     return arr
 
 
@@ -52,15 +52,26 @@ class TTCores:
     """Tensor-train cores of a padded matrix.
 
     Core ``i`` has shape ``(ranks[i], row_factors[i], col_factors[i],
-    ranks[i+1])`` with boundary ranks 1.  The cores reconstruct a matrix of
-    shape ``(prod(row_factors), prod(col_factors))``; callers that padded
-    the input crop the reconstruction back down.
+    ranks[i+1])`` with boundary ranks 1; the factors and ranks are read
+    from the core shapes, so they cannot disagree with the cores.  The
+    cores reconstruct a matrix of shape ``(prod(row_factors),
+    prod(col_factors))``; callers that padded the input crop the
+    reconstruction back down.
     """
 
     cores: tuple
-    row_factors: tuple
-    col_factors: tuple
-    ranks: tuple
+
+    @property
+    def row_factors(self) -> tuple:
+        return tuple(core.shape[1] for core in self.cores)
+
+    @property
+    def col_factors(self) -> tuple:
+        return tuple(core.shape[2] for core in self.cores)
+
+    @property
+    def ranks(self) -> tuple:
+        return tuple(core.shape[0] for core in self.cores) + (self.cores[-1].shape[3],)
 
     def param_count(self) -> int:
         return sum(core.size for core in self.cores)
@@ -204,8 +215,7 @@ def tt_decompose_matrix(m, row_factors, col_factors, max_rank=None) -> TTCores:
         ranks.append(r)
         cur = res.singular_values[:r, None] * res.v[:, :r].T
     cores.append(np.ascontiguousarray(cur.reshape(ranks[-1], rf[-1], cf[-1], 1)))
-    ranks.append(1)
-    return TTCores(tuple(cores), rf, cf, tuple(ranks))
+    return TTCores(tuple(cores))
 
 
 def tt_reconstruct_row(tt: TTCores, row_index: int) -> np.ndarray:

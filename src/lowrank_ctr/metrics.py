@@ -80,26 +80,20 @@ def evaluate_scores(labels, scores) -> MetricReport:
     )
 
 
-def bench_throughput(
-    run_batch,
-    batches,
-    warmup: int = 3,
-    batch_size: int | None = None,
-) -> dict:
+def bench_throughput(run_batch, batches, warmup: int = 3) -> dict:
     """Median-based throughput of ``run_batch`` over pre-built batches.
 
-    ``batches`` must hold at least ``warmup`` + 20 inputs; generation cost
-    never lands inside the timed region, and the first ``warmup`` calls are
-    discarded.  Returns samples/sec (median per-batch wall time) plus the
-    raw timings and a hardware tag.
+    ``batches`` must hold at least ``warmup`` + 20 inputs of equal length,
+    the batch size; generation cost never lands inside the timed region,
+    and the first ``warmup`` calls are discarded.  Returns samples/sec
+    (median per-batch wall time) plus the batch counts and a hardware tag.
     """
     batches = list(batches)
     if len(batches) < warmup + 20:
         raise DataError(
             f"need at least {warmup + 20} pre-built batches, got {len(batches)}"
         )
-    if batch_size is None:
-        batch_size = len(batches[0])
+    batch_size = len(batches[0])
     for b in batches[:warmup]:
         run_batch(b)
     timings = []

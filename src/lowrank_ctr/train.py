@@ -43,19 +43,13 @@ class Adam:
     buffers shared by all parameters, so a step allocates nothing once the
     buffers have grown to the largest parameter."""
 
-    def __init__(
-        self,
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         self.lr = float(learning_rate)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.state = {}
         self._scratch = {}  # dtype -> two flat buffers

@@ -187,6 +187,14 @@ def test_synth_command_writes_tsv(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 80
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_synth_rejects_too_few_samples_before_generating(tmp_path, capsys, value):
+    out = tmp_path / "rows.tsv"
+    assert main(["synth", "--out", str(out), "--n-samples", value]) == 2
+    assert "--n-samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_command_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -358,6 +366,7 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
                 {"stage": "finetune"}]},
     {"stages": [{"stage": "train_baseline", "dropout": 1.5}]},
     {"stages": [{"stage": "train_baseline", "learning_rate": float("nan")}]},
+    {"seed": 10**400},
 ], ids=["seed", "hidden-int", "hidden-zero", "epochs", "stages", "pipeline",
         "data", "model", "stage-name", "synth-noise-str", "embed-dim-str",
         "test-fraction-str", "split-seed-str", "dropout-rate-str", "calibrate-batch-str",
@@ -365,7 +374,7 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
         "epochs-negative", "fm-enabled-str", "insert-relu-str", "options-off-method",
         "embed-dim-zero", "n-continuous-negative", "n-categorical-zero", "dropout-rate-range",
         "dropout-rate-negative", "test-fraction-range", "test-fraction-zero", "tt-cores-zero",
-        "stage-dropout-range", "learning-rate-nan"])
+        "stage-dropout-range", "learning-rate-nan", "seed-huge"])
 def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))

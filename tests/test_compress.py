@@ -356,10 +356,9 @@ def test_tt_embedding_rank1_table_exact():
 
 def test_tt_embedding_param_count_formula():
     model = init_deepfm([1024], 16, [8, 8, 8], seed=19)
-    detail = tt_compress_embedding(
-        model, max_rank=16, factor_plans=[((8, 8, 16), (2, 2, 4))]
-    )
+    detail = tt_compress_embedding(model, max_rank=16)
     cores = model.tables[0].cores
+    assert cores.row_factors == (8, 8, 16) and cores.col_factors == (2, 2, 4)
     expected = sum(
         cores.ranks[i] * cores.row_factors[i] * cores.col_factors[i] * cores.ranks[i + 1]
         for i in range(3)

@@ -383,8 +383,13 @@ def compress_chain_with(method, option, value):
     ({"model": {"hidden_dims": [True, 64, 64]}}, "model.hidden_dims must be an integer, got True"),
     ({"stages": [{"stage": "train_baseline", "learning_rate": True}]},
      "learning_rate must be a number, got True"),
+    ({"seed": "5"}, "seed must be an integer, got '5'"),
+    ({"model": {"embed_dim": "16"}}, "model.embed_dim must be an integer, got '16'"),
+    ({"stages": [{"stage": "train_baseline", "batch_size": "100"}]},
+     r"\(train_baseline\): batch_size must be an integer, got '100'"),
+    ({"data": {"synth": {"noise": "0.1"}}}, "data.synth.noise must be a number, got '0.1'"),
 ], ids=["rank", "seed", "calibrate-batch-size", "vocab-sizes", "tt-cores", "hidden-dims",
-        "learning-rate"])
+        "learning-rate", "seed-str", "embed-dim-str", "batch-size-str", "noise-str"])
 def test_numeric_settings_reject_booleans_and_fractions(config, message):
     with pytest.raises(ConfigError, match=message):
         load_config(config)
@@ -406,8 +411,13 @@ def train_stage(**settings):
     ('{"stages": [{"stage": "train_baseline", "learning_rate": NaN}]}',
      "learning_rate must be finite, got nan"),
     ('{"data": {"synth": {"skew": Infinity}}}', "data.synth.skew must be finite, got inf"),
+    # JSON integers too large for a float
+    ('{"seed": 1%s}' % ("0" * 400), "seed is too large, got 10{400}"),
+    ('{"data": {"synth": {"n_samples": 1%s}}}' % ("0" * 400),
+     "data.synth.n_samples is too large, got 10{400}"),
 ], ids=["learning-rate-nan", "l2-ratio-minus-inf", "weight-decay-inf", "skew-inf", "noise-nan",
-        "test-fraction-nan", "dropout-rate-nan", "seed-inf", "json-nan", "json-infinity"])
+        "test-fraction-nan", "dropout-rate-nan", "seed-inf", "json-nan", "json-infinity",
+        "seed-huge", "n-samples-huge"])
 def test_numeric_settings_reject_nan_and_infinity(config, message):
     with pytest.raises(ConfigError, match=message):
         load_config(config)

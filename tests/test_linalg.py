@@ -241,6 +241,9 @@ def test_tt_zero_matrix():
     for core in tt.cores:
         assert not core.any()
     assert not tt_reconstruct_full(tt).any()
+    # the zero-remainder branch emits rank-1 cores of the given factors
+    assert tt.ranks == (1, 1, 1)
+    assert tt.row_factors == (2, 2) and tt.col_factors == (2, 2)
 
 
 def test_tt_truncation_matches_dense_sweep_oracle():
@@ -305,8 +308,7 @@ def test_tt_row_kernel_bit_identical_to_tensordot_chain(rank, dtype):
         table, plan_tt_factors(10000), plan_tt_factors(16), max_rank=rank
     )
     assert len(tt.cores) == 3 and max(tt.ranks) == rank
-    tt = TTCores(tuple(c.astype(dtype) for c in tt.cores),
-                 tt.row_factors, tt.col_factors, tt.ranks)
+    tt = TTCores(tuple(c.astype(dtype) for c in tt.cores))
     rows = [0, 1, 9999] + rng.integers(0, 10000, size=1000).tolist()
     for row in rows:
         got = tt_reconstruct_row(tt, row)
@@ -326,6 +328,7 @@ def test_tt_row_kernel_matches_full_reconstruction_with_padding(
 ):
     m = np.random.default_rng(43).standard_normal(shape)
     tt = tt_decompose_matrix(m, row_factors, col_factors, max_rank=3)
+    assert tt.row_factors == row_factors and tt.col_factors == col_factors
     full = tt_reconstruct_full(tt)
     assert full.shape[0] > shape[0] and full.shape[1] > shape[1]
     for row in range(full.shape[0]):  # padding rows included
@@ -349,8 +352,9 @@ def test_tt_rank_chain_shapes():
     rng = np.random.default_rng(37)
     m = rng.standard_normal((8, 8))
     tt = tt_decompose_matrix(m, (2, 2, 2), (2, 2, 2), max_rank=3)
-    assert tt.ranks[0] == tt.ranks[-1] == 1
-    assert all(r <= 3 for r in tt.ranks)
+    # both inner bonds would be 4 uncapped; the cap holds them at 3
+    assert tt.ranks == (1, 3, 3, 1)
+    assert tt.row_factors == tt.col_factors == (2, 2, 2)
     for i, core in enumerate(tt.cores):
         assert core.shape == (tt.ranks[i], 2, 2, tt.ranks[i + 1])
 

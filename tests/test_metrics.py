@@ -80,7 +80,7 @@ def test_bench_requires_enough_batches():
 
 def test_bench_reports_median_based_throughput():
     batches = [np.zeros(8) for _ in range(25)]
-    report = bench_throughput(lambda b: b.sum(), batches, warmup=3, batch_size=8)
+    report = bench_throughput(lambda b: b.sum(), batches, warmup=3)
     assert report["batches_timed"] == 22
     assert report["batch_size"] == 8
     assert report["samples_per_second"] > 0

@@ -853,7 +853,7 @@ def test_tt_forward_matches_gather_from_full_reconstruction(dtype, tol):
 def tt_in(tt, dtype):
     """``tt`` with its cores cast to ``dtype``, as tt_compress_embedding does."""
     cores = tuple(c.astype(dtype) for c in tt.cores)
-    return TTCores(cores, tt.row_factors, tt.col_factors, tt.ranks)
+    return TTCores(cores)
 
 
 def assert_lookup_matches_row_kernel(tt, vocab, dim):
