@@ -9,7 +9,11 @@ Layout::
 
 The manifest holds the model topology (field layouts, layer attributes,
 flags) and a tensor table: name, shape, dtype tag ``"f32"``, byte offset
-into the payload and byte length.  Serialization is canonical (sorted
+into the payload and byte length.  ``manifest_for`` alone defines the
+table: one entry per ``DeepFMModel.named_parameters()`` item, in that
+order, each tensor starting where the one before it ends.  The loader
+builds the model the topology describes and accepts only the table
+``manifest_for`` gives that model.  Serialization is canonical (sorted
 keys, no whitespace) so identical models produce identical files.
 """
 
@@ -114,9 +118,12 @@ def save_checkpoint(model: DeepFMModel, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _topology_shapes(topo: dict) -> dict:
-    """Tensor name -> shape for every tensor but the MLP's, as the topology
-    implies; raises DataError where the topology contradicts itself."""
+def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
+    """The model a topology describes, with placeholder parameters; raises
+    DataError where the topology contradicts itself.  MLP out widths come
+    from the stored ``mlp.{j}.weight`` shapes: the topology does not hold them."""
+    if topo.get("kind") != "deepfm":
+        raise DataError(f"unknown model kind {topo.get('kind')}")
     fields = topo["fields"]
     kinds = {f["kind"] for f in fields}
     if not kinds <= {"dense", "tt"}:
@@ -124,63 +131,119 @@ def _topology_shapes(topo: dict) -> dict:
     if len(kinds) > 1:
         raise DataError("fields mix dense tables and tensor-train cores")
     embed_dim = int(topo["embed_dim"])
-    projected = bool(topo["has_projections"])
-    if topo["fused"] and not projected:
+    projected, fused = bool(topo["has_projections"]), bool(topo["fused"])
+    if fused and not projected:
         raise DataError("fused model without projections")
     if topo["has_first_order"] and not topo["fm_enabled"]:
         raise DataError("first-order weights in a model without the FM term")
-    widths = sorted({int(f["dim"]) for f in fields if f["kind"] == "dense"})
-    if len(widths) > 1:
-        raise DataError(f"dense fields must share one width, got {widths}")
-    shapes = {}
+
+    room = payload_bytes // 4  # every zero the model packs is stored, so fits the payload
+
+    def placeholder(*shape):
+        nonlocal room
+        room -= math.prod(shape)
+        if room < 0:
+            raise DataError(f"the topology needs more than the {payload_bytes}-byte payload")
+        return np.ndarray(shape, np.float32, bytes(4), strides=(0,) * len(shape))  # one 0.0
+
+    tables = []
     for i, f in enumerate(fields):
         vocab, dim = int(f["vocab"]), int(f["dim"])
         if vocab < 1 or dim < 1:
             raise DataError(f"field {i}: vocab {vocab} and dim {dim} must be positive")
         if not projected and dim != embed_dim:
-            raise DataError(
-                f"field {i}: width {dim} without projections to {embed_dim}"
-            )
+            raise DataError(f"field {i}: width {dim} without projections to {embed_dim}")
         if f["kind"] == "dense":
-            shapes[f"emb.{i}.weight"] = (dim, vocab)
-        else:
-            ranks = [int(r) for r in f["ranks"]]
-            rf = [int(x) for x in f["row_factors"]]
-            cf = [int(x) for x in f["col_factors"]]
-            if (
-                not len(ranks) - 1 == len(rf) == len(cf) >= 1
-                or ranks[0] != 1
-                or ranks[-1] != 1
-                or min(ranks + rf + cf) < 1
-                or math.prod(rf) < vocab
-                or math.prod(cf) < dim
-            ):
-                raise DataError(
-                    f"field {i}: tensor-train ranks {ranks}, row factors {rf} and "
-                    f"column factors {cf} do not describe a ({vocab}, {dim}) table"
-                )
-            for j in range(len(rf)):
-                shapes[f"emb.{i}.core.{j}"] = (ranks[j], rf[j], cf[j], ranks[j + 1])
-    if projected:
-        for i, f in enumerate(fields):
-            shapes[f"proj.{i}.weight"] = (embed_dim, int(f["dim"]))
-            shapes[f"proj.{i}.bias"] = (embed_dim,)
+            tables.append(EmbeddingTable(placeholder(dim, vocab)))
+            continue
+        ranks = [int(r) for r in f["ranks"]]
+        rf = [int(x) for x in f["row_factors"]]
+        cf = [int(x) for x in f["col_factors"]]
+        if (
+            not len(ranks) - 1 == len(rf) == len(cf) >= 1
+            or ranks[0] != 1
+            or ranks[-1] != 1
+            or min(ranks + rf + cf) < 1
+            or math.prod(rf) < vocab
+            or math.prod(cf) < dim
+        ):
+            raise DataError(
+                f"field {i}: tensor-train ranks {ranks}, row factors {rf} and "
+                f"column factors {cf} do not describe a ({vocab}, {dim}) table"
+            )
+        cores = [np.empty(s, np.float32) for s in zip(ranks, rf, cf, ranks[1:])]
+        tables.append(TTEmbeddingTable(TTCores(tuple(cores)), vocab, dim))
+    first_order = []
     if topo["has_first_order"]:
-        for i, f in enumerate(fields):
-            shapes[f"fo.{i}.weight"] = (int(f["vocab"]),)
-    return shapes
+        first_order = [placeholder(int(f["vocab"])) for f in fields]
+    projections = None
+    if projected:
+        projections = [
+            ProjectionLayer(placeholder(embed_dim, int(f["dim"])), placeholder(embed_dim))
+            for f in fields
+        ]
+    width = sum(int(f["dim"]) for f in fields) if fused else len(fields) * embed_dim
+    width += int(topo["n_continuous"])
+    shapes = {entry["name"]: entry["shape"] for entry in stored}
+    mlp = []
+    for j, spec in enumerate(topo["mlp"]):
+        name = f"mlp.{j}.weight"
+        if name not in shapes:
+            raise DataError(f"missing tensor {name}")
+        out = int(shapes[name][0])
+        if out < 1 or (j == len(topo["mlp"]) - 1 and out != 1):
+            raise DataError(
+                f"{name} has {out} outputs; layers need at least 1 and the last exactly 1"
+            )
+        weight, bias = np.empty((out, width), np.float32), np.empty(out, np.float32)
+        mlp.append(DenseLayer(weight, bias, spec["activation"],
+                              float(spec["dropout_rate"]), bool(spec["dropout_site"])))
+        width = out
+    if not mlp:
+        raise DataError("model has no MLP layers")
+    return DeepFMModel(tables, first_order, mlp, int(topo["n_continuous"]), embed_dim,
+                       projections, bool(topo["fm_enabled"]), fused)
+
+
+def _check_table(stored: list, expected: list) -> None:
+    """Raise DataError naming the first tensor where a stored tensor table
+    departs from the one the writer produces for the same model."""
+    names = [entry["name"] for entry in expected]
+    for k, entry in enumerate(stored):
+        if k < len(expected) and entry == expected[k]:
+            continue
+        name = entry["name"]
+        if name in names[:k]:
+            raise DataError(f"duplicate tensor {name}")
+        if name not in names:
+            raise DataError(f"tensor {name}, which the topology does not use")
+        want = expected[k]
+        if name != want["name"]:
+            if want["name"] not in {e["name"] for e in stored}:
+                raise DataError(f"missing tensor {want['name']}")
+            raise DataError(f"tensor {name} is listed where the writer puts {want['name']}")
+        if list(entry["shape"]) != want["shape"]:
+            raise DataError(
+                f"tensor {name} has shape {tuple(entry['shape'])}, "
+                f"the topology implies {tuple(want['shape'])}"
+            )
+        if entry["dtype"] != "f32":
+            raise DataError(f"unsupported tensor dtype {entry['dtype']}")
+        raise DataError(f"tensor {name}: {entry['nbytes']} bytes at offset {entry['offset']}, "
+                        f"where the previous tensor ends at {want['offset']} and its shape "
+                        f"needs {want['nbytes']}")
+    if len(stored) < len(expected):
+        raise DataError(f"missing tensor {expected[len(stored)]['name']}")
 
 
 def load_checkpoint(path) -> DeepFMModel:
-    """Read a checkpoint, checking every tensor against the topology.
+    """Read a checkpoint into the model its topology describes.
 
-    Any inconsistency (a tensor whose shape the topology does not imply, an
-    MLP whose widths do not chain from the input width down to 1, a
-    non-finite value, mixed dense and tensor-train fields, tensors that do
-    not tile the payload in manifest order) raises DataError before a model
-    is built.  The payload is mapped, not read, and dense tables,
-    first-order weights and projections are copied from it once, into the
-    storage the model builds when it is made."""
+    The stored tensor table must equal ``manifest_for`` of that model entry
+    for entry, in canonical order, and end where the payload ends; a
+    difference, a non-finite value or a topology that contradicts itself
+    raises DataError naming the first tensor or field concerned.  The
+    payload is mapped, and each tensor is copied from it once."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -208,117 +271,19 @@ def load_checkpoint(path) -> DeepFMModel:
             f"{path}: unsupported format version {manifest.get('format_version')}"
         )
     try:
-        return _build(manifest, payload)
-    except DataError as exc:
+        model = _skeleton(manifest["topology"], manifest["tensors"], len(payload))
+        expected = manifest_for(model)["tensors"]
+        _check_table(manifest["tensors"], expected)
+        end = expected[-1]["offset"] + expected[-1]["nbytes"]
+        if end != len(payload):  # a truncated payload, or bytes after the last tensor
+            raise DataError(f"the tensors end at byte {end} of a {len(payload)}-byte payload")
+        for (name, arr), entry in zip(model.named_parameters(), expected):
+            stored = np.frombuffer(payload, "<f4", count=arr.size, offset=entry["offset"])
+            if not np.isfinite(stored).all():
+                raise DataError(f"tensor {name} holds non-finite values")
+            arr[...] = stored.reshape(arr.shape)
+        return model
+    except (DataError, ShapeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     except (LookupError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupt manifest ({exc!r})") from exc
-
-
-def _build(manifest: dict, payload) -> DeepFMModel:
-    entries = {}
-    end = 0  # where the previous tensor ended
-    for entry in manifest["tensors"]:
-        name, start, nbytes = entry["name"], int(entry["offset"]), int(entry["nbytes"])
-        if entry["dtype"] != "f32":
-            raise DataError(f"unsupported tensor dtype {entry['dtype']}")
-        if name in entries:
-            raise DataError(f"duplicate tensor {name}")
-        if start != end or nbytes < 0:
-            raise DataError(
-                f"tensor {name}: {nbytes} bytes at offset {start}, where the "
-                f"previous tensor ends at {end}"
-            )
-        end = start + nbytes
-        entries[name] = entry
-    if end != len(payload):  # a truncated payload, or bytes after the last tensor
-        raise DataError(f"the tensors end at byte {end} of a {len(payload)}-byte payload")
-
-    topo = manifest["topology"]
-    if topo.get("kind") != "deepfm":
-        raise DataError(f"unknown model kind {topo.get('kind')}")
-    shapes = _topology_shapes(topo)
-
-    def read(name: str, shape=None) -> np.ndarray:
-        """Tensor ``name`` as a read-only view of the payload."""
-        if name not in entries:
-            raise DataError(f"missing tensor {name}")
-        entry = entries.pop(name)
-        stored = tuple(int(d) for d in entry["shape"])
-        want = shapes[name] if shape is None else shape
-        if stored != tuple(want):
-            raise DataError(
-                f"tensor {name} has shape {stored}, the topology implies {tuple(want)}"
-            )
-        count = math.prod(stored)
-        if entry["nbytes"] != 4 * count:
-            raise DataError(f"tensor {name}: {entry['nbytes']} bytes for shape {stored}")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=int(entry["offset"]))
-        if not np.isfinite(arr).all():
-            raise DataError(f"tensor {name} holds non-finite values")
-        return arr.reshape(stored)
-
-    def take(name: str, shape=None) -> np.ndarray:
-        return read(name, shape).astype(np.float32)
-
-    fields = topo["fields"]
-    tables = []
-    first_order = []
-    for i, fspec in enumerate(fields):
-        if fspec["kind"] == "tt":
-            ranks = fspec["ranks"]
-            cores = tuple(take(f"emb.{i}.core.{j}") for j in range(len(ranks) - 1))
-            tables.append(TTEmbeddingTable(TTCores(cores), fspec["vocab"], fspec["dim"]))
-        else:
-            tables.append(EmbeddingTable(read(f"emb.{i}.weight")))
-        if topo["has_first_order"]:
-            first_order.append(read(f"fo.{i}.weight"))
-
-    projections = None
-    if topo["has_projections"]:
-        projections = [
-            ProjectionLayer(read(f"proj.{i}.weight"), read(f"proj.{i}.bias"))
-            for i in range(len(tables))
-        ]
-    fused = bool(topo["fused"])
-    if fused:
-        width = sum(int(f["dim"]) for f in fields)
-    else:
-        width = len(fields) * int(topo["embed_dim"])
-    width += int(topo["n_continuous"])
-    mlp = []
-    for j, spec in enumerate(topo["mlp"]):
-        name = f"mlp.{j}.weight"
-        if name not in entries:
-            raise DataError(f"missing tensor {name}")
-        out = int(entries[name]["shape"][0])
-        last = j == len(topo["mlp"]) - 1
-        if out < 1 or (last and out != 1):
-            raise DataError(
-                f"{name} has {out} outputs; layers need at least 1 "
-                "and the last exactly 1"
-            )
-        mlp.append(
-            DenseLayer(
-                take(name, (out, width)),
-                take(f"mlp.{j}.bias", (out,)),
-                spec["activation"],
-                float(spec["dropout_rate"]),
-                bool(spec["dropout_site"]),
-            )
-        )
-        width = out
-    if not mlp:
-        raise DataError("model has no MLP layers")
-    if entries:
-        raise DataError(f"tensors the topology does not use: {sorted(entries)}")
-    return DeepFMModel(
-        tables=tables,
-        first_order=first_order,
-        mlp=mlp,
-        n_continuous=int(topo["n_continuous"]),
-        embed_dim=int(topo["embed_dim"]),
-        projections=projections,
-        fm_enabled=bool(topo["fm_enabled"]),
-        fused=fused,
-    )

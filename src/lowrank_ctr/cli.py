@@ -12,7 +12,7 @@ Subcommands:
     synth      generate a synthetic click log as TSV
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
-(missing or malformed files), 4 numeric failure.
+(missing, unreadable or malformed files), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ def cmd_compress(args) -> int:
     if getattr(args, f"no_{method.option}", False):
         stage[method.option] = False  # --no-insert-relu or --no-fuse
     stage = fill_stage(stage, rc.profile_defaults, rc.seed, "compress")
+    hidden = [layer.bias.size for layer in model.mlp[:-1]]
+    method.check_rank(stage["rank"], hidden, model.embed_dim, f"--rank ({args.model_in})")
     calib = {"stage": "calibrate", "batch_size": args.calib_batch_size}
     calib = fill_stage(calib, rc.profile_defaults, rc.seed, "--calib-batch-size")
     taps = None
@@ -164,6 +166,8 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     if args.n_samples is not None and args.n_samples < 2:
         raise ConfigError(f"--n-samples must be >= 2, got {args.n_samples}")
+    if os.path.isdir(args.out):
+        raise DataError(f"--out is a directory: {args.out}")
     rc = _config_from(args)
     if "synth" not in rc.data:
         raise ConfigError("synth command needs a data.synth block (or the synth profile)")
@@ -268,6 +272,11 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 3
     except (DataError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -344,17 +344,7 @@ def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
                 f"by stage {compressed[method.target]}"
             )
         compressed[method.target] = i
-        if method.target == "mlp" and len(hidden) != 3:
-            raise ConfigError(
-                f"{where}: MLP compression needs model.hidden_dims of "
-                f"length 3, got {hidden}"
-            )
-        limit = method.limit(hidden, model["embed_dim"])
-        if not 1 <= s["rank"] <= limit:
-            raise ConfigError(
-                f"{where}: rank {s['rank']} outside [1, {limit}] for the configured "
-                "model widths"
-            )
+        method.check_rank(s["rank"], hidden, model["embed_dim"], where)
     _check_next(core, None)
     return filled
 

@@ -273,6 +273,19 @@ class Method:
     option: str  # the one compress-stage key besides the rank that applies to it
     default: bool | int  # the option's value when a stage does not give it
 
+    def check_rank(self, rank: int, hidden: list, embed_dim: int, where: str) -> None:
+        """Raise ConfigError unless a model of these widths has the layers
+        the method splits and ``rank`` is within its limit."""
+        if self.target == "mlp" and len(hidden) != 3:
+            raise ConfigError(f"{where}: MLP compression needs three hidden layers, "
+                              f"got hidden_dims {hidden}")
+        limit = self.limit(hidden, embed_dim)
+        if not 1 <= rank <= limit:
+            raise ConfigError(
+                f"{where}: rank {rank} outside [1, {limit}] for hidden_dims "
+                f"{hidden} and embed_dim {embed_dim}"
+            )
+
 
 # afm-mlp keeps k of the outputs of hidden layers two and three, svd-mlp is
 # also bounded by their inputs; a tt-emb rank only caps the core ranks

@@ -314,6 +314,21 @@ def trailing_bytes(topo, tensors):
     return lambda entries, chunks: chunks.append(bytes(64))
 
 
+def oversized_field(topo, tensors):  # a table larger than the whole file
+    topo["fields"][0]["vocab"] = 100_000
+
+
+def missing_tensor(topo, tensors):
+    del tensors["fo.1.weight"]
+
+
+def reordered_entries(topo, tensors):
+    def relayout(entries, chunks):  # the first two tensors swapped, still tiling
+        entries[:2], chunks[:2] = entries[1::-1], chunks[1::-1]
+        entries[0]["offset"], entries[1]["offset"] = 0, entries[0]["nbytes"]
+    return relayout
+
+
 def bad_core(topo, tensors):
     core = tensors["emb.0.core.0"]
     tensors["emb.0.core.0"] = np.zeros(core.shape[:-1] + (core.shape[-1] + 1,), np.float32)
@@ -342,6 +357,9 @@ def bad_core(topo, tensors):
         (plain_model, duplicate_entry, "duplicate tensor mlp.3.bias"),
         (plain_model, overlapping_entry, "emb.1.weight: 112 bytes at offset 0, where the previous"),
         (plain_model, trailing_bytes, r"end at byte \d+ of a \d+-byte payload"),
+        (plain_model, missing_tensor, "missing tensor fo.1.weight"),
+        (plain_model, oversized_field, r"needs more than the \d+-byte payload"),
+        (plain_model, reordered_entries, "emb.1.weight is listed where the writer puts emb.0.weight"),
     ],
 )
 def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):
@@ -354,10 +372,21 @@ def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):
 FIXTURES = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["plain.lrck", "afm-fused.lrck", "tt.lrck"])
+@pytest.mark.parametrize("name", ["plain.lrck", "afm-fused.lrck", "tt.lrck", "svd-unfused.lrck"])
 def test_save_of_load_reproduces_fixture_bytes(tmp_path, name):
-    """The fixtures were written with per-field (dim, vocab) table storage,
-    before tables were packed; the bytes of the format did not change."""
+    """The first three fixtures were written with per-field (dim, vocab)
+    table storage, before tables were packed, and ``svd-unfused.lrck`` by
+    the loader that read each tensor by a name it built, before the tensor
+    table was checked against ``manifest_for``; the bytes of the format did
+    not change.  ``svd-unfused.lrck`` covers a model without the FM term,
+    with continuous inputs, a linear SVD split and unfused projections::
+
+        model = init_deepfm([9, 7, 5], 4, [8, 8, 8], n_continuous=2, seed=11,
+                            fm_enabled=False)
+        compress_mlp(model, 4, "svd", insert_relu=False)
+        svd_compress_embedding(model, 2)
+        save_checkpoint(model, "svd-unfused.lrck")
+    """
     model = load_checkpoint(FIXTURES / name)
     save_checkpoint(model, tmp_path / name)
     assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()

@@ -445,3 +445,52 @@ def test_bench_rejects_oversized_batches(workdir, capsys):
     ])
     assert rc == 3
     assert "smaller than one batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, rank", [
+    ("afm-mlp", "0"),
+    ("afm-mlp", "17"),  # the checkpoint's hidden layers are 16 wide
+    ("svd-mlp", "17"),
+    ("afm-emb", "9"),  # and its tables 8 wide
+    ("tt-emb", "0"),
+])
+def test_compress_rejects_out_of_range_rank_before_data(
+    workdir, capsys, tmp_path, monkeypatch, method, rank
+):
+    def no_data(resolved):
+        raise AssertionError("prepare_data ran")
+
+    monkeypatch.setattr("lowrank_ctr.cli.prepare_data", no_data)
+    out = tmp_path / "never.lrck"
+    rc = main([
+        "compress",
+        "--config", str(workdir["config"]),
+        "--model-in", str(workdir["checkpoint"]),
+        "--model-out", str(out),
+        "--method", method,
+        "--rank", rank,
+    ])
+    assert rc == 2
+    assert f"--rank ({workdir['checkpoint']}): rank {rank} outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "eval", "compress"])
+def test_model_in_naming_a_directory_exits_3(workdir, capsys, tmp_path, command):
+    argv = [command, "--config", str(workdir["config"]), "--model-in", str(tmp_path)]
+    if command == "compress":
+        argv += ["--model-out", str(tmp_path / "never.lrck"), "--method", "svd-mlp"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: Is a directory: {tmp_path}\n"
+    assert not (tmp_path / "never.lrck").exists()
+
+
+def test_synth_rejects_a_directory_out_before_generating(tmp_path, capsys, monkeypatch):
+    def no_rows(spec):
+        raise AssertionError("synth_generate ran")
+
+    monkeypatch.setattr("lowrank_ctr.cli.synth_generate", no_rows)
+    assert main(["synth", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: --out is a directory: {tmp_path}\n"
