@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
+from .compress import check_plain_tables
 from .config import _read_config, fill_stage, load_config
 from .data import SynthSpec, synth_generate, write_tsv
 from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
@@ -94,11 +95,13 @@ def cmd_compress(args) -> int:
     rc = _config_from(args)
     method = METHODS[args.method]
     stage = {"stage": "compress", "method": args.method, **_given(args, "rank")}
-    if getattr(args, f"no_{method.option}", False):
+    if method.option and getattr(args, f"no_{method.option}"):
         stage[method.option] = False  # --no-insert-relu or --no-fuse
     stage = fill_stage(stage, rc.profile_defaults, rc.seed, "compress")
     hidden = [layer.bias.size for layer in model.mlp[:-1]]
     method.check_rank(stage["rank"], hidden, model.embed_dim, f"--rank ({args.model_in})")
+    if method.target == "emb":
+        check_plain_tables(model)
     calib = {"stage": "calibrate", "batch_size": args.calib_batch_size}
     calib = fill_stage(calib, rc.profile_defaults, rc.seed, "--calib-batch-size")
     taps = None

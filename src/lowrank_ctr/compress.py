@@ -235,7 +235,8 @@ def afm_plan_embedding(taps, k: int) -> EmbCompressionPlan:
     )
 
 
-def _check_plain_tables(model: DeepFMModel) -> None:
+def check_plain_tables(model: DeepFMModel) -> None:
+    """Raise ShapeError unless every table of ``model`` is plain and dense."""
     if model.projections is not None or model.fused:
         raise ShapeError("embedding tables are already compressed")
     for i, table in enumerate(model.tables):
@@ -277,7 +278,7 @@ def afm_apply_embedding(model: DeepFMModel, plan: EmbCompressionPlan) -> dict:
         raise ShapeError(
             f"plan covers {len(plan.bases)} fields, model has {model.n_fields}"
         )
-    _check_plain_tables(model)
+    check_plain_tables(model)
     parts = []
     for table, u, mean, values in zip(
         model.tables, plan.bases, plan.means, plan.eigenvalues
@@ -295,7 +296,7 @@ def svd_compress_embedding(model: DeepFMModel, k: int) -> dict:
     the shapes match the output-PCA variant; the projection bias is zero
     because plain SVD carries no mean information.
     """
-    _check_plain_tables(model)
+    check_plain_tables(model)
     parts = []
     for table in model.tables:
         la, lb, sigma = svd_split_fc(_table_layer(table), k, insert_relu=False)
@@ -312,7 +313,7 @@ def tt_compress_embedding(model: DeepFMModel, max_rank: int, n_cores: int = 3) -
     ranks capped at ``max_rank``.  The cores keep the table's dtype.
     Lookups after this rebuild each batch's rows through the core chain.
     """
-    _check_plain_tables(model)
+    check_plain_tables(model)
     detail = {}
     new_tables = []
     for i, table in enumerate(model.tables):

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .data import SynthSpec, check_test_fraction
-from .errors import ConfigError
+from .errors import ConfigError, as_flag, as_number, convert_fields
 from .train import METHODS, TrainConfig
 
 PROFILES = {
@@ -148,16 +146,10 @@ class ModelSpec:
     fm_enabled: bool = True
 
     def __post_init__(self):
-        self.n_continuous = _number(self.n_continuous, int, "model.n_continuous")
-        self.n_categorical = _number(self.n_categorical, int, "model.n_categorical")
-        self.embed_dim = _number(self.embed_dim, int, "model.embed_dim")
-        self.dropout_rate = _number(self.dropout_rate, float, "model.dropout_rate")
-        self.fm_enabled = _flag(self.fm_enabled, "model.fm_enabled")
-        hidden = self.hidden_dims
-        widths = [_number(h, int, "model.hidden_dims") for h in hidden or ()]
-        if not isinstance(hidden, list) or not widths or min(widths) < 1:
-            raise ConfigError(f"model.hidden_dims must list positive widths, got {hidden!r}")
-        self.hidden_dims = widths
+        convert_fields(self, "model.")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigError(f"model.hidden_dims must list positive widths, "
+                              f"got {self.hidden_dims!r}")
         if self.n_continuous < 0:
             raise ConfigError(f"model.n_continuous must be >= 0, got {self.n_continuous}")
         if self.n_categorical < 1:
@@ -187,31 +179,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
-
-
-def _flag(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _number(value, kind: type, where: str):
-    """``value`` as ``kind``, int or float; anything but a JSON number (a
-    string or a boolean, say), a fraction where an int is due, a NaN or
-    infinite float, or an int too large for a float raises ConfigError
-    naming ``where``."""
-    noun = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{where} must be {noun}, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"{where} is too large, got {value!r}") from None
-    if kind is int and not number.is_integer():
-        raise ConfigError(f"{where} must be {noun}, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return kind(value)
 
 
 def standard_stages(profile: dict, pipeline: dict) -> list:
@@ -255,22 +222,16 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
         method = METHODS.get(stage.get("method"))
         if method is None:
             raise ConfigError(f"{where}: unknown method {stage.get('method')!r}")
-        _reject_unknown(stage, STAGE_KEYS[name] | {method.option}, where)
-        option = stage.get(method.option, method.default)
-        if isinstance(method.default, bool):
-            option = _flag(option, f"{where}: {method.option}")
-        else:
-            option = _number(option, int, f"{where}: {method.option}")
-            if option < 1:
-                raise ConfigError(f"{where}: {method.option} must be >= 1, got {option}")
-        return {
-            **stage,
-            "rank": _number(stage.get("rank", profile[method.rank_key]), int, f"{where}: rank"),
-            method.option: option,
-        }
+        option = method.option
+        _reject_unknown(stage, STAGE_KEYS[name] | ({option} if option else set()), where)
+        rank = stage.get("rank", profile[method.rank_key])
+        filled = {**stage, "rank": as_number(rank, int, f"{where}: rank")}
+        if option:  # a flag that defaults to true
+            filled[option] = as_flag(stage.get(option, True), f"{where}: {option}")
+        return filled
     _reject_unknown(stage, STAGE_KEYS[name], where)
     if name == "calibrate":
-        batch_size = _number(stage.get("batch_size", 10000), int, f"{where}: batch_size")
+        batch_size = as_number(stage.get("batch_size", 10000), int, f"{where}: batch_size")
         if batch_size < 1:
             raise ConfigError(f"{where}: batch size must be positive, got {batch_size}")
         return {"stage": name, "batch_size": batch_size}
@@ -279,19 +240,16 @@ def fill_stage(stage: dict, profile: dict, seed: int, where: str) -> dict:
     train_keys = ("learning_rate", "batch_size", "l2_ratio", "weight_decay")
     settings = {**{key: profile[key] for key in train_keys}, **stage}
     del settings["stage"]
-    for key, value in settings.items():
-        if value is not None:  # a null dropout keeps the stored rates
-            kind = int if key in ("batch_size", "epochs") else float
-            settings[key] = _number(value, kind, f"{where}: {key}")
-    if name == "finetune" and settings.get("epochs", 1) != 1:
+    try:
+        train = TrainConfig(**settings, seed=seed)
+    except ConfigError as exc:  # its rules do not know the stage
+        raise ConfigError(f"{where}: {exc}") from exc
+    if name == "finetune" and train.epochs != 1:
         raise ConfigError(
             f"{where}: a finetune stage runs exactly one epoch, got "
             f"epochs {stage['epochs']!r}"
         )
-    try:
-        return {"stage": name, "train": TrainConfig(**settings, seed=seed)}
-    except ConfigError as exc:  # its range rules do not know the stage
-        raise ConfigError(f"{where}: {exc}") from exc
+    return {"stage": name, "train": train}
 
 
 def _fill_stages(stages: list, model: dict, profile: dict, seed: int) -> list:
@@ -408,7 +366,7 @@ def _resolve(raw: dict) -> ResolvedConfig:
             f"unknown profile {profile_name!r}; choose from {sorted(PROFILES)}"
         )
     profile = PROFILES[profile_name]
-    seed = _number(raw.get("seed", 0), int, "seed")
+    seed = as_number(raw.get("seed", 0), int, "seed")
 
     data = dict(raw.get("data", {}))
     _reject_unknown(data, _DATA_KEYS, "data")
@@ -422,21 +380,14 @@ def _resolve(raw: dict) -> ResolvedConfig:
     if "synth" in data:
         synth = {**SYNTH_DATA_DEFAULTS, **(data["synth"] or {})}
         _reject_unknown(synth, _SYNTH_KEYS, "data.synth")
-        spec = SynthSpec(
-            n_samples=_number(synth["n_samples"], int, "data.synth.n_samples"),
-            vocab_sizes=[_number(v, int, "data.synth.vocab_sizes") for v in synth["vocab_sizes"]],
-            latent_rank=_number(synth["latent_rank"], int, "data.synth.latent_rank"),
-            noise=_number(synth["noise"], float, "data.synth.noise"),
-            skew=_number(synth["skew"], float, "data.synth.skew"),
-            seed=_number(synth["seed"], int, "data.synth.seed"),
-        )
-        spec.validate()  # load_config reports its DataError as a config error
-        data["synth"] = asdict(spec)
+        # load_config reports a DataError from SynthSpec's checks as a config error
+        data["synth"] = asdict(SynthSpec(**synth))
     data["test_fraction"] = check_test_fraction(
-        _number(data.get("test_fraction", profile["test_fraction"]), float, "data.test_fraction")
+        as_number(data.get("test_fraction", profile["test_fraction"]), float, "data.test_fraction")
     )
-    data["min_count"] = _number(data.get("min_count", profile["min_count"]), int, "data.min_count")
-    data["split_seed"] = _number(data.get("split_seed", seed), int, "data.split_seed")
+    min_count = data.get("min_count", profile["min_count"])
+    data["min_count"] = as_number(min_count, int, "data.min_count")
+    data["split_seed"] = as_number(data.get("split_seed", seed), int, "data.split_seed")
 
     model = dict(raw.get("model", {}))
     _reject_unknown(model, _MODEL_KEYS, "model")

@@ -2,7 +2,8 @@
 
 The on-disk format is label-first TSV: one label column (0/1), then the
 continuous columns, then the categorical token columns.  Continuous values
-get log(1 + max(x, 0)); empty cells mean 0.  Categorical tokens map
+get log(1 + max(x, 0)); empty cells mean 0, and a cell that is not a finite
+number (``nan`` and ``inf`` included) is a DataError.  Categorical tokens map
 through per-field dictionaries where index 0 is reserved for unseen or
 rare tokens and everything at or above the frequency threshold gets a
 stable nonzero index in first-appearance order.
@@ -10,11 +11,12 @@ stable nonzero index in first-appearance order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, convert_fields
 from .nn import FeatureBatch
 
 
@@ -125,11 +127,12 @@ def load_tsv(path, n_continuous: int, n_categorical: int, min_count: int = 10) -
         for i, cell in enumerate(parts[1 : 1 + n_continuous]):
             if cell:
                 try:
-                    cont[i] = float(cell)
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}:{lineno}: bad continuous value {cell!r}"
-                    ) from exc
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):  # float() also reads nan and inf
+                    raise DataError(f"{path}:{lineno}: bad continuous value {cell!r}")
+                cont[i] = value
         cont_rows.append(cont)
         cats = parts[1 + n_continuous :]
         cat_rows.append(
@@ -189,8 +192,9 @@ def split(dataset: ClickDataset, test_fraction: float, seed: int) -> tuple:
 
 @dataclass
 class SynthSpec:
-    """Synthetic click dataset: skewed item popularity, labels drawn from a
-    low-rank pairwise preference score plus optional label noise."""
+    """Synthetic click dataset, converted and range-checked when made:
+    skewed item popularity, labels drawn from a low-rank pairwise
+    preference score plus optional label noise."""
 
     n_samples: int
     vocab_sizes: list
@@ -199,7 +203,8 @@ class SynthSpec:
     skew: float = 1.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        convert_fields(self, "data.synth.")
         if self.n_samples < 2:
             raise DataError("need at least two samples")
         if not self.vocab_sizes or any(v < 2 for v in self.vocab_sizes):
@@ -221,7 +226,6 @@ def synth_generate(spec: SynthSpec) -> ClickDataset:
     vectors, standardized over the sample and scaled so the Bernoulli
     labels have large margins.  ``noise`` flips that fraction of labels.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     d = len(spec.vocab_sizes)

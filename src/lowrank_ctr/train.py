@@ -30,7 +30,7 @@ import numpy as np
 from . import compress as comp
 from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, convert_fields
 from .metrics import MetricReport, auc, evaluate_scores, logloss
 from .nn import DeepFMModel, compute_gradients, forward, init_deepfm, param_count
 from .stats import ActivationTap
@@ -116,15 +116,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Convert each setting to its type and check the ranges; a value
-        of the wrong kind raises TypeError or ValueError."""
-        self.learning_rate = float(self.learning_rate)
-        self.batch_size = int(self.batch_size)
-        self.epochs = int(self.epochs)
-        self.l2_ratio = float(self.l2_ratio)
-        self.weight_decay = float(self.weight_decay)
-        if self.dropout is not None:
-            self.dropout = float(self.dropout)
+        """Convert each setting by its type, then check the ranges (ConfigError)."""
+        convert_fields(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -133,7 +126,7 @@ class TrainConfig:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         for key in ("learning_rate", "l2_ratio", "weight_decay"):
             value = getattr(self, key)
-            if not value >= 0.0:  # NaN fails too
+            if value < 0.0:
                 raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
@@ -270,8 +263,7 @@ class Method:
     rank_key: str  # the profile key of its default rank
     calibrated: bool  # reads calibration taps: needs a calibrate stage first
     limit: Callable[[list, int], float]  # its highest rank, from (hidden_dims, embed_dim)
-    option: str  # the one compress-stage key besides the rank that applies to it
-    default: bool | int  # the option's value when a stage does not give it
+    option: str | None  # the one compress-stage flag besides the rank, true by default
 
     def check_rank(self, rank: int, hidden: list, embed_dim: int, where: str) -> None:
         """Raise ConfigError unless a model of these widths has the layers
@@ -290,11 +282,11 @@ class Method:
 # afm-mlp keeps k of the outputs of hidden layers two and three, svd-mlp is
 # also bounded by their inputs; a tt-emb rank only caps the core ranks
 METHODS = {
-    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu", True),
-    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu", True),
-    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse", True),
-    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse", True),
-    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), "tt_cores", 3),
+    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu"),
+    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu"),
+    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse"),
+    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse"),
+    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), None),
 }
 
 
@@ -322,7 +314,7 @@ def _run_compress(model, stage, taps) -> dict:
     elif method == "svd-emb":
         detail = comp.svd_compress_embedding(model, rank)
     else:
-        detail = comp.tt_compress_embedding(model, rank, n_cores=stage["tt_cores"])
+        detail = comp.tt_compress_embedding(model, rank)
     if METHODS[method].option == "fuse" and stage["fuse"]:
         comp.fuse_projection_into_first_fc(model)
         detail["fused_first_fc"] = True

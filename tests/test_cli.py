@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ BASE_CONFIG = {
     "model": {"embed_dim": 8, "hidden_dims": [16, 16, 16], "dropout_rate": 0.0},
 }
 SYNTH = BASE_CONFIG["data"]["synth"]
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +146,11 @@ def test_compress_runs_every_method(workdir, capsys, tmp_path, method, flags):
         assert model.mlp[1].activation == ("relu" if relu else "none")
 
 
-def test_pipeline_tt_stage_with_its_own_core_count(tmp_path, capsys):
+def test_pipeline_tt_stage_splits_each_table_over_three_cores(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, "stages": [
         {"stage": "train_baseline", "epochs": 0},
-        {"stage": "compress", "method": "tt-emb", "rank": 2, "tt_cores": 2},
+        {"stage": "compress", "method": "tt-emb", "rank": 2},
         {"stage": "finetune"},
     ]}))
     out = tmp_path / "run"
@@ -157,7 +159,7 @@ def test_pipeline_tt_stage_with_its_own_core_count(tmp_path, capsys):
     report = json.loads((out / "reports" / "stage01-tt-emb.json").read_text())
     assert report["method"] == "tt-emb"
     model = load_checkpoint(out / "checkpoints" / "stage02-finetune.lrck")
-    assert all(len(t.cores.cores) == 2 for t in model.tables)
+    assert all(len(t.cores.cores) == 3 for t in model.tables)
 
 
 def test_bench_reports_throughput(workdir, capsys):
@@ -473,6 +475,44 @@ def test_compress_rejects_out_of_range_rank_before_data(
     assert rc == 2
     assert f"--rank ({workdir['checkpoint']}): rank {rank} outside" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_afm_emb_compress_rejects_compressed_tables_before_data(
+    workdir, capsys, tmp_path, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("data was built or calibrated")
+
+    monkeypatch.setattr("lowrank_ctr.cli.prepare_data", never)
+    monkeypatch.setattr("lowrank_ctr.cli.calibrate", never)
+    out = tmp_path / "never.lrck"
+    rc = main([
+        "compress",
+        "--config", str(workdir["config"]),
+        "--model-in", str(DATA / "svd-unfused.lrck"),  # it holds projections
+        "--model-out", str(out),
+        "--method", "afm-emb",
+        "--rank", "2",
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: embedding tables are already compressed\n"
+    assert not out.exists()
+
+
+def test_train_rejects_a_non_finite_continuous_cell_at_load(tmp_path, capsys):
+    rows = [f"{i % 2}\t{i}\ta{i % 3}\tb{i % 4}" for i in range(40)]
+    rows[17] = "1\tnan\ta0\tb0"
+    data = tmp_path / "clicks.tsv"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"path": str(data)},
+        "model": {"n_continuous": 1, "n_categorical": 2, "embed_dim": 4, "hidden_dims": [8, 8, 8]},
+    }))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {data}:18: bad continuous value 'nan'\n"
+    assert not list(out.rglob("*.lrck"))
 
 
 @pytest.mark.parametrize("command", ["bench", "eval", "compress"])

@@ -1,6 +1,7 @@
 """Tests for config parsing, profiles and standard stage generation."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,9 +9,11 @@ from lowrank_ctr.config import (
     PROFILES,
     STAGE_KEYS,
     SYNTH_DATA_DEFAULTS,
+    ModelSpec,
     load_config,
     standard_stages,
 )
+from lowrank_ctr.data import SynthSpec
 from lowrank_ctr.errors import ConfigError
 from lowrank_ctr.train import STAGE_HANDLERS, TrainConfig
 
@@ -378,8 +381,8 @@ def compress_chain_with(method, option, value):
      r"\(calibrate\): batch_size must be an integer, got 2.5"),
     ({"data": {"synth": {"vocab_sizes": [10.5, 20, 20]}}},
      "data.synth.vocab_sizes must be an integer, got 10.5"),
-    ({"stages": compress_chain_with("tt-emb", "tt_cores", True)},
-     "tt_cores must be an integer, got True"),
+    ({"stages": compress_chain_with("tt-emb", "rank", True)},
+     r"\(compress\): rank must be an integer, got True"),
     ({"model": {"hidden_dims": [True, 64, 64]}}, "model.hidden_dims must be an integer, got True"),
     ({"stages": [{"stage": "train_baseline", "learning_rate": True}]},
      "learning_rate must be a number, got True"),
@@ -388,7 +391,7 @@ def compress_chain_with(method, option, value):
     ({"stages": [{"stage": "train_baseline", "batch_size": "100"}]},
      r"\(train_baseline\): batch_size must be an integer, got '100'"),
     ({"data": {"synth": {"noise": "0.1"}}}, "data.synth.noise must be a number, got '0.1'"),
-], ids=["rank", "seed", "calibrate-batch-size", "vocab-sizes", "tt-cores", "hidden-dims",
+], ids=["rank", "seed", "calibrate-batch-size", "vocab-sizes", "rank-bool", "hidden-dims",
         "learning-rate", "seed-str", "embed-dim-str", "batch-size-str", "noise-str"])
 def test_numeric_settings_reject_booleans_and_fractions(config, message):
     with pytest.raises(ConfigError, match=message):
@@ -427,7 +430,7 @@ def test_numeric_settings_reject_nan_and_infinity(config, message):
 def test_training_rates_must_not_be_negative(key):
     with pytest.raises(ConfigError, match=rf"\(train_baseline\): {key} must be >= 0, got -0.001"):
         load_config(train_stage(**{key: -1e-3}))
-    with pytest.raises(ConfigError, match=f"{key} must be >= 0, got nan"):
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got nan"):
         TrainConfig(**{key: float("nan")})  # built directly, as library callers do
     assert getattr(load_config(train_stage(**{key: 0})).stages[0]["train"], key) == 0.0
 
@@ -437,12 +440,44 @@ def test_numeric_settings_take_whole_floats_and_ints_for_floats():
         "seed": 3.0,
         "model": {"hidden_dims": [8.0, 8, 8]},
         "stages": [{"stage": "train_baseline", "learning_rate": 1, "batch_size": 500.0},
-                   *compress_chain_with("tt-emb", "tt_cores", 2.0)[1:]],
+                   *compress_chain_with("tt-emb", "rank", 2.0)[1:]],
     })
     assert rc.seed == 3 and rc.model["hidden_dims"] == [8, 8, 8]
     train = rc.stages[0]["train"]
     assert train.learning_rate == 1.0 and train.batch_size == 500
-    assert type(rc.stages[1]["tt_cores"]) is int and rc.stages[1]["tt_cores"] == 2
+    assert type(rc.stages[1]["rank"]) is int and rc.stages[1]["rank"] == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(batch_size=2.7), "^batch_size must be an integer, got 2.7$"),
+    (lambda: TrainConfig(batch_size=True), "^batch_size must be an integer, got True$"),
+    (lambda: TrainConfig(learning_rate="0.1"), "^learning_rate must be a number, got '0.1'$"),
+    (lambda: SynthSpec(n_samples=2.5, vocab_sizes=[3, 3]),
+     "^data.synth.n_samples must be an integer, got 2.5$"),
+    (lambda: SynthSpec(n_samples=10, vocab_sizes=[3.5, 3]),
+     "^data.synth.vocab_sizes must be an integer, got 3.5$"),
+], ids=["batch-size-fraction", "batch-size-bool", "learning-rate-str", "n-samples-fraction",
+        "vocab-sizes-fraction"])
+def test_records_built_in_python_follow_the_config_rules(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+RECORDS = {  # each record with values that pass its checks
+    ModelSpec: {"n_continuous": 0, "n_categorical": 2, "embed_dim": 4,
+                "hidden_dims": [4, 4, 4], "dropout_rate": 0.0},
+    TrainConfig: {},
+    SynthSpec: {"n_samples": 10, "vocab_sizes": [3, 3]},
+}
+
+
+@pytest.mark.parametrize("record, key", [
+    (record, f.name) for record in RECORDS for f in fields(record) if f.type != "bool"
+], ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_records_reject_a_boolean_in_every_numeric_field(record, key):
+    value = [True, 3] if key in ("hidden_dims", "vocab_sizes") else True
+    with pytest.raises(ConfigError, match=rf"{key} must be (an integer|a number), got True"):
+        record(**{**RECORDS[record], key: value})
 
 
 def test_profiles_are_self_consistent():

@@ -75,6 +75,13 @@ def test_malformed_rows_report_location(tmp_path):
         load_tsv(path2, 0, 1, min_count=1)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "x"])
+def test_continuous_cell_that_is_not_a_finite_number_reports_location(tmp_path, cell):
+    path = write_lines(tmp_path / "cont.tsv", ["1\t2.0\ta", f"0\t{cell}\ta"])
+    with pytest.raises(DataError, match=f"cont.tsv:2: bad continuous value '{cell}'"):
+        load_tsv(path, 1, 1, min_count=1)
+
+
 def test_roundtrip_through_tsv(tmp_path):
     spec = SynthSpec(n_samples=500, vocab_sizes=[20, 30], seed=5)
     ds = synth_generate(spec)
@@ -145,7 +152,7 @@ def test_synth_noise_boundary():
     with pytest.raises(DataError):
         synth_generate(SynthSpec(n_samples=10, vocab_sizes=[4], noise=0.5))
     with pytest.raises(DataError):
-        SynthSpec(n_samples=10, vocab_sizes=[1]).validate()
+        SynthSpec(n_samples=10, vocab_sizes=[1])
 
 
 def test_synth_popularity_is_skewed():
