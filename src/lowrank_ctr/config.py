@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .data import SynthSpec, check_test_fraction
-from .errors import ConfigError, as_flag, as_number, convert_fields
+from .errors import ConfigError, DataError, as_flag, as_number, convert_fields
 from .train import METHODS, TrainConfig
 
 PROFILES = {
@@ -380,8 +380,10 @@ def _resolve(raw: dict) -> ResolvedConfig:
     if "synth" in data:
         synth = {**SYNTH_DATA_DEFAULTS, **(data["synth"] or {})}
         _reject_unknown(synth, _SYNTH_KEYS, "data.synth")
-        # load_config reports a DataError from SynthSpec's checks as a config error
-        data["synth"] = asdict(SynthSpec(**synth))
+        try:
+            data["synth"] = asdict(SynthSpec(**synth))
+        except DataError as exc:  # a range check, which names its key
+            raise ConfigError(str(exc)) from exc
     data["test_fraction"] = check_test_fraction(
         as_number(data.get("test_fraction", profile["test_fraction"]), float, "data.test_fraction")
     )

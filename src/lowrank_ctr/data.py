@@ -56,9 +56,12 @@ class ClickDataset:
         return FeatureBatch(self.indices[sel], self.continuous[sel])
 
     def subset(self, sel) -> "ClickDataset":
+        """The rows at integer positions ``sel``.  ``take`` gathers the
+        2-D index block about 3x faster than indexing; the 1-D labels and
+        the often zero-width continuous block are faster indexed."""
         return ClickDataset(
             self.labels[sel],
-            self.indices[sel],
+            self.indices.take(sel, axis=0),
             self.continuous[sel],
             list(self.vocab_sizes),
         )
@@ -206,25 +209,70 @@ class SynthSpec:
     def __post_init__(self):
         convert_fields(self, "data.synth.")
         if self.n_samples < 2:
-            raise DataError("need at least two samples")
+            raise DataError(f"data.synth.n_samples: {self.n_samples} is below 2")
         if not self.vocab_sizes or any(v < 2 for v in self.vocab_sizes):
-            raise DataError("every field needs a vocabulary of at least 2")
+            raise DataError(
+                f"data.synth.vocab_sizes: need at least one vocabulary, each "
+                f"of at least 2, got {self.vocab_sizes}"
+            )
         if self.latent_rank < 1:
-            raise DataError("latent rank must be positive")
+            raise DataError(f"data.synth.latent_rank: {self.latent_rank} is below 1")
         if not 0.0 <= self.noise < 0.5:
-            raise DataError(f"noise rate {self.noise} outside [0, 0.5)")
+            raise DataError(f"data.synth.noise: {self.noise} outside [0, 0.5)")
         if self.skew < 0.0:
-            raise DataError("skew must be non-negative")
+            raise DataError(f"data.synth.skew: {self.skew} is below 0")
+
+
+# the inverse-CDF draw's bucket count; a power of two, so r * _BUCKETS is exact
+_BUCKETS = 1 << 16
+
+
+def _popularity_cdf(vocab: int, skew: float) -> np.ndarray:
+    """Cumulative Zipf-like item popularity, ending at exactly 1."""
+    probs = 1.0 / np.power(np.arange(1, vocab + 1, dtype=np.float64), skew)
+    probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _inverse_cdf(cdf: np.ndarray):
+    """A function that maps draws ``r`` in [0, 1) to the items
+    ``np.searchsorted(cdf, r, side="right")``, bit for bit.
+
+    A draw in bucket ``b``, ``b / _BUCKETS <= r < (b + 1) / _BUCKETS``, is
+    at least ``lo[b]``, the count of ``cdf`` entries ``<= b / _BUCKETS``,
+    and at most ``hi[b]``, the count ``< (b + 1) / _BUCKETS``.  Where the
+    two agree that is the answer; only the other draws are searched, in
+    sorted order, which keeps the search in cache.  An entry ``c`` is
+    ``<= b / _BUCKETS`` exactly when ``ceil(c * _BUCKETS) <= b``, and
+    ``< (b + 1) / _BUCKETS`` when ``floor(c * _BUCKETS) <= b``, so both
+    tables are running counts.
+    """
+    scaled = cdf * _BUCKETS
+    lo = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=_BUCKETS))
+    hi = np.cumsum(np.bincount(np.floor(scaled).astype(np.intp), minlength=_BUCKETS))
+
+    def draw(r: np.ndarray) -> np.ndarray:
+        bucket = (r * _BUCKETS).astype(np.intp)
+        items = lo.take(bucket)
+        unsure = np.flatnonzero(items != hi.take(bucket))
+        unsure = unsure[np.argsort(r.take(unsure))]
+        items[unsure] = np.searchsorted(cdf, r.take(unsure), side="right")
+        return items
+
+    return draw
 
 
 def synth_generate(spec: SynthSpec) -> ClickDataset:
     """Generate a dataset whose optimal predictor is low-rank.
 
     Items per field follow a Zipf-like popularity curve with the given
-    skew.  Each item carries a latent vector; a row's score is the
-    pairwise interaction 0.5 (||sum z||^2 - sum ||z||^2) of its items'
-    vectors, standardized over the sample and scaled so the Bernoulli
-    labels have large margins.  ``noise`` flips that fraction of labels.
+    skew, drawn by inverse CDF (see :func:`_inverse_cdf`).  Each item
+    carries a latent vector; a row's score is the pairwise interaction
+    0.5 (||sum z||^2 - sum ||z||^2) of its items' vectors, standardized
+    over the sample and scaled so the Bernoulli labels have large margins.
+    ``noise`` flips that fraction of labels.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
@@ -232,19 +280,19 @@ def synth_generate(spec: SynthSpec) -> ClickDataset:
     indices = np.empty((n, d), dtype=np.int64)
     z_sum = np.zeros((n, spec.latent_rank))
     sq_sum = np.zeros(n)
+    draw_by_vocab = {}
     for i, vocab in enumerate(spec.vocab_sizes):
-        probs = 1.0 / np.power(np.arange(1, vocab + 1, dtype=np.float64), spec.skew)
-        probs /= probs.sum()
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        draws = np.searchsorted(cdf, rng.random(n), side="right")
-        indices[:, i] = np.minimum(draws, vocab - 1)
+        if vocab not in draw_by_vocab:
+            draw_by_vocab[vocab] = _inverse_cdf(_popularity_cdf(vocab, spec.skew))
+        # r < 1 = cdf[-1], so every item is below vocab
+        idx = draw_by_vocab[vocab](rng.random(n))
+        indices[:, i] = idx
         latent = rng.normal(size=(vocab, spec.latent_rank)) / np.sqrt(
             spec.latent_rank
         )
-        z = latent[indices[:, i]]
-        z_sum += z
-        sq_sum += (z * z).sum(axis=1)
+        z_sum += np.take(latent, idx, axis=0)
+        # each row's squared norm is the same reduction over the same values
+        sq_sum += (latent * latent).sum(axis=1).take(idx)
     score = 0.5 * ((z_sum * z_sum).sum(axis=1) - sq_sum)
     sd = float(score.std())
     if sd > 0:

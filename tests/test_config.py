@@ -463,6 +463,21 @@ def test_records_built_in_python_follow_the_config_rules(build, message):
         build()
 
 
+@pytest.mark.parametrize("synth, message", [
+    ({"noise": 0.7}, r"data.synth.noise: 0.7 outside \[0, 0.5\)"),
+    ({"noise": -0.1}, r"data.synth.noise: -0.1 outside \[0, 0.5\)"),
+    ({"n_samples": 1}, "data.synth.n_samples: 1 is below 2"),
+    ({"vocab_sizes": [1, 5]}, r"data.synth.vocab_sizes: .* got \[1, 5\]"),
+    ({"vocab_sizes": []}, r"data.synth.vocab_sizes: .* got \[\]"),
+    ({"latent_rank": 0}, "data.synth.latent_rank: 0 is below 1"),
+    ({"skew": -0.5}, "data.synth.skew: -0.5 is below 0"),
+], ids=["noise", "noise-negative", "n-samples", "vocab-sizes", "vocab-sizes-empty",
+        "latent-rank", "skew"])
+def test_synth_value_out_of_range_names_its_key(synth, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config({"data": {"synth": synth}})
+
+
 RECORDS = {  # each record with values that pass its checks
     ModelSpec: {"n_continuous": 0, "n_categorical": 2, "embed_dim": 4,
                 "hidden_dims": [4, 4, 4], "dropout_rate": 0.0},

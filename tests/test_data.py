@@ -1,12 +1,17 @@
 """Tests for TSV loading, dictionaries, splitting and synthetic data."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from lowrank_ctr.data import (
+    _BUCKETS,
     ClickDataset,
     FieldDictionary,
     SynthSpec,
+    _inverse_cdf,
+    _popularity_cdf,
     build_dictionaries,
     load_tsv,
     split,
@@ -146,6 +151,53 @@ def test_synth_determinism():
     b = synth_generate(spec)
     assert a.labels.tobytes() == b.labels.tobytes()
     assert a.indices.tobytes() == b.indices.tobytes()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (dict(n_samples=60_000, vocab_sizes=[10_000] * 10),
+     "4f828ad2be89d9a62b4006e4b784010632a8e0cedade7a47f3f9cefce6e16402"),
+    (dict(n_samples=40_000, vocab_sizes=[10_000] * 10),
+     "bde7aee18030e5ec870bf233eed6541de9d3be8c4ee68d78b8cc369e307d5346"),
+    (dict(n_samples=20_000, vocab_sizes=[1_000] * 10),
+     "496976939ecb50aa1d957477cd8edae39f69f1cd1b9bd7a3abcbf4f8fe721f7c"),
+    # uniform popularity: cdf values sit exactly on bucket edges
+    (dict(n_samples=5_000, vocab_sizes=[2, 4, 1024], skew=0.0),
+     "47e01ea7e36632871c9591c97a49f6393cf7cb11a0c4cd0604eead565717c046"),
+    (dict(n_samples=5_000, vocab_sizes=[3, 200_000], skew=4.0, latent_rank=7, noise=0.0),
+     "032e899b534e834b9d9c23f2effd99cc6cad4203082503f048621fbea31df317"),
+], ids=["60k", "40k", "20k-vocab-1k", "uniform-on-edges", "skew-4-rank-7"])
+def test_synth_bytes_are_pinned(spec, digest):
+    """A seed's dataset never changes: the labels' and indices' bytes are
+    pinned by their sha256 (the benchmark shapes and two edge cases)."""
+    ds = synth_generate(SynthSpec(**spec))
+    assert hashlib.sha256(ds.labels.tobytes() + ds.indices.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("skew", [0.0, 1.1, 4.0])
+@pytest.mark.parametrize("vocab", [2, 4, 1_000, 10_000, 200_000])
+def test_inverse_cdf_matches_searchsorted(vocab, skew):
+    cdf = _popularity_cdf(vocab, skew)
+    r = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        cdf[:-1],  # the last entry is 1, outside the draws' [0, 1)
+        np.nextafter(cdf, 0.0),
+        np.arange(_BUCKETS) / _BUCKETS,  # every bucket's lower edge
+        np.random.default_rng(vocab).random(100_000),
+    ])
+    assert 0.0 <= r.min() and r.max() < 1.0
+    expected = np.searchsorted(cdf, r, side="right")
+    got = _inverse_cdf(cdf)(r)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_subset_gathers_rows():
+    ds = synth_generate(SynthSpec(n_samples=50, vocab_sizes=[7, 9, 11], seed=3))
+    sel = np.array([4, 0, 49, 4, 17])
+    sub = ds.subset(sel)
+    assert sub.indices.tobytes() == ds.indices[sel].tobytes()
+    assert sub.labels.tobytes() == ds.labels[sel].tobytes()
+    assert sub.continuous.shape == (5, 0) and sub.vocab_sizes == [7, 9, 11]
 
 
 def test_synth_noise_boundary():
