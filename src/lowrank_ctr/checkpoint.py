@@ -121,7 +121,9 @@ def save_checkpoint(model: DeepFMModel, path) -> None:
 def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
     """The model a topology describes, with placeholder parameters; raises
     DataError where the topology contradicts itself.  MLP out widths come
-    from the stored ``mlp.{j}.weight`` shapes: the topology does not hold them."""
+    from the stored ``mlp.{j}.weight`` shapes: the topology does not hold them.
+    Only what the model packs into arrays of its own is allocated here, once
+    charged to the payload size; the MLP and the cores stay placeholders."""
     if topo.get("kind") != "deepfm":
         raise DataError(f"unknown model kind {topo.get('kind')}")
     fields = topo["fields"]
@@ -134,17 +136,21 @@ def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
     projected, fused = bool(topo["has_projections"]), bool(topo["fused"])
     if fused and not projected:
         raise DataError("fused model without projections")
-    if topo["has_first_order"] and not topo["fm_enabled"]:
-        raise DataError("first-order weights in a model without the FM term")
+    if bool(topo["has_first_order"]) != bool(topo["fm_enabled"]):
+        raise DataError("first-order weights in a model without the FM term"
+                        if topo["has_first_order"] else "the FM term without first-order weights")
 
     room = payload_bytes // 4  # every zero the model packs is stored, so fits the payload
 
-    def placeholder(*shape):
+    def placeholder(*shape):  # one 0.0 read at every index, taking no memory
+        return np.broadcast_to(np.float32(0), shape)
+
+    def packed(*shape):
         nonlocal room
         room -= math.prod(shape)
         if room < 0:
             raise DataError(f"the topology needs more than the {payload_bytes}-byte payload")
-        return np.ndarray(shape, np.float32, bytes(4), strides=(0,) * len(shape))  # one 0.0
+        return placeholder(*shape)
 
     tables = []
     for i, f in enumerate(fields):
@@ -154,7 +160,7 @@ def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
         if not projected and dim != embed_dim:
             raise DataError(f"field {i}: width {dim} without projections to {embed_dim}")
         if f["kind"] == "dense":
-            tables.append(EmbeddingTable(placeholder(dim, vocab)))
+            tables.append(EmbeddingTable(packed(dim, vocab)))
             continue
         ranks = [int(r) for r in f["ranks"]]
         rf = [int(x) for x in f["row_factors"]]
@@ -171,15 +177,15 @@ def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
                 f"field {i}: tensor-train ranks {ranks}, row factors {rf} and "
                 f"column factors {cf} do not describe a ({vocab}, {dim}) table"
             )
-        cores = [np.empty(s, np.float32) for s in zip(ranks, rf, cf, ranks[1:])]
+        cores = [placeholder(*s) for s in zip(ranks, rf, cf, ranks[1:])]
         tables.append(TTEmbeddingTable(TTCores(tuple(cores)), vocab, dim))
     first_order = []
     if topo["has_first_order"]:
-        first_order = [placeholder(int(f["vocab"])) for f in fields]
+        first_order = [packed(int(f["vocab"])) for f in fields]
     projections = None
     if projected:
         projections = [
-            ProjectionLayer(placeholder(embed_dim, int(f["dim"])), placeholder(embed_dim))
+            ProjectionLayer(packed(embed_dim, int(f["dim"])), packed(embed_dim))
             for f in fields
         ]
     width = sum(int(f["dim"]) for f in fields) if fused else len(fields) * embed_dim
@@ -195,14 +201,13 @@ def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
             raise DataError(
                 f"{name} has {out} outputs; layers need at least 1 and the last exactly 1"
             )
-        weight, bias = np.empty((out, width), np.float32), np.empty(out, np.float32)
-        mlp.append(DenseLayer(weight, bias, spec["activation"],
+        mlp.append(DenseLayer(placeholder(out, width), placeholder(out), spec["activation"],
                               float(spec["dropout_rate"]), bool(spec["dropout_site"])))
         width = out
     if not mlp:
         raise DataError("model has no MLP layers")
     return DeepFMModel(tables, first_order, mlp, int(topo["n_continuous"]), embed_dim,
-                       projections, bool(topo["fm_enabled"]), fused)
+                       projections, fused)
 
 
 def _check_table(stored: list, expected: list) -> None:
@@ -277,6 +282,11 @@ def load_checkpoint(path) -> DeepFMModel:
         end = expected[-1]["offset"] + expected[-1]["nbytes"]
         if end != len(payload):  # a truncated payload, or bytes after the last tensor
             raise DataError(f"the tensors end at byte {end} of a {len(payload)}-byte payload")
+        # the payload holds every tensor, so the MLP and the cores get memory now
+        for layer in model.mlp:
+            layer.weight, layer.bias = np.empty_like(layer.weight), np.empty_like(layer.bias)
+        for table in model.tt_tables:
+            table.cores = TTCores(tuple(map(np.empty_like, table.cores.cores)))
         for (name, arr), entry in zip(model.named_parameters(), expected):
             stored = np.frombuffer(payload, "<f4", count=arr.size, offset=entry["offset"])
             if not np.isfinite(stored).all():

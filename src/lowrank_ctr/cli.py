@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -147,18 +148,12 @@ def cmd_bench(args) -> int:
     model = load_checkpoint(args.model_in)
     rc = _config_from(args)
     _, test_ds = prepare_data(rc)
-    size = args.batch_size
-    need = args.warmup + args.batches
-    batches = []
-    start = 0
-    n = len(test_ds)
+    size, n, need = args.batch_size, len(test_ds), args.warmup + args.batches
     if n < size:
         raise DataError(f"test split has {n} rows, smaller than one batch of {size}")
-    while len(batches) < need:
-        if start + size > n:
-            start = 0
-        batches.append(test_ds.batch(slice(start, start + size)))
-        start += size
+    # the split's whole batches (no more than are timed), repeated in order
+    whole = [test_ds.batch(slice(s, s + size)) for s in range(0, n - size + 1, size)[:need]]
+    batches = itertools.islice(itertools.cycle(whole), need)
     report = bench_throughput(
         lambda b: forward(model, b, mode="infer"), batches, warmup=args.warmup
     )

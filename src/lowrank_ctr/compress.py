@@ -30,7 +30,7 @@ dtype (float32).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,20 +146,9 @@ def _split_layers(layer: DenseLayer, inner, outer, bias_b, insert_relu: bool):
     ``insert_relu``; layer B holds ``outer`` and ``bias_b`` with the original
     activation and dropout.  Weights are cast to the layer's dtype."""
     dtype = layer.weight.dtype
-    layer_a = DenseLayer(
-        inner.astype(dtype),
-        np.zeros(inner.shape[0], dtype=dtype),
-        activation="relu" if insert_relu else "none",
-        dropout_rate=0.0,
-        dropout_site=False,
-    )
-    layer_b = DenseLayer(
-        outer.astype(dtype),
-        bias_b.astype(dtype),
-        activation=layer.activation,
-        dropout_rate=layer.dropout_rate,
-        dropout_site=layer.dropout_site,
-    )
+    layer_a = DenseLayer(inner.astype(dtype), np.zeros(inner.shape[0], dtype=dtype),
+                         "relu" if insert_relu else "none")
+    layer_b = replace(layer, weight=outer.astype(dtype), bias=bias_b.astype(dtype))
     return layer_a, layer_b
 
 
@@ -368,13 +357,7 @@ def fuse_projection_into_first_fc(model: DeepFMModel) -> None:
     if model.n_continuous:
         blocks.append(w64[:, d * t :])
     new_w = np.concatenate(blocks, axis=1)
-    model.mlp[0] = DenseLayer(
-        new_w.astype(dtype),
-        b64.astype(dtype),
-        activation=first.activation,
-        dropout_rate=first.dropout_rate,
-        dropout_site=first.dropout_site,
-    )
+    model.mlp[0] = replace(first, weight=new_w.astype(dtype), bias=b64.astype(dtype))
     model.fused = True
 
 

@@ -390,6 +390,9 @@ def _resolve(raw: dict) -> ResolvedConfig:
     min_count = data.get("min_count", profile["min_count"])
     data["min_count"] = as_number(min_count, int, "data.min_count")
     data["split_seed"] = as_number(data.get("split_seed", seed), int, "data.split_seed")
+    for key, value in (("seed", seed), ("data.split_seed", data["split_seed"])):
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
 
     model = dict(raw.get("model", {}))
     _reject_unknown(model, _MODEL_KEYS, "model")

@@ -221,6 +221,8 @@ class SynthSpec:
             raise DataError(f"data.synth.noise: {self.noise} outside [0, 0.5)")
         if self.skew < 0.0:
             raise DataError(f"data.synth.skew: {self.skew} is below 0")
+        if self.seed < 0:
+            raise DataError(f"data.synth.seed: {self.seed} is below 0")
 
 
 # the inverse-CDF draw's bucket count; a power of two, so r * _BUCKETS is exact

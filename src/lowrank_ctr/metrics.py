@@ -33,22 +33,18 @@ def _check_labels_scores(labels, scores):
 
 
 def auc(labels, scores) -> float:
-    """Area under the ROC curve with average-rank tie handling."""
+    """Area under the ROC curve with average-rank tie handling; NaN scores
+    are one tie group above every number."""
     y, s = _check_labels_scores(labels, scores)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: only one class present")
-    order = np.argsort(s, kind="mergesort")
-    sorted_scores = s[order]
-    # average rank within each tie group (1-based ranks), vectorized:
-    # group ids -> per-group [start, end] ranks -> midpoint
-    group = np.concatenate(([0], np.cumsum(np.diff(sorted_scores) != 0)))
-    counts = np.bincount(group)
+    # a tie group of c scores ending at 1-based rank e has the average
+    # rank e - (c - 1) / 2, exact in float64
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    ranks = np.empty(y.size, dtype=np.float64)
-    ranks[order] = (0.5 * (starts + ends))[group]
+    ranks = (ends - (counts - 1) / 2)[group]
     pos_rank_sum = ranks[y == 1].sum()
     return float(
         (pos_rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)

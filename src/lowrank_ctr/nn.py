@@ -155,12 +155,7 @@ def _tt_chain(tt: TTCores, idx, dtype):
             f"row index range [{idx.min()}, {idx.max()}] outside [0, {n_rows})"
         )
     n = idx.shape[0]
-    digits = []
-    rest = idx.astype(np.int64)
-    for f in reversed(tt.row_factors):
-        digits.append(rest % f)
-        rest = rest // f
-    digits.reverse()
+    digits = np.unravel_index(idx, tt.row_factors)
     # slices[j][b] is the (r_j, m_j, r_{j+1}) slice of core j that row b selects
     slices = [
         np.asarray(c, dtype=dtype).transpose(1, 0, 2, 3)[d]
@@ -211,12 +206,11 @@ class DeepFMModel:
 
     def __init__(
         self, tables, first_order, mlp: list, n_continuous: int, embed_dim: int,
-        projections=None, fm_enabled: bool = True, fused: bool = False,
+        projections=None, fused: bool = False,
     ):
         self.mlp = mlp
         self.n_continuous = n_continuous
         self.embed_dim = embed_dim  # field width consumed by the pairwise term
-        self.fm_enabled = fm_enabled
         self.fused = fused
         self.tables = tables
         self.first_order = first_order  # per-field (vocab,) arrays, or none
@@ -256,6 +250,11 @@ class DeepFMModel:
             for table, view in zip(tables, self._split(self.emb_rows)):
                 view[...] = table.weights
             self.tt_tables = ()
+
+    @property
+    def fm_enabled(self) -> bool:
+        """The FM terms are on exactly when the model has first-order weights."""
+        return self.fo_rows is not None
 
     @property
     def first_order(self) -> tuple:
@@ -396,36 +395,16 @@ def init_deepfm(
         first_order = [uniform(1.0 / np.sqrt(v), (v,)) for v in vocab_sizes]
     mlp = []
     fan_in = len(vocab_sizes) * embed_dim + n_continuous
-    for h in hidden_dims:
+    for j, h in enumerate(hidden_dims + [1]):
+        hidden = j < len(hidden_dims)  # the last pass makes the head
         bound = 1.0 / np.sqrt(fan_in)
-        mlp.append(
-            DenseLayer(
-                uniform(bound, (h, fan_in)),
-                uniform(bound, (h,)),
-                activation="relu",
-                dropout_rate=dropout_rate,
-                dropout_site=True,
-            )
-        )
+        mlp.append(DenseLayer(
+            uniform(bound, (h, fan_in)), uniform(bound, (h,)),
+            activation="relu" if hidden else "none",
+            dropout_rate=dropout_rate if hidden else 0.0, dropout_site=hidden,
+        ))
         fan_in = h
-    bound = 1.0 / np.sqrt(fan_in)
-    mlp.append(
-        DenseLayer(
-            uniform(bound, (1, fan_in)),
-            uniform(bound, (1,)),
-            activation="none",
-            dropout_rate=0.0,
-            dropout_site=False,
-        )
-    )
-    return DeepFMModel(
-        tables=tables,
-        first_order=first_order,
-        mlp=mlp,
-        n_continuous=int(n_continuous),
-        embed_dim=int(embed_dim),
-        fm_enabled=fm_enabled,
-    )
+    return DeepFMModel(tables, first_order, mlp, int(n_continuous), int(embed_dim))
 
 
 def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
@@ -498,7 +477,6 @@ def _run_forward(
     capture,
     rng,
     dropout_override,
-    keep_cache: bool,
 ):
     if mode not in ("infer", "train"):
         raise ShapeError(f"mode must be 'infer' or 'train', got {mode!r}")
@@ -539,8 +517,7 @@ def _run_forward(
     pairwise = np.zeros(n, dtype=dtype)
     s = gc = None
     if model.fm_enabled:
-        if model.fo_rows is not None:
-            fo = np.take(model.fo_rows, rows) @ model.ones
+        fo = np.take(model.fo_rows, rows) @ model.ones
         if proj is None:
             # s = sum_i e_i as one matmul with stacked identities
             s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
@@ -566,14 +543,11 @@ def _run_forward(
             )
         z = cur @ layer.weight.T
         z += layer.bias
-        if capture and f"mlp.{j}" in capture:
+        tapped = bool(capture) and f"mlp.{j}" in capture  # formats no name when capturing none
+        if tapped:
             captured[f"mlp.{j}"] = z
-            a = np.maximum(z, 0) if layer.activation == "relu" else z
-        elif layer.activation == "relu":
-            # in place: relu(z) > 0 exactly where z > 0, all backward needs
-            a = np.maximum(z, 0, out=z)
-        else:
-            a = z
+        # in place unless tapped: relu(z) > 0 exactly where z > 0, all backward needs
+        a = np.maximum(z, 0, out=None if tapped else z) if layer.activation == "relu" else z
         mask = None
         rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
         if rate > 0.0:
@@ -584,7 +558,7 @@ def _run_forward(
             out = a * mask
         else:
             out = a
-        if keep_cache:
+        if mode == "train":
             layer_cache.append((cur, z, mask))
         cur = out
 
@@ -594,7 +568,7 @@ def _run_forward(
         raise NumericError("non-finite logits in forward pass")
     trace = ForwardTrace(logits, fo, pairwise, deep, captured)
     cache = None
-    if keep_cache:
+    if mode == "train":
         cache = {
             "rows": rows,
             "emb": emb,
@@ -621,10 +595,7 @@ def forward(
     layer j.  Dropout fires only in train mode; ``dropout_override``
     replaces the stored rate at dropout sites for this call.
     """
-    trace, _ = _run_forward(
-        model, batch, mode, capture, rng, dropout_override, keep_cache=False
-    )
-    return trace
+    return _run_forward(model, batch, mode, capture, rng, dropout_override)[0]
 
 
 def l2_penalty(model: DeepFMModel) -> float:
@@ -734,9 +705,7 @@ def compute_gradients(
     sums are scattered into only the rows it touches.
     """
     y = np.asarray(labels, dtype=np.float64)
-    trace, cache = _run_forward(
-        model, batch, "train", (), rng, dropout_override, keep_cache=True
-    )
+    trace, cache = _run_forward(model, batch, "train", (), rng, dropout_override)
     n = len(batch)
     if y.shape != (n,):
         raise ShapeError(f"labels must be ({n},), got {y.shape}")

@@ -122,6 +122,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         for key in ("learning_rate", "l2_ratio", "weight_decay"):
@@ -211,20 +213,13 @@ def train(
 
 
 def tap_dims(model: DeepFMModel, tap_ids) -> dict:
-    dims = {}
+    """Each tap id's width, among the names a forward pass can capture."""
+    widths = {f"emb.{i}": t.dim for i, t in enumerate(model.tables)}
+    widths.update({f"mlp.{j}": lay.weight.shape[0] for j, lay in enumerate(model.mlp)})
     for tid in tap_ids:
-        kind, _, num = tid.partition(".")
-        try:
-            idx = int(num)
-        except ValueError as exc:
-            raise ConfigError(f"bad tap id {tid!r}") from exc
-        if kind == "emb" and 0 <= idx < model.n_fields:
-            dims[tid] = model.tables[idx].dim
-        elif kind == "mlp" and 0 <= idx < len(model.mlp):
-            dims[tid] = model.mlp[idx].weight.shape[0]
-        else:
+        if tid not in widths:
             raise ConfigError(f"tap {tid!r} does not exist on this model")
-    return dims
+    return {tid: widths[tid] for tid in tap_ids}
 
 
 def calibrate(

@@ -334,6 +334,42 @@ def bad_core(topo, tensors):
     tensors["emb.0.core.0"] = np.zeros(core.shape[:-1] + (core.shape[-1] + 1,), np.float32)
 
 
+def tt3_model():
+    model = init_deepfm([12, 8], 4, [6], seed=4)
+    tt_compress_embedding(model, max_rank=2, n_cores=3)
+    return model
+
+
+def set_key(key, value, field=None):
+    """An edit that sets ``key`` of the topology, or of its field ``field``."""
+    def edit(topo, tensors):
+        (topo if field is None else topo["fields"][field])[key] = value
+    return edit
+
+
+def entry(name, **change):
+    """An edit that changes tensor ``name``'s table entry, not its bytes."""
+    def edit(topo, tensors):
+        def relayout(entries, chunks):
+            next(e for e in entries if e["name"] == name).update(change)
+        return relayout
+    return edit
+
+
+def fm_without_first_order(topo, tensors):
+    topo["has_first_order"] = False
+    for name in [n for n in tensors if n.startswith("fo.")]:
+        del tensors[name]
+
+
+def layer_without_weight(topo, tensors):
+    topo["mlp"].append(dict(topo["mlp"][-1]))
+
+
+def table_stops_early(topo, tensors):
+    return lambda entries, chunks: entries.pop()  # the bytes stay in the payload
+
+
 @pytest.mark.parametrize(
     "make, edit, message",
     [
@@ -360,6 +396,24 @@ def bad_core(topo, tensors):
         (plain_model, missing_tensor, "missing tensor fo.1.weight"),
         (plain_model, oversized_field, r"needs more than the \d+-byte payload"),
         (plain_model, reordered_entries, "emb.1.weight is listed where the writer puts emb.0.weight"),
+        (plain_model, fm_without_first_order, "the FM term without first-order weights"),
+        # a table or a core far larger than memory: nothing is allocated for it
+        (plain_model, entry("mlp.0.weight", shape=[10**12, 10]),
+         r"mlp.0.weight: 320 bytes at offset \d+, .* its shape needs 40000000000000"),
+        (tt3_model, set_key("ranks", [1, 10**6, 10**6, 1], field=0),
+         r"emb.0.core.0 has shape \(1, 2, 2, 2\), the topology implies \(1, 2, 2, 1000000\)"),
+        (plain_model, set_key("kind", "widedeep"), "unknown model kind widedeep"),
+        (plain_model, set_key("kind", "hashed", field=1), r"unknown field kind \['hashed'\]"),
+        (plain_model, set_key("vocab", 0, field=1), "field 1: vocab 0 and dim 4 must be positive"),
+        (plain_model, set_key("dim", 0, field=0), "field 0: vocab 11 and dim 0 must be positive"),
+        (plain_model, set_key("dim", 3, field=0), "field 0: width 3 without projections to 4"),
+        (tt_model, set_key("ranks", [2, 2, 1], field=1), "field 1: tensor-train ranks"),
+        (tt_model, set_key("row_factors", [2, 2], field=0), r"do not describe a \(12, 4\) table"),
+        (plain_model, layer_without_weight, "missing tensor mlp.4.weight"),
+        (plain_model, set_key("mlp", []), "model has no MLP layers"),
+        (plain_model, entry("fo.0.weight", dtype="f16"), "unsupported tensor dtype f16"),
+        (plain_model, table_stops_early, "missing tensor mlp.3.bias"),
+        (plain_model, set_key("vocab", "x", field=0), "corrupt manifest"),
     ],
 )
 def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):
@@ -367,6 +421,15 @@ def test_load_rejects_inconsistent_checkpoints(tmp_path, make, edit, message):
     assert_same_params(model, load_checkpoint(craft(tmp_path, model, lambda t, x: None)))
     with pytest.raises(DataError, match=message):
         load_checkpoint(craft(tmp_path, model, edit))
+
+
+def test_load_rejects_an_unsupported_format_version(tmp_path):
+    path = tmp_path / "model.lrck"
+    save_checkpoint(plain_model(), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b'"format_version":1', b'"format_version":7', 1))
+    with pytest.raises(DataError, match="unsupported format version 7"):
+        load_checkpoint(path)
 
 
 FIXTURES = Path(__file__).parent / "data"

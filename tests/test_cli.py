@@ -1,12 +1,13 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lowrank_ctr.checkpoint import load_checkpoint
+from lowrank_ctr.checkpoint import MAGIC, load_checkpoint
 from lowrank_ctr.cli import main
 from lowrank_ctr.train import METHODS
 
@@ -369,6 +370,9 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
     {"stages": [{"stage": "train_baseline", "dropout": 1.5}]},
     {"stages": [{"stage": "train_baseline", "learning_rate": float("nan")}]},
     {"seed": 10**400},
+    {"seed": -1},
+    {"data": {**BASE_CONFIG["data"], "split_seed": -5}},
+    {"data": {**BASE_CONFIG["data"], "synth": {**SYNTH, "seed": -3}}},
 ], ids=["seed", "hidden-int", "hidden-zero", "epochs", "stages", "pipeline",
         "data", "model", "stage-name", "synth-noise-str", "embed-dim-str",
         "test-fraction-str", "split-seed-str", "dropout-rate-str", "calibrate-batch-str",
@@ -376,7 +380,8 @@ def test_pipeline_rejects_bad_stages_before_training(tmp_path, capsys, stages):
         "epochs-negative", "fm-enabled-str", "insert-relu-str", "options-off-method",
         "embed-dim-zero", "n-continuous-negative", "n-categorical-zero", "dropout-rate-range",
         "dropout-rate-negative", "test-fraction-range", "test-fraction-zero", "tt-cores-zero",
-        "stage-dropout-range", "learning-rate-nan", "seed-huge"])
+        "stage-dropout-range", "learning-rate-nan", "seed-huge", "seed-negative",
+        "split-seed-negative", "synth-seed-negative"])
 def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, **bad}))
@@ -385,6 +390,32 @@ def test_pipeline_rejects_malformed_values_at_load(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not out.exists()  # nothing ran, not even the data build
+
+
+def test_pipeline_rejects_a_negative_seed_flag_at_load(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BASE_CONFIG))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_a_checkpoint_larger_than_memory_exits_3(workdir, capsys, tmp_path):
+    # the tensor table claims a first layer of 10**12 outputs; the loader
+    # rejects it without asking for the memory
+    blob = workdir["checkpoint"].read_bytes()
+    head = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", blob[len(MAGIC) : head])
+    manifest = json.loads(blob[head : head + length])
+    next(t for t in manifest["tensors"] if t["name"] == "mlp.0.weight")["shape"][0] = 10**12
+    text = json.dumps(manifest).encode("utf-8")
+    huge = tmp_path / "huge.lrck"
+    huge.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text + blob[head + length :])
+    rc = main(["eval", "--config", str(workdir["config"]), "--model-in", str(huge)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "mlp.0.weight" in err and "Traceback" not in err
 
 
 def test_train_rejects_a_config_that_is_not_an_object(tmp_path, capsys):

@@ -456,8 +456,9 @@ def test_numeric_settings_take_whole_floats_and_ints_for_floats():
      "^data.synth.n_samples must be an integer, got 2.5$"),
     (lambda: SynthSpec(n_samples=10, vocab_sizes=[3.5, 3]),
      "^data.synth.vocab_sizes must be an integer, got 3.5$"),
+    (lambda: TrainConfig(seed=-1), "^seed must be >= 0, got -1$"),
 ], ids=["batch-size-fraction", "batch-size-bool", "learning-rate-str", "n-samples-fraction",
-        "vocab-sizes-fraction"])
+        "vocab-sizes-fraction", "seed-negative"])
 def test_records_built_in_python_follow_the_config_rules(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
@@ -476,6 +477,16 @@ def test_records_built_in_python_follow_the_config_rules(build, message):
 def test_synth_value_out_of_range_names_its_key(synth, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         load_config({"data": {"synth": synth}})
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"data": {"split_seed": -5}}, "data.split_seed must be >= 0, got -5"),
+    ({"data": {"synth": {"seed": -3}}}, "data.synth.seed: -3 is below 0"),
+], ids=["seed", "split-seed", "synth-seed"])
+def test_negative_seeds_are_rejected_naming_their_key(config, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(config)
 
 
 RECORDS = {  # each record with values that pass its checks

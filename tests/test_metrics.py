@@ -38,6 +38,10 @@ def test_auc_equals_pairwise_oracle_exactly():
         assert auc(labels, scores) == pairwise_auc(labels, scores)
 
 
+def test_auc_ties_nan_scores_as_one_group():
+    assert auc([1, 0, 1, 0], [np.nan, np.nan, 0.8, 0.3]) == 0.625
+
+
 def test_auc_rejects_degenerate_input():
     with pytest.raises(DataError):
         auc([1, 1], [0.2, 0.3])

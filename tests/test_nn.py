@@ -706,10 +706,19 @@ def test_fused_projected_gradients_match_finite_differences():
 
 def test_unfused_projected_gradients_without_fm_match_finite_differences():
     model = projected_model(fused=False, seed=8)
-    model.fm_enabled = False
-    model.first_order = []
+    model.first_order = []  # no first-order weights: the FM terms are off
     batch = make_batch([[0, 1, 2], [6, 4, 8]])
     fd_check(model, batch, np.array([0, 1]))
+
+
+def test_fm_enabled_is_read_from_the_first_order_weights():
+    model = init_deepfm([6, 6], 4, [5], seed=5)
+    assert model.fm_enabled
+    with pytest.raises(AttributeError):
+        model.fm_enabled = False
+    model.first_order = []
+    assert not model.fm_enabled
+    assert not init_deepfm([6, 6], 4, [5], seed=5, fm_enabled=False).fm_enabled
 
 
 def dense_scatter(grad_rows, idx, vocab):

@@ -1,9 +1,12 @@
 """Tests for the optimizer, training loop, calibration and pipeline runner."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+
+from lowrank_ctr import train as train_module
 
 from lowrank_ctr.config import PROFILES, load_config
 from lowrank_ctr.checkpoint import save_checkpoint
@@ -277,6 +280,17 @@ def test_calibrate_rejects_bad_taps_and_empty_data():
     taps = calibrate(model, empty, ["emb.0"])
     with pytest.raises(EmptyAccumulatorError):
         taps["emb.0"].accumulator.covariance()
+
+
+@pytest.mark.parametrize("tap", ["emb.01", "mlp.-0", "mlp.+1", "emb.2", "x.1"])
+def test_calibrate_rejects_a_tap_the_forward_pass_does_not_name(monkeypatch, tap):
+    ds = synth_generate(SynthSpec(n_samples=10, vocab_sizes=[5, 5], seed=0))
+    model = small_model()  # two fields
+    calls = []
+    monkeypatch.setattr(train_module, "forward", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError, match=f"tap '{re.escape(tap)}' does not exist"):
+        calibrate(model, ds, ["emb.0", tap])
+    assert calls == []  # raised before any forward pass
 
 
 def tiny_pipeline_config(tmp_path, stages, seed=0, n_samples=2000):
