@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import os
 import struct
 
 import numpy as np
@@ -130,8 +131,6 @@ def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
     kinds = {f["kind"] for f in fields}
     if not kinds <= {"dense", "tt"}:
         raise DataError(f"unknown field kind {sorted(kinds - {'dense', 'tt'})}")
-    if len(kinds) > 1:
-        raise DataError("fields mix dense tables and tensor-train cores")
     embed_dim = int(topo["embed_dim"])
     projected, fused = bool(topo["has_projections"]), bool(topo["fused"])
     if fused and not projected:
@@ -206,8 +205,7 @@ def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
         width = out
     if not mlp:
         raise DataError("model has no MLP layers")
-    return DeepFMModel(tables, first_order, mlp, int(topo["n_continuous"]), embed_dim,
-                       projections, fused)
+    return DeepFMModel(tables, first_order, mlp, int(topo["n_continuous"]), projections, fused)
 
 
 def _check_table(stored: list, expected: list) -> None:
@@ -257,9 +255,10 @@ def load_checkpoint(path) -> DeepFMModel:
         if len(header) < 8:
             raise DataError(f"{path}: truncated checkpoint header")
         (length,) = struct.unpack("<Q", header)
-        blob = fh.read(length)
-        if len(blob) < length:
+        # checked before reading, so a length past the file's end allocates nothing
+        if length > os.fstat(fh.fileno()).st_size - fh.tell():
             raise DataError(f"{path}: truncated manifest")
+        blob = fh.read(length)
         try:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:

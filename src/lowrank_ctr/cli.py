@@ -27,14 +27,13 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compress import check_plain_tables
-from .config import _read_config, fill_stage, load_config
+from .config import fill_stage, load_config, read_config
 from .data import SynthSpec, synth_generate, write_tsv
 from .errors import ConfigError, DataError, NumericError, RankError, ShapeError
 from .metrics import bench_throughput
 from .nn import forward
 from .train import (
     METHODS,
-    _run_compress,
     calibrate,
     evaluate_model,
     prepare_data,
@@ -49,7 +48,7 @@ def _config_from(args, stages=None):
     if getattr(args, "config", None):
         if not os.path.isfile(args.config):  # Path.exists raises on a long name
             raise DataError(f"config file not found: {args.config}")
-        raw = _read_config(args.config)
+        raw = read_config(args.config)
     if stages is not None:
         raw.pop("pipeline", None)
         raw["stages"] = stages
@@ -110,7 +109,7 @@ def cmd_compress(args) -> int:
         train_ds, _ = prepare_data(rc)
         ids = select_taps(model, method.target)
         taps = calibrate(model, train_ds, ids, batch_size=calib["batch_size"])
-    report = _run_compress(model, stage, taps)
+    report = method.compress(model, stage, taps)
     save_checkpoint(model, args.model_out)
     _emit(report, args.report)
     return 0

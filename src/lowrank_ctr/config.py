@@ -323,7 +323,7 @@ def _check_next(core: list, name: str | None) -> None:
     raise ConfigError(f"stage {j}: compress must be followed by exactly one finetune")
 
 
-def _read_config(source) -> dict:
+def read_config(source) -> dict:
     """A config's JSON object, from a dict, a path or a JSON string."""
     if isinstance(source, dict):
         return dict(source)
@@ -346,7 +346,7 @@ def _read_config(source) -> dict:
 def load_config(source, overrides: dict | None = None) -> ResolvedConfig:
     """Parse and validate a config from a dict, a path or a JSON string;
     any malformed value raises ConfigError here, before data is built."""
-    raw = _read_config(source)
+    raw = read_config(source)
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
@@ -377,6 +377,8 @@ def _resolve(raw: dict) -> ResolvedConfig:
             data["synth"] = {}
         else:
             raise ConfigError("data: a 'path' is required for this profile")
+    if "path" in data and not isinstance(data["path"], str):
+        raise ConfigError(f"data.path must be a string, got {data['path']!r}")
     if "synth" in data:
         synth = {**SYNTH_DATA_DEFAULTS, **(data["synth"] or {})}
         _reject_unknown(synth, _SYNTH_KEYS, "data.synth")

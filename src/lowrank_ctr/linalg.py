@@ -197,16 +197,8 @@ def tt_decompose_matrix(m, row_factors, col_factors, max_rank=None) -> TTCores:
     for i in range(n_cores - 1):
         step = cur.reshape(ranks[-1] * rf[i] * cf[i], -1)
         res = svd_thin(step)
-        top = res.singular_values[0] if res.singular_values.size else 0.0
-        if top <= 0.0:
-            # zero remainder: emit zero cores for everything that is left
-            r = 1
-            cores.append(np.zeros((ranks[-1], rf[i], cf[i], r)))
-            ranks.append(r)
-            cur = np.zeros((r, step.shape[1]))
-            continue
-        r = int(np.count_nonzero(res.singular_values > top * 1e-13))
-        r = max(r, 1)
+        # an all-zero remainder keeps rank 1: a unit column, then zero cores
+        r = max(int(np.count_nonzero(res.singular_values > res.singular_values[0] * 1e-13)), 1)
         if max_rank is not None:
             r = min(r, int(max_rank))
         cores.append(

@@ -29,12 +29,13 @@ def _check_labels_scores(labels, scores):
     uniq = np.unique(y)
     if not np.isin(uniq, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
+    if not np.isfinite(s).all():
+        raise DataError("scores must be finite")
     return y.astype(np.int64), s
 
 
 def auc(labels, scores) -> float:
-    """Area under the ROC curve with average-rank tie handling; NaN scores
-    are one tie group above every number."""
+    """Area under the ROC curve with average-rank tie handling."""
     y, s = _check_labels_scores(labels, scores)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos

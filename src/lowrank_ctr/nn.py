@@ -30,10 +30,10 @@ every array once.
 Tables may be replaced by per-field projection layers (dimension-reduced
 tables restored to full width by a small linear map) or by tensor-train
 cores, whose lookup rebuilds a batch's rows through one batched chain of
-core-slice products; a model's fields are all dense or all tensor-train.
-With projections, the pairwise term is computed from the reduced
-embeddings c_i alone: sum_i (P_i c_i + b_i) is one matmul over the
-concatenated c, and sum_i ||P_i c_i + b_i||^2 needs only P_i^T P_i and
+core-slice products; a model's fields are all dense or all tensor-train,
+all of one width.  With projections, the pairwise term is computed from
+the reduced embeddings c_i alone: sum_i (P_i c_i + b_i) is one matmul over
+the concatenated c, and sum_i ||P_i c_i + b_i||^2 needs only P_i^T P_i and
 P_i^T b_i.  Full-width vectors are built only when the MLP reads them:
 when ``fused`` is set, the first MLP layer has absorbed the projections and
 consumes the reduced embeddings directly.
@@ -205,12 +205,11 @@ class DeepFMModel:
     disabled, no projections)."""
 
     def __init__(
-        self, tables, first_order, mlp: list, n_continuous: int, embed_dim: int,
+        self, tables, first_order, mlp: list, n_continuous: int,
         projections=None, fused: bool = False,
     ):
         self.mlp = mlp
         self.n_continuous = n_continuous
-        self.embed_dim = embed_dim  # field width consumed by the pairwise term
         self.fused = fused
         self.tables = tables
         self.first_order = first_order  # per-field (vocab,) arrays, or none
@@ -230,12 +229,12 @@ class DeepFMModel:
     def tables(self, tables):
         tables = tuple(tables)
         dense = [isinstance(t, EmbeddingTable) for t in tables]
-        if any(dense):
-            if not all(dense):
-                raise ShapeError("a model's fields are all dense or all tensor-train")
-            widths = sorted({t.dim for t in tables})
-            if len(widths) != 1:
-                raise ShapeError(f"dense fields must share one width, got {widths}")
+        if any(dense) and not all(dense):
+            raise ShapeError("a model's fields are all dense or all tensor-train")
+        widths = sorted({t.dim for t in tables})
+        if len(widths) > 1:
+            raise ShapeError(f"fields must share one width, got {widths}")
+        self._table_dim = widths[0] if widths else 0
         self.vocab = np.array([t.vocab for t in tables], dtype=np.int64)
         self.offsets = np.zeros_like(self.vocab)
         np.cumsum(self.vocab[:-1], out=self.offsets[1:])
@@ -250,6 +249,12 @@ class DeepFMModel:
             for table, view in zip(tables, self._split(self.emb_rows)):
                 view[...] = table.weights
             self.tt_tables = ()
+
+    @property
+    def embed_dim(self) -> int:
+        """The field width the pairwise term reads: the projections' output
+        width, else the tables' width."""
+        return self._table_dim if self.proj_weight is None else self.proj_weight.shape[1]
 
     @property
     def fm_enabled(self) -> bool:
@@ -404,7 +409,7 @@ def init_deepfm(
             dropout_rate=dropout_rate if hidden else 0.0, dropout_site=hidden,
         ))
         fan_in = h
-    return DeepFMModel(tables, first_order, mlp, int(n_continuous), int(embed_dim))
+    return DeepFMModel(tables, first_order, mlp, int(n_continuous))
 
 
 def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
@@ -787,11 +792,8 @@ def compute_gradients(
         g_tables = np.empty_like(model.emb_rows)
         for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
             field = g_tables[o : o + v]
-            if l2_ratio:
-                np.multiply(model.emb_rows[o : o + v], 2.0 * l2_ratio, out=field)
-                field += 0.0
-            else:
-                field.fill(0.0)
+            np.multiply(model.emb_rows[o : o + v], 2.0 * l2_ratio, out=field)
+            field += 0.0
             lo, hi = starts[i], starts[i + 1]
             sums = _scatter_rows(d_emb[:, i], slots[:, i] - lo, hi - lo)
             g_tables[items[lo:hi]] += sums.astype(g_tables.dtype)

@@ -33,10 +33,8 @@ class MomentAccumulator:
             raise ShapeError(
                 f"expected batch of shape (n, {self.dim}), got {arr.shape}"
             )
-        if arr.size and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise NumericError("batch contains non-finite values")
-        if arr.shape[0] == 0:
-            return
         self.n += arr.shape[0]
         self.sum += arr.sum(axis=0)
         outer = arr.T @ arr

@@ -259,6 +259,7 @@ class Method:
     calibrated: bool  # reads calibration taps: needs a calibrate stage first
     limit: Callable[[list, int], float]  # its highest rank, from (hidden_dims, embed_dim)
     option: str | None  # the one compress-stage flag besides the rank, true by default
+    split: Callable  # compresses in place: (model, rank, taps, option value) -> report detail
 
     def check_rank(self, rank: int, hidden: list, embed_dim: int, where: str) -> None:
         """Raise ConfigError unless a model of these widths has the layers
@@ -273,15 +274,33 @@ class Method:
                 f"{hidden} and embed_dim {embed_dim}"
             )
 
+    def compress(self, model: DeepFMModel, stage: dict, taps) -> dict:
+        """Compress ``model`` in place as a filled compress stage says;
+        returns the compression report."""
+        before = param_count(model)
+        flag = stage.get(self.option)  # None for a method without an option
+        detail = self.split(model, stage["rank"], taps, flag)
+        if self.option == "fuse" and flag:
+            comp.fuse_projection_into_first_fc(model)
+            detail["fused_first_fc"] = True
+        return comp.compression_report(stage["method"], detail, before, param_count(model))
+
 
 # afm-mlp keeps k of the outputs of hidden layers two and three, svd-mlp is
-# also bounded by their inputs; a tt-emb rank only caps the core ranks
+# also bounded by their inputs; a tt-emb rank only caps the core ranks.  Each
+# split reads its compressor from ``comp`` when it runs, so wrappers apply.
 METHODS = {
-    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu"),
-    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu"),
-    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse"),
-    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse"),
-    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), None),
+    "afm-mlp": Method("mlp", "mlp_rank", True, lambda h, e: min(h[1:]), "insert_relu",
+                      lambda m, k, taps, relu: comp.compress_mlp(m, k, "afm", taps, relu)),
+    "svd-mlp": Method("mlp", "mlp_rank", False, lambda h, e: min(h), "insert_relu",
+                      lambda m, k, taps, relu: comp.compress_mlp(m, k, "svd", None, relu)),
+    "afm-emb": Method("emb", "emb_rank", True, lambda h, e: e, "fuse",
+                      lambda m, k, taps, _: comp.afm_apply_embedding(m, comp.afm_plan_embedding(
+                          [taps[t] for t in select_taps(m, "emb")], k))),
+    "svd-emb": Method("emb", "emb_rank", False, lambda h, e: e, "fuse",
+                      lambda m, k, taps, _: comp.svd_compress_embedding(m, k)),
+    "tt-emb": Method("emb", "tt_rank", False, lambda h, e: float("inf"), None,
+                     lambda m, k, taps, _: comp.tt_compress_embedding(m, k)),
 }
 
 
@@ -291,29 +310,6 @@ def select_taps(model: DeepFMModel, target: str) -> list:
     if target == "mlp":
         return [f"mlp.{j}" for j in comp.MLP_COMPRESSIBLE]
     return [f"emb.{i}" for i in range(model.n_fields)]
-
-
-def _run_compress(model, stage, taps) -> dict:
-    """Compress ``model`` in place as a filled compress stage says; returns
-    the compression report."""
-    method = stage["method"]
-    rank = stage["rank"]
-    before = param_count(model)
-    if method == "afm-mlp":
-        detail = comp.compress_mlp(model, rank, "afm", taps, stage["insert_relu"])
-    elif method == "svd-mlp":
-        detail = comp.compress_mlp(model, rank, "svd", None, stage["insert_relu"])
-    elif method == "afm-emb":
-        plan = comp.afm_plan_embedding([taps[t] for t in select_taps(model, "emb")], rank)
-        detail = comp.afm_apply_embedding(model, plan)
-    elif method == "svd-emb":
-        detail = comp.svd_compress_embedding(model, rank)
-    else:
-        detail = comp.tt_compress_embedding(model, rank)
-    if METHODS[method].option == "fuse" and stage["fuse"]:
-        comp.fuse_projection_into_first_fc(model)
-        detail["fused_first_fc"] = True
-    return comp.compression_report(method, detail, before, param_count(model))
 
 
 def prepare_data(resolved):
@@ -393,7 +389,7 @@ def _stage_calibrate(run: _Run, i: int, stage: dict) -> None:
 
 
 def _stage_compress(run: _Run, i: int, stage: dict) -> None:
-    report = _run_compress(run.model, stage, run.taps)
+    report = METHODS[stage["method"]].compress(run.model, stage, run.taps)
     tag = _tag(i, stage)
     rel = f"reports/{tag}.json"
     comp.write_report(report, run.out / rel)

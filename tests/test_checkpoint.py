@@ -14,7 +14,7 @@ from lowrank_ctr.compress import (
     tt_compress_embedding,
 )
 from lowrank_ctr.errors import DataError, ShapeError
-from lowrank_ctr.nn import FeatureBatch, forward, init_deepfm
+from lowrank_ctr.nn import DeepFMModel, FeatureBatch, forward, init_deepfm
 from lowrank_ctr.stats import ActivationTap
 
 
@@ -82,6 +82,16 @@ def test_roundtrip_with_projections_and_fuse_flag(tmp_path):
     for proj in loaded.projections:
         assert proj.weight.flags.writeable and proj.weight.base is loaded.proj_weight
         assert proj.bias.flags.writeable and proj.bias.base is loaded.proj_bias
+
+
+def test_embed_dim_is_read_from_the_projections_and_survives_a_roundtrip(tmp_path):
+    base = projected_model()  # tables of width 2, projected back to 4
+    model = DeepFMModel(base.tables, base.first_order, base.mlp, base.n_continuous,
+                        base.projections)
+    assert model.embed_dim == 4 and {t.dim for t in model.tables} == {2}
+    loaded, _ = roundtrip(model, tmp_path)
+    assert loaded.embed_dim == 4
+    assert_same_params(model, loaded)
 
 
 def test_roundtrip_tt_model(tmp_path):
@@ -164,6 +174,15 @@ def test_rejects_truncated_header_and_manifest(tmp_path):
 
     # file ends inside the JSON manifest
     path.write_bytes(blob[: len(MAGIC) + 8 + 20])
+    with pytest.raises(DataError, match="truncated manifest"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("length", [2**40, 2**64 - 1])
+def test_rejects_a_manifest_length_past_the_end_of_the_file(tmp_path, length):
+    # read as it is, the length would ask for the whole buffer up front
+    path = tmp_path / "model.lrck"
+    path.write_bytes(MAGIC + struct.pack("<Q", length) + b"{}")
     with pytest.raises(DataError, match="truncated manifest"):
         load_checkpoint(path)
 
@@ -383,7 +402,7 @@ def table_stops_early(topo, tensors):
         (plain_model, two_outputs, "the last exactly 1"),
         (tt_model, bad_core, "emb.0.core.0 has shape"),
         (plain_model, non_finite, "non-finite"),
-        (plain_model, mixed_fields, "mix dense tables and tensor-train"),
+        (plain_model, mixed_fields, "all dense or all tensor-train"),
         (plain_model, fused_without_projections, "without projections"),
         (plain_model, first_order_without_fm, "first-order weights in a model without the FM"),
         (plain_model, extra_tensor, "does not use"),

@@ -418,6 +418,23 @@ def test_eval_of_a_checkpoint_larger_than_memory_exits_3(workdir, capsys, tmp_pa
     assert "mlp.0.weight" in err and "Traceback" not in err
 
 
+def test_eval_of_a_manifest_longer_than_the_file_exits_3(workdir, capsys, tmp_path):
+    short = tmp_path / "short.lrck"
+    short.write_bytes(MAGIC + struct.pack("<Q", 2**40) + b"{}")
+    rc = main(["eval", "--config", str(workdir["config"]), "--model-in", str(short)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {short}: truncated manifest\n"
+
+
+def test_pipeline_rejects_a_data_path_that_is_not_a_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "criteo", "data": {"path": 7}}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: data.path must be a string, got 7\n"
+    assert not out.exists()
+
+
 def test_train_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

@@ -1,6 +1,7 @@
 """Tests for config parsing, profiles and standard stage generation."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -80,6 +81,14 @@ def test_data_requires_path_for_log_profiles():
         load_config({"profile": "criteo"})
     with pytest.raises(ConfigError, match="not both"):
         load_config({"data": {"synth": {}, "path": "x.tsv"}})
+
+
+@pytest.mark.parametrize("path", [7, 0, True, None, ["a"]],
+                         ids=["int", "zero", "true", "null", "list"])
+def test_data_path_must_be_a_string(path):
+    message = f"data.path must be a string, got {re.escape(repr(path))}"
+    with pytest.raises(ConfigError, match=message):
+        load_config({"profile": "criteo", "data": {"path": path}})
 
 
 def test_stage_list_validation():

@@ -38,8 +38,11 @@ def test_auc_equals_pairwise_oracle_exactly():
         assert auc(labels, scores) == pairwise_auc(labels, scores)
 
 
-def test_auc_ties_nan_scores_as_one_group():
-    assert auc([1, 0, 1, 0], [np.nan, np.nan, 0.8, 0.3]) == 0.625
+@pytest.mark.parametrize("metric", [auc, logloss])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_rejected(metric, bad):
+    with pytest.raises(DataError, match="scores must be finite"):
+        metric([1, 0, 1, 0], [bad, 0.4, 0.8, 0.3])
 
 
 def test_auc_rejects_degenerate_input():

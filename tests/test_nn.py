@@ -285,7 +285,7 @@ def test_param_count_compressed_with_projections():
 
 
 def test_empty_fields_param_count():
-    model = DeepFMModel(tables=[], first_order=[], mlp=[], n_continuous=0, embed_dim=0)
+    model = DeepFMModel(tables=[], first_order=[], mlp=[], n_continuous=0)
     assert param_count(model)["total"] == 0
 
 
@@ -794,6 +794,18 @@ def test_mixed_dense_and_tt_fields_are_rejected():
     with pytest.raises(ShapeError, match="all dense or all tensor-train"):
         model.tables = [model.tables[0], tt.tables[1]]
     # the rejected assignment left the storage as it was
+    assert forward(model, make_batch([[0, 1]])).logits.tobytes() == want.tobytes()
+
+
+def test_tt_fields_of_unequal_widths_are_rejected():
+    model = init_deepfm([4, 6], 4, [3], seed=10)
+    tt_compress_embedding(model, max_rank=2, n_cores=2)
+    narrow = init_deepfm([6], 2, [3], seed=10)
+    tt_compress_embedding(narrow, max_rank=2, n_cores=2)
+    want = forward(model, make_batch([[0, 1]])).logits
+    with pytest.raises(ShapeError, match=r"fields must share one width, got \[2, 4\]"):
+        model.tables = [model.tables[0], narrow.tables[0]]
+    assert model.embed_dim == 4
     assert forward(model, make_batch([[0, 1]])).logits.tobytes() == want.tobytes()
 
 
