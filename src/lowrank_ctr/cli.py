@@ -43,7 +43,7 @@ from .train import (
 )
 
 
-def _config_from(args, stages=None):
+def _config_from(args, stages=None, n_samples=None):
     raw = {}
     if getattr(args, "config", None):
         if not os.path.isfile(args.config):  # Path.exists raises on a long name
@@ -57,6 +57,16 @@ def _config_from(args, stages=None):
         "profile": getattr(args, "profile", None),
         "output_dir": getattr(args, "out", None),
     }
+    if n_samples is not None:
+        # into the synth block the config has or gets, where SynthSpec checks it
+        data = raw.get("data", {})
+        profile = overrides["profile"] or raw.get("profile", "synth")
+        if isinstance(data, dict) and "path" not in data and (
+            "synth" in data or profile == "synth"
+        ):
+            synth = data.get("synth") or {}
+            if isinstance(synth, dict):
+                raw["data"] = {**data, "synth": {**synth, "n_samples": n_samples}}
     return load_config(raw, overrides)
 
 
@@ -161,18 +171,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n_samples is not None and args.n_samples < 2:
-        raise ConfigError(f"--n-samples must be >= 2, got {args.n_samples}")
     if os.path.isdir(args.out):
         raise DataError(f"--out is a directory: {args.out}")
-    rc = _config_from(args)
+    rc = _config_from(args, n_samples=args.n_samples)
     if "synth" not in rc.data:
         raise ConfigError("synth command needs a data.synth block (or the synth profile)")
-    params = dict(rc.data["synth"])
-    if args.n_samples is not None:
-        params["n_samples"] = args.n_samples
-    spec = SynthSpec(**params)
-    ds = synth_generate(spec)
+    ds = synth_generate(SynthSpec(**rc.data["synth"]))
     write_tsv(ds, args.out)
     print(f"wrote {len(ds)} rows, {ds.n_fields} categorical fields -> {args.out}",
           file=sys.stderr)

@@ -401,6 +401,10 @@ def _resolve(raw: dict) -> ResolvedConfig:
     defaults = {key: profile[key] for key in _MODEL_KEYS if key in profile}
     model = asdict(ModelSpec(**{**defaults, **model}))
 
+    output_dir = raw.get("output_dir", "runs/latest")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+
     if "stages" in raw and "pipeline" in raw:
         raise ConfigError("give either 'stages' or 'pipeline', not both")
     if "stages" in raw:
@@ -414,7 +418,7 @@ def _resolve(raw: dict) -> ResolvedConfig:
     return ResolvedConfig(
         profile=profile_name,
         seed=seed,
-        output_dir=str(raw.get("output_dir", "runs/latest")),
+        output_dir=output_dir,
         data=data,
         model=model,
         stages=_fill_stages(stages, model, profile, seed),

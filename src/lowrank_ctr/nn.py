@@ -48,7 +48,9 @@ an in-place write (``Adam.step``, assigning into a weight) causes;
 assigning new projections drops them at once.  A pass with nothing to
 capture formats no tap names, and the float64 predictions and per-head
 terms of a ``ForwardTrace`` are computed only when read, so serving that
-reads the logits pays for neither.
+reads the logits pays for neither.  ``capture`` runs the same gather and
+layers only as far as the last tap, handing each tapped output over as
+it is computed; calibration reads it.
 
 Weights default to float32; gradient checking builds the whole model in
 float64 with ``init_deepfm(dtype=...)``.  All forward/backward code
@@ -475,6 +477,89 @@ def _projection_terms(weight, bias, dtype) -> tuple:
     return w, b, p_cat, gram, pb, b.sum(axis=0), (b * b).sum()
 
 
+def _run_layers(
+    model, batch, capture, depth, take=None, mode="infer", rng=None, dropout_override=None
+):
+    """The part of a pass over a validated batch that taps can read: the
+    packed row gather, the MLP input and MLP layers 0 .. depth - 1.
+
+    The outputs tapped in ``capture`` go to ``take(ids, block)`` as the
+    pass computes them (see ``capture``); a block may be overwritten once
+    ``take`` returns, so a tapped layer's relu runs in place.  Without
+    ``take`` they are kept in the ``captured`` dict instead.  Returns
+    ``(rows, emb, proj, cur, captured, layer_cache)``: the batch's packed
+    rows, the gathered (n, fields, dim) block, the projection terms (None
+    without projections) and the output of layer depth - 1.  At depth 0 no
+    MLP input is built, and a pass that stops before the head ends at its
+    last layer's pre-activation; ``cur`` is then meaningless."""
+    idx = batch.indices
+    n = idx.shape[0]
+    dtype = model.mlp[0].weight.dtype
+    captured = {}
+
+    rows = idx + model.offsets  # each field's item, as a row of the packed arrays
+    if model.emb_rows is not None:
+        emb = np.take(model.emb_rows, rows, axis=0)  # (n, fields, dim)
+    else:
+        emb = np.stack(
+            [t.lookup(idx[:, i]) for i, t in enumerate(model.tt_tables)], axis=1
+        )
+    if capture:
+        ids = [f"emb.{i}" if f"emb.{i}" in capture else None for i in range(model.n_fields)]
+        if take is None:
+            captured.update((tid, emb[:, i]) for i, tid in enumerate(ids) if tid)
+        elif any(ids):
+            take(ids, emb)
+
+    layer_cache = []
+    if depth == 0:
+        return rows, emb, None, None, captured, layer_cache
+    proj = None if model.proj_weight is None else model.projection_terms(dtype)
+    x = emb.reshape(n, -1)  # the fields' embeddings side by side
+    if proj is not None and not model.fused:
+        w, b = proj[:2]
+        full = np.matmul(emb.transpose(1, 0, 2), w.transpose(0, 2, 1))
+        full += b[:, None, :]
+        x = full.transpose(1, 0, 2).reshape(n, -1)
+    if model.n_continuous:
+        x = np.concatenate([x, batch.continuous], axis=1, dtype=dtype)
+
+    cur = x
+    for j, layer in enumerate(model.mlp[:depth]):
+        if cur.shape[1] != layer.weight.shape[1]:
+            raise ShapeError(
+                f"mlp.{j} expects input width {layer.weight.shape[1]}, "
+                f"got {cur.shape[1]}"
+            )
+        z = cur @ layer.weight.T
+        z += layer.bias
+        kept = False
+        if capture and f"mlp.{j}" in capture:  # formats no name when capturing none
+            if take is None:
+                captured[f"mlp.{j}"] = z
+                kept = True
+            else:
+                take([f"mlp.{j}"], z[:, None, :])
+        if j + 1 == depth < len(model.mlp):
+            break
+        # in place unless kept: relu(z) > 0 exactly where z > 0, all backward needs
+        a = np.maximum(z, 0, out=None if kept else z) if layer.activation == "relu" else z
+        mask = None
+        rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
+        if rate > 0.0:
+            if rng is None:
+                raise ShapeError("training forward with dropout needs an rng")
+            inv = dtype.type(1) / dtype.type(1.0 - rate)
+            mask = (rng.random(a.shape) >= rate) * inv
+            out = a * mask
+        else:
+            out = a
+        if mode == "train":
+            layer_cache.append((cur, z, mask))
+        cur = out
+    return rows, emb, proj, cur, captured, layer_cache
+
+
 def _run_forward(
     model: DeepFMModel,
     batch: FeatureBatch,
@@ -489,34 +574,12 @@ def _run_forward(
     if dropout_override is not None and not 0.0 <= dropout_override < 1.0:
         raise ShapeError(f"dropout rate {dropout_override} outside [0, 1)")
     _validate_batch(model, batch)
-    capture = set(capture or ())
-    idx = batch.indices
-    n = idx.shape[0]
+    rows, emb, proj, cur, captured, layer_cache = _run_layers(
+        model, batch, set(capture or ()), len(model.mlp), None, mode, rng, dropout_override
+    )
+    n = len(rows)
     dtype = model.mlp[0].weight.dtype
-    captured = {}
-
-    rows = idx + model.offsets  # each field's item, as a row of the packed arrays
-    if model.emb_rows is not None:
-        emb = np.take(model.emb_rows, rows, axis=0)  # (n, fields, dim)
-    else:
-        emb = np.stack(
-            [t.lookup(idx[:, i]) for i, t in enumerate(model.tt_tables)], axis=1
-        )
-    if capture:
-        for i in range(model.n_fields):
-            if f"emb.{i}" in capture:
-                captured[f"emb.{i}"] = emb[:, i]
-    flat = emb.reshape(n, -1)  # the fields' embeddings side by side
-
-    proj = None
-    x = flat
-    if model.proj_weight is not None:
-        proj = model.projection_terms(dtype)
-        if not model.fused:
-            w, b = proj[:2]
-            full = np.matmul(emb.transpose(1, 0, 2), w.transpose(0, 2, 1))
-            full += b[:, None, :]
-            x = full.transpose(1, 0, 2).reshape(n, -1)
+    flat = emb.reshape(n, -1)
 
     fo = np.zeros(n, dtype=dtype)
     pairwise = np.zeros(n, dtype=dtype)
@@ -534,38 +597,6 @@ def _run_forward(
             gc = flat @ gram
             sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + b_sq
         pairwise = 0.5 * (np.einsum("ij,ij->i", s, s) - sq)
-
-    if model.n_continuous:
-        x = np.concatenate([x, batch.continuous], axis=1, dtype=dtype)
-
-    layer_cache = []
-    cur = x
-    for j, layer in enumerate(model.mlp):
-        if cur.shape[1] != layer.weight.shape[1]:
-            raise ShapeError(
-                f"mlp.{j} expects input width {layer.weight.shape[1]}, "
-                f"got {cur.shape[1]}"
-            )
-        z = cur @ layer.weight.T
-        z += layer.bias
-        tapped = bool(capture) and f"mlp.{j}" in capture  # formats no name when capturing none
-        if tapped:
-            captured[f"mlp.{j}"] = z
-        # in place unless tapped: relu(z) > 0 exactly where z > 0, all backward needs
-        a = np.maximum(z, 0, out=None if tapped else z) if layer.activation == "relu" else z
-        mask = None
-        rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
-        if rate > 0.0:
-            if rng is None:
-                raise ShapeError("training forward with dropout needs an rng")
-            keep = 1.0 - rate
-            mask = (rng.random(a.shape) >= rate).astype(dtype) / dtype.type(keep)
-            out = a * mask
-        else:
-            out = a
-        if mode == "train":
-            layer_cache.append((cur, z, mask))
-        cur = out
 
     deep = cur[:, 0]
     logits = (fo + pairwise + deep).astype(np.float64)
@@ -601,6 +632,26 @@ def forward(
     replaces the stored rate at dropout sites for this call.
     """
     return _run_forward(model, batch, mode, capture, rng, dropout_override)[0]
+
+
+def capture(model: DeepFMModel, batch: FeatureBatch, tap_ids, take) -> None:
+    """Hand the outputs at ``tap_ids`` (named as for ``forward``) of one
+    inference pass to ``take(ids, block)`` as the pass computes them, and
+    run the pass only as far as its last tap: with only ``emb.*`` taps no
+    dense layer runs, and the first-order, pairwise and head terms never do.
+
+    When any ``emb.*`` tap is listed, ``take`` first gets the gathered
+    (n, fields, dim) block, with ``ids`` naming each field's tap or None;
+    then each tapped layer's pre-activation output as an (n, 1, width)
+    block with ``ids`` ``[tap id]``.  Column i of a block is what
+    ``forward`` captures at ``ids[i]``, bit for bit.  A block is the pass's
+    own array and may be overwritten once ``take`` returns."""
+    _validate_batch(model, batch)
+    tap_ids = set(tap_ids)
+    depth = 1 + max(
+        (j for j in range(len(model.mlp)) if f"mlp.{j}" in tap_ids), default=-1
+    )
+    _run_layers(model, batch, tap_ids, depth, take)
 
 
 def l2_penalty(model: DeepFMModel) -> float:

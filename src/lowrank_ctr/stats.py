@@ -33,12 +33,7 @@ class MomentAccumulator:
             raise ShapeError(
                 f"expected batch of shape (n, {self.dim}), got {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise NumericError("batch contains non-finite values")
-        self.n += arr.shape[0]
-        self.sum += arr.sum(axis=0)
-        outer = arr.T @ arr
-        self.sum_outer += 0.5 * (outer + outer.T)
+        fold([self], arr[:, None, :])
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         """Combine two accumulators built over disjoint shards."""
@@ -66,6 +61,49 @@ class MomentAccumulator:
         mu = self.mean()
         cov = self.sum_outer / self.n - np.outer(mu, mu)
         return mu, 0.5 * (cov + cov.T)
+
+
+def fold(accumulators, block, scratch=None) -> None:
+    """Fold an (n, k, d) block of samples into k accumulators of width d:
+    column i, ``block[:, i]``, into ``accumulators[i]``, or into none where
+    that is None.
+
+    Each column is read as a float64 (n, d) array ``x``: the column itself
+    when the block is float64, else its C-ordered copy in ``scratch``, a
+    flat float64 array of at least n * d entries that every column reuses
+    (allocated when not given).  What a column adds equals a fold of that
+    column alone, to the byte: its outer product is ``x.T @ x``, and its
+    sum adds the rows in order, taken for all columns at once by one
+    float64 sum over the block (numpy sums a lone column of width 1
+    pairwise instead, so at width 1 each sum is ``x.sum(axis=0)``).  The
+    sums tell finiteness: a NaN or infinite entry makes its column's sum
+    non-finite, so the entries are read only when a sum is not finite (a
+    float64 column of finite values can overflow one, and is accepted).
+    No accumulator changes unless every column passes."""
+    n, k, d = block.shape
+    if len(accumulators) != k or any(a is not None and a.dim != d for a in accumulators):
+        raise ShapeError(f"cannot fold a block of shape {block.shape} into "
+                         f"{len(accumulators)} accumulators")
+    sums = block.sum(axis=0, dtype=np.float64) if d > 1 else None
+    buffer = None
+    if block.dtype != np.float64:
+        buffer = (np.empty(n * d) if scratch is None else scratch)[: n * d].reshape(n, d)
+    folds = []
+    for i, acc in enumerate(accumulators):
+        if acc is None:
+            continue
+        x = block[:, i]
+        if buffer is not None:
+            x = buffer
+            np.copyto(x, block[:, i])
+        col_sum = x.sum(axis=0) if sums is None else sums[i]
+        if not np.isfinite(col_sum).all() and not np.isfinite(x).all():
+            raise NumericError("batch contains non-finite values")
+        folds.append((acc, col_sum, x.T @ x))
+    for acc, col_sum, outer in folds:
+        acc.n += n
+        acc.sum += col_sum
+        acc.sum_outer += 0.5 * (outer + outer.T)
 
 
 @dataclass

@@ -32,8 +32,8 @@ from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
 from .errors import ConfigError, DataError, convert_fields
 from .metrics import MetricReport, auc, evaluate_scores, logloss
-from .nn import DeepFMModel, compute_gradients, forward, init_deepfm, param_count
-from .stats import ActivationTap
+from .nn import DeepFMModel, capture, compute_gradients, forward, init_deepfm, param_count
+from .stats import ActivationTap, fold
 
 
 class Adam:
@@ -231,19 +231,22 @@ def calibrate(
     """One inference pass accumulating moments at the requested taps.
 
     Dropout never fires (inference mode), so the statistics describe the
-    deterministic network.
+    deterministic network.  The pass stops at the last tap, and each tapped
+    output is folded as the pass computes it (``capture``): the embedding
+    taps as one block, every tap through one float64 buffer per call
+    (``stats.fold``).  The accumulators equal, byte for byte, those of a
+    full ``forward`` per batch and one ``update`` per tap.
     """
-    taps = {
-        tid: ActivationTap.for_dim(tid, dim)
-        for tid, dim in tap_dims(model, tap_ids).items()
-    }
+    dims = tap_dims(model, tap_ids)
+    taps = {tid: ActivationTap.for_dim(tid, dim) for tid, dim in dims.items()}
     n = len(dataset)
-    ids = list(taps)
+    scratch = np.empty(min(n, batch_size) * max(dims.values(), default=0))
+
+    def take(ids, block):
+        fold([taps[tid].accumulator if tid else None for tid in ids], block, scratch)
+
     for start in range(0, n, batch_size):
-        sel = slice(start, min(start + batch_size, n))
-        trace = forward(model, dataset.batch(sel), mode="infer", capture=ids)
-        for tid in ids:
-            taps[tid].accumulator.update(trace.captured[tid])
+        capture(model, dataset.batch(slice(start, min(start + batch_size, n))), taps, take)
     return taps
 
 

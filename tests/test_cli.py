@@ -194,7 +194,16 @@ def test_synth_command_writes_tsv(tmp_path, capsys):
 def test_synth_rejects_too_few_samples_before_generating(tmp_path, capsys, value):
     out = tmp_path / "rows.tsv"
     assert main(["synth", "--out", str(out), "--n-samples", value]) == 2
-    assert "--n-samples" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: data.synth.n_samples: {value} is below 2\n"
+    assert not out.exists()
+
+
+def test_synth_n_samples_does_not_turn_a_data_path_into_synthetic_data(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "criteo", "data": {"path": "rows.tsv"}}))
+    out = tmp_path / "rows.tsv"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--n-samples", "50"]) == 2
+    assert "needs a data.synth block" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -433,6 +442,15 @@ def test_pipeline_rejects_a_data_path_that_is_not_a_string(tmp_path, capsys):
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: data.path must be a string, got 7\n"
     assert not out.exists()
+
+
+def test_pipeline_rejects_an_output_dir_that_is_not_a_string(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "output_dir": None}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: output_dir must be a string, got None\n"
+    assert list(tmp_path.iterdir()) == [cfg]  # no directory made
 
 
 def test_train_rejects_a_config_that_is_not_an_object(tmp_path, capsys):

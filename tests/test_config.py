@@ -91,6 +91,14 @@ def test_data_path_must_be_a_string(path):
         load_config({"profile": "criteo", "data": {"path": path}})
 
 
+@pytest.mark.parametrize("output_dir", [None, 7, True, ["a"]],
+                         ids=["null", "int", "true", "list"])
+def test_output_dir_must_be_a_string(output_dir):
+    message = f"output_dir must be a string, got {re.escape(repr(output_dir))}"
+    with pytest.raises(ConfigError, match=message):
+        load_config({"output_dir": output_dir})
+
+
 def test_stage_list_validation():
     with pytest.raises(ConfigError, match="unknown stage"):
         load_config({"stages": [{"stage": "warmup"}]})

@@ -174,6 +174,37 @@ def test_dropout_masks_scale_inversely():
     np.testing.assert_allclose(z, 1.0, atol=0)
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.7])
+def test_dropout_masks_are_the_keep_draws_times_the_inverse_keep_rate(rate):
+    model = init_deepfm([8, 8], 4, [64, 32], seed=5, dropout_rate=0.5)
+    batch = make_batch(np.arange(2000).reshape(1000, 2) % 8)
+    _, cache = nn._run_forward(model, batch, "train", (), np.random.default_rng(4), rate)
+    rng = np.random.default_rng(4)  # the same draws, in layer order
+    for _, z, mask in cache["layers"][:2]:
+        want = (rng.random(z.shape) >= rate).astype(np.float32) / np.float32(1.0 - rate)
+        assert mask.dtype == np.float32 and mask.tobytes() == want.tobytes()
+
+
+def test_capture_hands_over_what_forward_captures():
+    model = init_deepfm([5, 7, 6], 4, [8, 8, 8], seed=3, dropout_rate=0.0)
+    batch = make_batch(np.arange(60).reshape(20, 3) % 5)
+    tap_ids = ["mlp.1", "emb.2", "emb.0"]
+    captured = forward(model, batch, capture=tap_ids).captured
+    handed = []
+    nn.capture(model, batch, tap_ids,
+               lambda ids, block: handed.append((ids, block.copy())))
+    assert [ids for ids, _ in handed] == [["emb.0", None, "emb.2"], ["mlp.1"]]
+    for ids, block in handed:
+        for i, tid in enumerate(ids):
+            if tid:
+                assert block[:, i].tobytes() == captured[tid].tobytes()
+    handed.clear()
+    nn.capture(model, batch, ["emb.1"], lambda ids, block: handed.append(ids))
+    assert handed == [[None, "emb.1", None]]
+    with pytest.raises(ShapeError, match="indices must be"):
+        nn.capture(model, make_batch([[0, 0]]), ["emb.0"], handed.append)
+
+
 def test_bce_from_logits_reference_values():
     assert np.isclose(bce_from_logits(np.zeros(3), np.array([1, 0, 1])), np.log(2.0), atol=1e-12)
     assert bce_from_logits(np.array([30.0, -30.0]), np.array([1, 0])) <= 1e-9

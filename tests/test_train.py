@@ -6,13 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from lowrank_ctr import compress as comp
 from lowrank_ctr import train as train_module
 
 from lowrank_ctr.config import PROFILES, load_config
 from lowrank_ctr.checkpoint import save_checkpoint
-from lowrank_ctr.data import SynthSpec, split, synth_generate
-from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError
+from lowrank_ctr.data import ClickDataset, SynthSpec, split, synth_generate
+from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError, NumericError
 from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty, loss_bce_l2
+from lowrank_ctr.stats import MomentAccumulator, fold
 from lowrank_ctr.train import (
     STAGE_HANDLERS,
     Adam,
@@ -287,10 +289,140 @@ def test_calibrate_rejects_a_tap_the_forward_pass_does_not_name(monkeypatch, tap
     ds = synth_generate(SynthSpec(n_samples=10, vocab_sizes=[5, 5], seed=0))
     model = small_model()  # two fields
     calls = []
-    monkeypatch.setattr(train_module, "forward", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(train_module, "capture", lambda *a, **k: calls.append(a))
     with pytest.raises(ConfigError, match=f"tap '{re.escape(tap)}' does not exist"):
         calibrate(model, ds, ["emb.0", tap])
-    assert calls == []  # raised before any forward pass
+    assert calls == []  # raised before any pass over the data
+
+
+def oracle_calibrate(model, ds, tap_ids, batch_size):
+    """Calibration as a full forward pass per batch and one float64 fold
+    per tap, written out as the accumulator used to fold a batch."""
+    accs = {t: MomentAccumulator(d) for t, d in train_module.tap_dims(model, tap_ids).items()}
+    for start in range(0, len(ds), batch_size):
+        trace = forward(model, ds.batch(slice(start, start + batch_size)), capture=tap_ids)
+        for tid, acc in accs.items():
+            arr = np.asarray(trace.captured[tid], dtype=np.float64)
+            assert np.isfinite(arr).all()
+            acc.n += arr.shape[0]
+            acc.sum += arr.sum(axis=0)
+            outer = arr.T @ arr
+            acc.sum_outer += 0.5 * (outer + outer.T)
+    return accs
+
+
+def calibration_models():
+    """(name, model, dataset): a dense base, an afm-mlp split, unfused and
+    fused afm-emb projections, tensor-train tables, continuous inputs and
+    a float64 model."""
+    vocab = [10, 12, 9]
+    ds = synth_generate(SynthSpec(n_samples=1234, vocab_sizes=vocab, seed=8))
+    base = init_deepfm(vocab, 4, [8, 8, 8], seed=4, dropout_rate=0.0)
+    emb_ids = [f"emb.{i}" for i in range(3)]
+    taps = calibrate(base, ds, ["mlp.1", "mlp.2", *emb_ids])
+    afm_mlp = base.clone()
+    comp.compress_mlp(afm_mlp, 3, "afm", taps)
+    unfused = base.clone()
+    comp.afm_apply_embedding(unfused, comp.afm_plan_embedding([taps[t] for t in emb_ids], 2))
+    fused = unfused.clone()
+    comp.fuse_projection_into_first_fc(fused)
+    tt = base.clone()
+    comp.tt_compress_embedding(tt, 2)
+    rng = np.random.default_rng(3)
+    cont_ds = ClickDataset(ds.labels, ds.indices,
+                           rng.normal(size=(len(ds), 2)).astype(np.float32), vocab)
+    cont = init_deepfm(vocab, 4, [8, 8, 8], n_continuous=2, seed=5, dropout_rate=0.0)
+    # float64 sums of float32 values are exact here; float64 ones show the order
+    wide = init_deepfm(vocab, 4, [8, 8, 8], seed=6, dropout_rate=0.0, dtype=np.float64)
+    return [("base", base, ds), ("afm-mlp", afm_mlp, ds), ("unfused", unfused, ds),
+            ("fused", fused, ds), ("tt", tt, ds), ("continuous", cont, cont_ds),
+            ("float64", wide, ds)]
+
+
+@pytest.mark.parametrize("batch_size", [500, 10000])  # 1234 rows: a short last batch at 500
+def test_calibrate_is_byte_identical_to_a_full_forward_per_tap(batch_size):
+    for name, model, ds in calibration_models():
+        layers = [f"mlp.{j}" for j in range(len(model.mlp))]  # the head is one wide
+        for tap_ids in ([f"emb.{i}" for i in range(3)], layers, ["mlp.1", "emb.2", "emb.0"]):
+            want = oracle_calibrate(model, ds, tap_ids, batch_size)
+            got = calibrate(model, ds, tap_ids, batch_size=batch_size)
+            assert list(got) == tap_ids
+            for tid in tap_ids:
+                acc, ref = got[tid].accumulator, want[tid]
+                where = f"{name} {tid} of {tap_ids}"
+                assert acc.n == ref.n == len(ds), where
+                assert acc.sum.tobytes() == ref.sum.tobytes(), where
+                assert acc.sum_outer.tobytes() == ref.sum_outer.tobytes(), where
+
+
+class LayerSpy:
+    """A dense layer that records its index whenever its bias is read,
+    which only the layer step does."""
+
+    def __init__(self, layer, j, reads):
+        self._layer, self._j, self._reads = layer, j, reads
+
+    def __getattr__(self, name):
+        if name == "bias":
+            self._reads.append(self._j)
+        return getattr(self._layer, name)
+
+
+def test_calibration_runs_only_as_far_as_its_last_tap():
+    ds = synth_generate(SynthSpec(n_samples=300, vocab_sizes=[10, 10], seed=8))
+    model = small_model(seed=4)
+    reads = []
+    model.mlp = [LayerSpy(layer, j, reads) for j, layer in enumerate(model.mlp)]
+    calibrate(model, ds, ["emb.0", "emb.1"])
+    assert reads == []  # no dense layer runs
+    calibrate(model, ds, ["mlp.1", "emb.0"], batch_size=200)
+    assert reads == [0, 1, 0, 1]  # two batches, each up to the tapped layer
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fold_rejects_a_non_finite_column_before_any_accumulator_changes(bad):
+    block = np.ones((5, 3, 2), dtype=np.float32)
+    block[4, 2, 1] = bad
+    accs = [MomentAccumulator(2) for _ in range(3)]
+    with pytest.raises(NumericError, match="non-finite"):
+        fold(accs, block)
+    for acc in accs:
+        assert acc.n == 0 and not acc.sum.any() and not acc.sum_outer.any()
+    single = MomentAccumulator(2)
+    with pytest.raises(NumericError, match="non-finite"):
+        single.update(block[:, 2])
+    assert single.n == 0 and not single.sum.any()
+
+
+@pytest.mark.parametrize("tap", ["emb.1", "mlp.1"])
+def test_calibrate_rejects_a_non_finite_tap(tap):
+    ds = synth_generate(SynthSpec(n_samples=300, vocab_sizes=[10, 10], seed=8))
+    model = small_model(seed=4)
+    if tap == "emb.1":
+        model.tables[1].weights[:, ds.indices[250, 1]] = np.nan
+    else:
+        model.mlp[1].bias[0] = np.inf
+    with pytest.raises(NumericError, match="non-finite"):
+        calibrate(model, ds, ["emb.0", tap], batch_size=200)
+
+
+def test_a_finite_float64_block_whose_sum_overflows_is_accepted():
+    rows = np.array([[1e308, 0.5], [1e308, -0.25], [-3.0, 2.0]])
+    ref = MomentAccumulator(2)
+    with np.errstate(over="ignore"):
+        ref.n += 3
+        ref.sum += rows.sum(axis=0)
+        outer = rows.T @ rows
+        ref.sum_outer += 0.5 * (outer + outer.T)
+        acc = MomentAccumulator(2)
+        acc.update(rows)
+        accs = [MomentAccumulator(2), MomentAccumulator(2)]
+        fold(accs, np.stack([rows, rows], axis=1))
+    assert acc.sum[0] == np.inf
+    for got in (acc, *accs):
+        assert got.n == 3
+        assert got.sum.tobytes() == ref.sum.tobytes()
+        assert got.sum_outer.tobytes() == ref.sum_outer.tobytes()
 
 
 def tiny_pipeline_config(tmp_path, stages, seed=0, n_samples=2000):
