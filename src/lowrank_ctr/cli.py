@@ -101,8 +101,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    model = load_checkpoint(args.model_in)
     rc = _config_from(args)
+    model = load_checkpoint(args.model_in)
     method = METHODS[args.method]
     stage = {"stage": "compress", "method": args.method, **_given(args, "rank")}
     if method.option and getattr(args, f"no_{method.option}"):
@@ -126,8 +126,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model = load_checkpoint(args.model_in)
     rc = _config_from(args)
+    model = load_checkpoint(args.model_in)
     stage = {"stage": "finetune", **rc.profile_defaults.get("finetune", {}),
              **_given(args, "learning_rate", "batch_size", "dropout")}
     cfg = fill_stage(stage, rc.profile_defaults, rc.seed, "finetune")["train"]
@@ -139,8 +139,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.model_in)
     rc = _config_from(args)
+    model = load_checkpoint(args.model_in)
     train_ds, test_ds = prepare_data(rc)
     ds = train_ds if args.split == "train" else test_ds
     report = evaluate_model(model, ds)
@@ -154,8 +154,8 @@ def cmd_bench(args) -> int:
         if value < least:
             name = "--" + flag.replace("_", "-")
             raise ConfigError(f"{name} must be >= {least}, got {value}")
-    model = load_checkpoint(args.model_in)
     rc = _config_from(args)
+    model = load_checkpoint(args.model_in)
     _, test_ds = prepare_data(rc)
     size, n, need = args.batch_size, len(test_ds), args.warmup + args.batches
     if n < size:

@@ -144,11 +144,12 @@ def afm_split_fc(layer: DenseLayer, plan: FcCompressionPlan, insert_relu: bool =
 def _split_layers(layer: DenseLayer, inner, outer, bias_b, insert_relu: bool):
     """Layer A holds ``inner`` with zero bias, and a relu of its own when
     ``insert_relu``; layer B holds ``outer`` and ``bias_b`` with the original
-    activation and dropout.  Weights are cast to the layer's dtype."""
+    activation and dropout.  Weights are cast to the layer's dtype, row-major
+    as a checkpoint reload stores them."""
     dtype = layer.weight.dtype
     layer_a = DenseLayer(inner.astype(dtype), np.zeros(inner.shape[0], dtype=dtype),
                          "relu" if insert_relu else "none")
-    layer_b = replace(layer, weight=outer.astype(dtype), bias=bias_b.astype(dtype))
+    layer_b = replace(layer, weight=outer.astype(dtype, order="C"), bias=bias_b.astype(dtype))
     return layer_a, layer_b
 
 

@@ -332,6 +332,24 @@ class DeepFMModel:
             out.append((f"mlp.{j}.bias", layer.bias))
         return out
 
+    def packed_parameters(self) -> list:
+        """(name, array) pairs of the arrays the model stores, which training
+        updates: ``emb_rows`` or each tensor-train core (named as in
+        ``named_parameters``), then ``proj_weight``, ``proj_bias`` and
+        ``fo_rows`` when the model has them, then each MLP weight and bias."""
+        if self.emb_rows is not None:
+            out = [("emb_rows", self.emb_rows)]
+        else:
+            out = [(f"emb.{i}.core.{j}", core) for i, table in enumerate(self.tt_tables)
+                   for j, core in enumerate(table.cores.cores)]
+        for name in ("proj_weight", "proj_bias", "fo_rows"):
+            if getattr(self, name) is not None:
+                out.append((name, getattr(self, name)))
+        for j, layer in enumerate(self.mlp):
+            out.append((f"mlp.{j}.weight", layer.weight))
+            out.append((f"mlp.{j}.bias", layer.bias))
+        return out
+
     def clone(self) -> "DeepFMModel":
         """A deep copy: every array copied once, no memory shared."""
         return copy.deepcopy(self)
@@ -754,11 +772,11 @@ def compute_gradients(
 
     Returns (loss, grads, trace) where loss is the mean binary cross
     entropy plus ``l2_ratio`` times the summed squared weights, and grads
-    maps parameter names to arrays of matching shape.  Gradients flow
-    through every head, the projections, and the embedding lookups
-    (tensor-train cores included).  The dense tables' gradients are views
-    of one packed array laid out like the tables themselves; the batch's
-    sums are scattered into only the rows it touches.
+    maps each name of ``packed_parameters`` to the gradient of that array,
+    of its shape and dtype.  Gradients flow through every head, the
+    projections, and the embedding lookups (tensor-train cores included).
+    The dense table gradient starts every row at the L2 term, and each
+    field's sums are scattered into only the rows the batch touches.
     """
     y = np.asarray(labels, dtype=np.float64)
     trace, cache = _run_forward(model, batch, "train", (), rng, dropout_override)
@@ -827,47 +845,39 @@ def compute_gradients(
                 ds.sum(axis=0)
                 - (np.matmul(w, c_sum[:, :, None])[:, :, 0] + b * dlogit.sum())
             )
-        for i in range(n_fields):
-            grads[f"proj.{i}.weight"] = g_w[i]
-            grads[f"proj.{i}.bias"] = g_b[i]
+        grads["proj_weight"], grads["proj_bias"] = g_w, g_b
         d_emb = d_flat.reshape(n, n_fields, k)
 
-    idx = batch.indices
-    dense = model.emb_rows is not None
-    if dense:
-        n_rows = len(model.emb_rows)
-        items, slots = _touched_rows(cache["rows"], n_rows)
-        starts = np.searchsorted(items, [*model.offsets, n_rows])
-        # a field's gradient starts at the L2 term (+ 0.0, as 0 + (2λ)p turns
-        # -0.0 into 0.0), and only its touched rows get the batch's sums
-        g_tables = np.empty_like(model.emb_rows)
-        for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
-            field = g_tables[o : o + v]
-            np.multiply(model.emb_rows[o : o + v], 2.0 * l2_ratio, out=field)
-            field += 0.0
-            lo, hi = starts[i], starts[i + 1]
-            sums = _scatter_rows(d_emb[:, i], slots[:, i] - lo, hi - lo)
-            g_tables[items[lo:hi]] += sums.astype(g_tables.dtype)
-            grads[f"emb.{i}.weight"] = field.T
-    else:
-        for i, table in enumerate(model.tt_tables):
-            core_grads = _tt_lookup_grads(table, idx[:, i], d_emb[:, i])
-            for j, g in enumerate(core_grads):
-                grads[f"emb.{i}.core.{j}"] = g.astype(dtype)
+    for i, table in enumerate(model.tt_tables):
+        core_grads = _tt_lookup_grads(table, batch.indices[:, i], d_emb[:, i])
+        for j, g in enumerate(core_grads):
+            grads[f"emb.{i}.core.{j}"] = g.astype(dtype)
 
     if model.fo_rows is not None:
-        g_fo = np.bincount(
+        grads["fo_rows"] = np.bincount(
             cache["rows"].ravel(),
             weights=np.repeat(dlogit.astype(np.float64), n_fields),
             minlength=model.fo_rows.shape[0],
         ).astype(dtype)
-        for i, (o, v) in enumerate(zip(model.offsets, model.vocab)):
-            grads[f"fo.{i}.weight"] = g_fo[o : o + v]
 
-    if l2_ratio:
-        for name, p in model.named_parameters():
-            if not (dense and name.startswith("emb.")):  # tables have theirs
-                grads[name] += (2.0 * l2_ratio) * p
+    if l2_ratio:  # to every gradient so far; the table's starts from its own
+        params = dict(model.packed_parameters())
+        for name, g in grads.items():
+            g += (2.0 * l2_ratio) * params[name]
+
+    if model.emb_rows is not None:
+        n_rows = len(model.emb_rows)
+        items, slots = _touched_rows(cache["rows"], n_rows)
+        starts = np.searchsorted(items, [*model.offsets, n_rows])
+        # every row starts at the L2 term (+ 0.0, as 0 + (2λ)p turns -0.0
+        # into 0.0), and only the touched rows get the batch's sums
+        g_rows = np.multiply(model.emb_rows, 2.0 * l2_ratio)
+        g_rows += 0.0
+        for i in range(n_fields):
+            lo, hi = starts[i], starts[i + 1]
+            sums = _scatter_rows(d_emb[:, i], slots[:, i] - lo, hi - lo)
+            g_rows[items[lo:hi]] += sums.astype(g_rows.dtype)
+        grads["emb_rows"] = g_rows
 
     return loss, grads, trace
 

@@ -30,79 +30,56 @@ import numpy as np
 from . import compress as comp
 from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
-from .errors import ConfigError, DataError, convert_fields
+from .errors import ConfigError, DataError, ShapeError, convert_fields
 from .metrics import MetricReport, auc, evaluate_scores, logloss
 from .nn import DeepFMModel, capture, compute_gradients, forward, init_deepfm, param_count
 from .stats import ActivationTap, fold
 
 
 class Adam:
-    """Adam with decoupled weight decay; state lives per parameter name.
+    """Adam with decoupled weight decay, over C-contiguous parameters.
 
-    Each step updates every parameter in place through two scratch
-    buffers shared by all parameters, so a step allocates nothing once the
-    buffers have grown to the largest parameter."""
+    A step walks each parameter's elements in blocks of ``BLOCK`` and
+    updates each block in place by the formula of the module docstring,
+    one operation at a time; the moments live per (name, block start).
+    A parameter that is not C-contiguous raises ShapeError before any
+    update, since its flat view would be a copy."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    BLOCK = 1 << 17
 
     def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         self.lr = float(learning_rate)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.state = {}
-        self._scratch = {}  # dtype -> two flat buffers
-
-    def _buffers(self, params) -> dict:
-        for dtype in {p.dtype for _, p in params}:
-            size = max(p.size for _, p in params if p.dtype == dtype)
-            held = self._scratch.get(dtype)
-            if held is None or held[0].size < size:
-                self._scratch[dtype] = (np.empty(size, dtype), np.empty(size, dtype))
-        return self._scratch
 
     def step(self, named_params, grads: dict) -> None:
+        params = list(named_params)
+        for name, p in params:
+            if not p.flags.c_contiguous:
+                raise ShapeError(f"{name} is not C-contiguous: its update would go into a copy")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        params = list(named_params)
-        scratch = self._buffers(params)
         for name, p in params:
-            g = grads[name]
-            if name not in self.state:
-                self.state[name] = (np.zeros_like(p), np.zeros_like(p))
-            m, v = self.state[name]
-            a, u = (_laid_out_like(buf, p) for buf in scratch[p.dtype])
-            # the same operations, in the same order, as
-            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-            #   p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p)
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m *= self.beta1
-            m += a
-            np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
-            v *= self.beta2
-            v += a
-            np.divide(m, c1, out=u)
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            u /= a
-            if self.weight_decay:
-                np.multiply(p, self.weight_decay, out=a)
-                u += a
-            u *= self.lr
-            p -= u
-
-
-def _laid_out_like(buf: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The first ``p.size`` entries of ``buf`` as an array with ``p``'s shape
-    and memory order (column-major for the transposed table views)."""
-    head = buf[: p.size]
-    if p.flags.f_contiguous and not p.flags.c_contiguous:
-        return head.reshape(p.shape[::-1]).T
-    return head.reshape(p.shape)
+            flat, g_flat = p.reshape(-1), grads[name].reshape(-1)
+            for start in range(0, flat.size, self.BLOCK):
+                x = flat[start : start + self.BLOCK]
+                g = g_flat[start : start + self.BLOCK]
+                if (name, start) not in self.state:
+                    self.state[name, start] = (np.zeros_like(x), np.zeros_like(x))
+                m, v = self.state[name, start]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * (g * g)
+                update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+                if self.weight_decay:
+                    update += self.weight_decay * x
+                x -= self.lr * update
 
 
 @dataclass
@@ -191,7 +168,7 @@ def train(
                 rng=rng,
                 dropout_override=cfg.dropout,
             )
-            opt.step(model.named_parameters(), grads)
+            opt.step(model.packed_parameters(), grads)
             del grads  # freed before the next step allocates its own
             preds[start : start + cfg.batch_size] = trace.predictions
             running_loss += loss * len(sel)

@@ -257,7 +257,7 @@ def test_criterion_06_gradient_check(capsys):
     h = 1e-6
     worst = 0.0
     checked = 0
-    for name, p in model.named_parameters():
+    for name, p in model.packed_parameters():
         g = grads[name]
         for pos in np.ndindex(p.shape):
             orig = p[pos]

@@ -240,6 +240,22 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["compress", "finetune", "eval", "bench"])
+def test_config_is_checked_before_the_checkpoint_is_read(tmp_path, capsys, monkeypatch, command):
+    loads = []
+    monkeypatch.setattr("lowrank_ctr.cli.load_checkpoint", loads.append)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**BASE_CONFIG, "trainer": {}}))
+    argv = [command, "--config", str(bad), "--model-in", str(tmp_path / "absent.lrck")]
+    if command in ("compress", "finetune"):
+        argv += ["--model-out", str(tmp_path / "never.lrck")]
+    if command == "compress":
+        argv += ["--method", "svd-mlp"]
+    assert main(argv) == 2
+    assert "trainer" in capsys.readouterr().err
+    assert loads == []
+
+
 def test_config_name_too_long_for_a_file_is_not_found(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", "c" * 300, "--out", str(out)]) == 3

@@ -232,7 +232,7 @@ def fd_check(model, batch, labels, l2_ratio=1e-4, h=1e-6, rtol=1e-4, dropout=0.0
                         rng=np.random.default_rng(0), dropout_override=dropout)
         return loss_bce_l2(trace.logits, labels, model, l2_ratio)
 
-    for name, p in model.named_parameters():
+    for name, p in model.packed_parameters():
         g = np.asarray(grads[name], dtype=np.float64)
         assert g.shape == p.shape, name
         for pos in np.ndindex(p.shape):
@@ -485,11 +485,11 @@ def invariant_model(kind, tmp_path):
 
     if kind == "afm-mlp":
         compress_mlp(model, 2, "afm", taps(["mlp.1", "mlp.2"]))
+    elif kind == "svd-mlp":
+        compress_mlp(model, 2, "svd")
     elif kind in ("svd-emb", "svd-emb-fused"):
         svd_compress_embedding(model, 2)
-        if kind == "svd-emb-fused":
-            fuse_projection_into_first_fc(model)
-    elif kind == "afm-emb":
+    elif kind in ("afm-emb", "afm-emb-fused"):
         emb_taps = taps([f"emb.{i}" for i in range(3)])
         afm_apply_embedding(model, afm_plan_embedding(list(emb_taps.values()), 2))
     elif kind == "tt-emb":
@@ -501,6 +501,8 @@ def invariant_model(kind, tmp_path):
         forward(model, make_batch(idx))  # the original has run before the copy
         copier = {"clone": DeepFMModel.clone, "deepcopy": copy.deepcopy, "copy": copy.copy}
         model = copier[kind](model)
+    if kind.endswith("-fused"):
+        fuse_projection_into_first_fc(model)
     return model
 
 
@@ -547,13 +549,27 @@ def test_forward_reads_the_arrays_adam_updates_and_checkpoints_write(kind, tmp_p
 
     # Adam's in-place update reaches the forward pass and the checkpoint
     rng = np.random.default_rng(15)
-    params = model.named_parameters()
+    params = model.packed_parameters()
     Adam(1e-2).step(params, {n: rng.standard_normal(p.shape).astype(p.dtype) for n, p in params})
     after = forward(model, batch).logits
     assert not np.array_equal(after, before)
     save_checkpoint(model, tmp_path / "stepped.lrck")
     loaded = load_checkpoint(tmp_path / "stepped.lrck")
     assert forward(loaded, batch).logits.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("kind", [
+    "init", "afm-mlp", "svd-mlp", "svd-emb", "svd-emb-fused", "afm-emb", "afm-emb-fused",
+    "tt-emb", "clone",
+])
+def test_packed_parameters_are_c_contiguous_and_reload_so(kind, tmp_path):
+    # Adam updates a packed array through its flat view, which is the array
+    # itself only when it is C-contiguous
+    model = invariant_model(kind, tmp_path)
+    save_checkpoint(model, tmp_path / "packed.lrck")
+    for m in (model, load_checkpoint(tmp_path / "packed.lrck")):
+        loose = [name for name, p in m.packed_parameters() if not p.flags.c_contiguous]
+        assert not loose
 
 
 def test_shallow_copy_packs_its_own_arrays():
@@ -663,7 +679,7 @@ def test_projection_terms_are_derived_once_per_parameter_change(monkeypatch):
     assert len(calls) == 1
     _, grads, _ = compute_gradients(model, batch, labels)
     assert len(calls) == 1  # nothing changed since the inference calls
-    Adam(1e-2).step(model.named_parameters(), grads)  # updates in place
+    Adam(1e-2).step(model.packed_parameters(), grads)  # updates in place
     for _ in range(5):
         forward(model, batch)
     assert len(calls) == 2
@@ -776,7 +792,7 @@ def row_grads(model, batch, labels):
     spread.first_order = [fo[idx[:, i]] for i, fo in enumerate(model.first_order)]
     own = make_batch(np.repeat(np.arange(n)[:, None], model.n_fields, axis=1))
     _, grads, _ = compute_gradients(spread, own, labels)
-    return [grads[f"emb.{i}.weight"].T for i in range(model.n_fields)]
+    return [g.T for g in spread._split(grads["emb_rows"])]
 
 
 @pytest.mark.parametrize("l2_ratio", [0.0, 1e-3])
@@ -799,7 +815,7 @@ def test_table_gradient_equals_the_dense_scatter(kind, dtype, l2_ratio):
         want = dense_scatter(d_rows, idx[:, i], table.vocab).astype(dtype)
         if l2_ratio:
             want += (2.0 * l2_ratio) * table.weights.T
-        got = grads[f"emb.{i}.weight"]
+        got = model._split(grads["emb_rows"])[i]
         assert got.dtype == dtype and got.T.tobytes() == want.tobytes(), i
 
 

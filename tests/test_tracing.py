@@ -85,3 +85,27 @@ def test_traced_split_functions_are_reached():
         plan = comp.afm_plan_embedding(taps, 2)
         comp.afm_apply_embedding(nn.init_deepfm(vocab, 4, [8, 8, 8], seed=3), plan)
         assert tracer.counts["compress.afm_split_fc.calls"] == len(vocab)
+
+
+def test_adam_counter_covers_every_parameter_once():
+    """The benchmark's ``train.Adam.step.elements`` counts what training hands
+    to ``Adam.step``; each step must hand over every parameter element of
+    the model exactly once, whatever its embedding storage."""
+    tracing = load_tracing()
+    for _, module, _, _ in tracing.TARGETS:
+        importlib.import_module(f"lowrank_ctr.{module}")
+    comp = sys.modules["lowrank_ctr.compress"]
+    data = sys.modules["lowrank_ctr.data"]
+    nn = sys.modules["lowrank_ctr.nn"]
+    train = sys.modules["lowrank_ctr.train"]
+    ds = data.synth_generate(data.SynthSpec(n_samples=500, vocab_sizes=[11, 7, 13], seed=1))
+    for compress in (None, comp.svd_compress_embedding, comp.tt_compress_embedding):
+        model = nn.init_deepfm(ds.vocab_sizes, 4, [8, 8, 8], seed=2)
+        if compress is not None:
+            compress(model, 2)
+        with tracing.Tracer() as tracer:
+            train.train(model, ds, train.TrainConfig(batch_size=100, epochs=1))
+        steps = tracer.counts["train.Adam.step.calls"]
+        assert steps == 5
+        total = nn.param_count(model)["total"]
+        assert tracer.counts["train.Adam.step.elements"] == steps * total

@@ -12,13 +12,12 @@ from lowrank_ctr import train as train_module
 from lowrank_ctr.config import PROFILES, load_config
 from lowrank_ctr.checkpoint import save_checkpoint
 from lowrank_ctr.data import ClickDataset, SynthSpec, split, synth_generate
-from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError, NumericError
+from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError, NumericError, ShapeError
 from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty, loss_bce_l2
 from lowrank_ctr.stats import MomentAccumulator, fold
 from lowrank_ctr.train import (
     STAGE_HANDLERS,
     Adam,
-    _laid_out_like,
     TrainConfig,
     calibrate,
     evaluate_model,
@@ -86,8 +85,8 @@ def test_decay_is_decoupled_from_moments():
 
 
 class FormulaAdam:
-    """The optimizer's update written with one temporary per operation, as
-    the in-place step must reproduce to the bit."""
+    """The optimizer's update over whole arrays, with its state per name,
+    as the blocked step must reproduce to the bit."""
 
     def __init__(self, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.wd, self.beta1, self.beta2, self.eps = lr, wd, beta1, beta2, eps
@@ -128,32 +127,44 @@ def test_training_steps_are_bit_identical_to_the_formulas():
         penalty = sum(float(np.dot(flat, flat)) for flat in flats)
         assert l2_penalty(twin) == penalty
         assert loss == loss0 + l2 * penalty
-        for name, p in twin.named_parameters():
+        assert grads.keys() == dict(twin.packed_parameters()).keys()
+        for name, p in twin.packed_parameters():
             want = plain[name] + (2.0 * l2) * p
             assert grads[name].tobytes() == want.tobytes(), name
-        opt.step(model.named_parameters(), grads)
-        ref.step(twin.named_parameters(), grads)
+        opt.step(model.packed_parameters(), grads)
+        ref.step(twin.packed_parameters(), grads)
         assert params_bytes(model) == params_bytes(twin), f"step {step}"
 
 
-def test_adam_scratch_follows_each_parameter_layout():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_equals_the_formulas_across_block_boundaries(dtype):
+    block = Adam.BLOCK
+    sizes = {"one": 1, "under": block - 1, "block": block, "over": block + 1,
+             "two": 2 * block + 3}
     rng = np.random.default_rng(2)
-    rows = rng.standard_normal((7, 3)).astype(np.float32)
-    params = {"t": rows.copy().T, "w": rng.standard_normal((2, 5)).astype(np.float32)}
-    assert params["t"].flags.f_contiguous and not params["t"].flags.c_contiguous
-    buf = np.empty(40, np.float32)
-    for p in params.values():
-        view = _laid_out_like(buf, p)
-        assert view.shape == p.shape and view.strides == p.strides
-        assert np.shares_memory(view, buf)
-    twins = {k: v.copy(order="K") for k, v in params.items()}
+    params = {k: rng.standard_normal(size).astype(dtype) for k, size in sizes.items()}
+    twins = {k: v.copy() for k, v in params.items()}
     opt, ref = Adam(0.05, weight_decay=0.01), FormulaAdam(0.05, 0.01)
     for _ in range(4):
-        grads = {k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+        grads = {k: rng.standard_normal(v.shape).astype(dtype) for k, v in params.items()}
         opt.step(list(params.items()), grads)
         ref.step(list(twins.items()), grads)
     for k in params:
         assert params[k].tobytes() == twins[k].tobytes(), k
+    assert sorted(s for k, s in opt.state if k == "two") == [0, block, 2 * block]
+
+
+def test_adam_rejects_a_parameter_that_is_not_c_contiguous():
+    rng = np.random.default_rng(3)
+    first = rng.standard_normal(4)
+    table = rng.standard_normal((7, 3)).astype(np.float32).T  # column-major
+    before = first.copy(), table.copy()
+    opt = Adam(0.05)
+    grads = {"first": np.ones(4), "table": np.ones((3, 7), np.float32)}
+    with pytest.raises(ShapeError, match="table is not C-contiguous"):
+        opt.step([("first", first), ("table", table)], grads)
+    assert np.array_equal(first, before[0]) and np.array_equal(table, before[1])
+    assert opt.t == 0 and not opt.state
 
 
 def test_zero_learning_rate_freezes_everything():
