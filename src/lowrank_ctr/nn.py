@@ -676,7 +676,10 @@ def l2_penalty(model: DeepFMModel) -> float:
     """Sum of squared entries over every trainable tensor: one BLAS dot
     per array, in the array's dtype, and the dots summed as a Python
     float.  Training only logs it, as part of the loss; no gradient reads
-    it (``compute_gradients`` adds ``2 * l2_ratio * p`` itself)."""
+    it (``compute_gradients`` adds ``2 * l2_ratio * p`` itself).  The
+    per-field views keep each float32 dot short: on the synth model one
+    dot over the packed table lands 37x further from the float64 sum
+    (5.7e-7 against 1.6e-8 relative)."""
     total = 0.0
     for _, p in model.named_parameters():
         flat = p.ravel(order="K")  # a view, also of a table's transposed rows
@@ -707,6 +710,61 @@ def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndar
         minlength=vocab * k,
     )
     return out.reshape(vocab, k)
+
+
+@dataclass(frozen=True, eq=False)
+class TableGradient(np.lib.mixins.NDArrayOperatorsMixin):
+    """The gradient of a packed (rows, width) table, kept compact: the L2
+    coefficient ``coef`` (2λ), the ``items`` a batch touched, ascending, and
+    their summed row gradients ``sums`` (one row per item, in the table's
+    dtype).  Its dense value is ``params * coef + 0.0`` with each touched
+    row's sum added, read from ``params`` when it is built, so it is valid
+    only until the parameters change.  ``block`` builds any flat stretch of
+    it; reading it as an array (``np.asarray``, indexing, arithmetic)
+    builds it whole."""
+
+    params: np.ndarray
+    coef: float
+    items: np.ndarray
+    sums: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.params.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params.dtype
+
+    def pad(self) -> int:
+        """How many elements beyond a block's length ``block`` needs."""
+        return 2 * (self.shape[1] - 1)
+
+    def block(self, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+        """Elements ``start:stop`` of the flattened dense gradient, built in
+        ``buf`` (``stop - start + pad()`` elements) by the operations of a
+        whole-table build in the same order: the rows the stretch overlaps
+        are built whole and the stretch is cut out of them, so a row may
+        straddle either end."""
+        w = self.shape[1]
+        first, end = start // w, -(-stop // w)
+        rows = buf[: (end - first) * w].reshape(-1, w)
+        np.multiply(self.params[first:end], self.coef, out=rows)
+        rows += 0.0  # 0 + (2λ)p turns -0.0 into 0.0
+        lo, hi = np.searchsorted(self.items, (first, end))
+        rows[self.items[lo:hi] - first] += self.sums[lo:hi]
+        return buf[start - first * w : stop - first * w]
+
+    def __array__(self, dtype=None, copy=None):
+        size = self.params.size
+        dense = self.block(0, size, np.empty(size, self.dtype)).reshape(self.shape)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+    def tobytes(self) -> bytes:
+        return np.asarray(self).tobytes()
 
 
 def _touched_rows(rows: np.ndarray, n_rows: int):
@@ -772,11 +830,16 @@ def compute_gradients(
 
     Returns (loss, grads, trace) where loss is the mean binary cross
     entropy plus ``l2_ratio`` times the summed squared weights, and grads
-    maps each name of ``packed_parameters`` to the gradient of that array,
-    of its shape and dtype.  Gradients flow through every head, the
-    projections, and the embedding lookups (tensor-train cores included).
-    The dense table gradient starts every row at the L2 term, and each
-    field's sums are scattered into only the rows the batch touches.
+    maps each name of ``packed_parameters`` to the gradient of that array.
+    Gradients flow through every head, the projections, and the embedding
+    lookups (tensor-train cores included).  Each is an array of its
+    parameter's shape and dtype, except the dense table's, a compact
+    ``TableGradient``: the L2 coefficient, the rows the batch touched, in
+    ascending order, and their sums (per field, one float64 ``bincount``
+    cast to the table's dtype).  Its dense value reads the table, so it is
+    valid only until the parameters change; ``Adam.step`` builds each block
+    of it just before updating that block.  The backward pass frees each
+    layer's forward cache as soon as it has used it.
     """
     y = np.asarray(labels, dtype=np.float64)
     trace, cache = _run_forward(model, batch, "train", (), rng, dropout_override)
@@ -790,19 +853,21 @@ def compute_gradients(
     grads = {}
     dlogit = ((trace.predictions - y) / n).astype(dtype)
 
-    # MLP backward
-    d = dlogit[:, None]
+    # MLP backward, freeing each layer's forward cache once it is used
+    layers = cache.pop("layers")
+    dx = dlogit[:, None]  # ends as the gradient w.r.t. the MLP input block
     for j in range(len(model.mlp) - 1, -1, -1):
         layer = model.mlp[j]
-        x_in, z, mask = cache["layers"][j]
-        if mask is not None:
-            d = d * mask
+        x_in, z, mask = layers.pop()
+        d = dx if mask is None else dx * mask
         if layer.activation == "relu":
             d = d * (z > 0)
+        del z, mask
         grads[f"mlp.{j}.weight"] = d.T @ x_in
         grads[f"mlp.{j}.bias"] = d.sum(axis=0)
-        d = d @ layer.weight
-    dx = d  # gradient w.r.t. the MLP input block
+        del x_in
+        dx = d @ layer.weight
+        del d
 
     emb = cache["emb"]
     n_fields, k = emb.shape[1:]
@@ -847,6 +912,7 @@ def compute_gradients(
             )
         grads["proj_weight"], grads["proj_bias"] = g_w, g_b
         d_emb = d_flat.reshape(n, n_fields, k)
+    del dx
 
     for i, table in enumerate(model.tt_tables):
         core_grads = _tt_lookup_grads(table, batch.indices[:, i], d_emb[:, i])
@@ -860,7 +926,7 @@ def compute_gradients(
             minlength=model.fo_rows.shape[0],
         ).astype(dtype)
 
-    if l2_ratio:  # to every gradient so far; the table's starts from its own
+    if l2_ratio:  # to every gradient so far; the table's keeps it as ``coef``
         params = dict(model.packed_parameters())
         for name, g in grads.items():
             g += (2.0 * l2_ratio) * params[name]
@@ -869,15 +935,11 @@ def compute_gradients(
         n_rows = len(model.emb_rows)
         items, slots = _touched_rows(cache["rows"], n_rows)
         starts = np.searchsorted(items, [*model.offsets, n_rows])
-        # every row starts at the L2 term (+ 0.0, as 0 + (2λ)p turns -0.0
-        # into 0.0), and only the touched rows get the batch's sums
-        g_rows = np.multiply(model.emb_rows, 2.0 * l2_ratio)
-        g_rows += 0.0
+        sums = np.empty((len(items), k), dtype=model.emb_rows.dtype)
         for i in range(n_fields):
             lo, hi = starts[i], starts[i + 1]
-            sums = _scatter_rows(d_emb[:, i], slots[:, i] - lo, hi - lo)
-            g_rows[items[lo:hi]] += sums.astype(g_rows.dtype)
-        grads["emb_rows"] = g_rows
+            sums[lo:hi] = _scatter_rows(d_emb[:, i], slots[:, i] - lo, hi - lo)
+        grads["emb_rows"] = TableGradient(model.emb_rows, float(2.0 * l2_ratio), items, sums)
 
     return loss, grads, trace
 

@@ -13,14 +13,25 @@ dot per parameter array, in the array's dtype, summed as a Python float)
 only enters the logged ``train_loss``: the gradient adds
 ``2 * l2_ratio * p`` to each parameter's gradient directly.
 
+A training step holds no whole-table temporary.  The dense table's
+gradient arrives compact (``nn.TableGradient``: the L2 coefficient, the
+touched rows and their sums), and ``Adam.step`` builds each block of it
+just before updating that block, by the operations of a whole-table build
+in the same order, so the update reads the bytes the dense gradient would
+hold.  Adam runs its formula one ``out=`` operation at a time through two
+buffers per dtype that it keeps from step to step.
+
 A pipeline is a stage list that ``config.load_config`` has checked and
-filled; ``STAGE_HANDLERS`` holds the handler of each stage kind.
+filled; ``STAGE_HANDLERS`` holds the handler of each stage kind, and each
+stage's manifest entry records its wall time, peak RSS and minor faults.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,7 +43,9 @@ from .checkpoint import save_checkpoint
 from .data import ClickDataset, SynthSpec, load_tsv, split, synth_generate
 from .errors import ConfigError, DataError, ShapeError, convert_fields
 from .metrics import MetricReport, auc, evaluate_scores, logloss
-from .nn import DeepFMModel, capture, compute_gradients, forward, init_deepfm, param_count
+from .nn import (
+    DeepFMModel, TableGradient, capture, compute_gradients, forward, init_deepfm, param_count,
+)
 from .stats import ActivationTap, fold
 
 
@@ -41,9 +54,13 @@ class Adam:
 
     A step walks each parameter's elements in blocks of ``BLOCK`` and
     updates each block in place by the formula of the module docstring,
-    one operation at a time; the moments live per (name, block start).
-    A parameter that is not C-contiguous raises ShapeError before any
-    update, since its flat view would be a copy."""
+    one operation at a time; the moments live per (name, block start).  A
+    ``TableGradient`` has each block's gradient built just before that
+    block is updated.  The operations write into two buffers per dtype,
+    kept from step to step: ``a`` (a block plus a table gradient's pad)
+    holds a built gradient and then the update, ``b`` every other
+    intermediate.  A parameter that is not C-contiguous raises ShapeError
+    before any update, since its flat view would be a copy."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -55,6 +72,14 @@ class Adam:
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.state = {}
+        self._buffers = {}
+
+    def _buffers_for(self, dtype, pad: int) -> tuple:
+        bufs = self._buffers.get(dtype)
+        if bufs is None or len(bufs[0]) < self.BLOCK + pad:
+            bufs = np.empty(self.BLOCK + pad, dtype), np.empty(self.BLOCK, dtype)
+            self._buffers[dtype] = bufs
+        return bufs
 
     def step(self, named_params, grads: dict) -> None:
         params = list(named_params)
@@ -65,21 +90,32 @@ class Adam:
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in params:
-            flat, g_flat = p.reshape(-1), grads[name].reshape(-1)
+            flat, grad = p.reshape(-1), grads[name]
+            built = isinstance(grad, TableGradient)
+            g_flat = None if built else grad.reshape(-1)
+            buf_a, buf_b = self._buffers_for(p.dtype, grad.pad() if built else 0)
             for start in range(0, flat.size, self.BLOCK):
-                x = flat[start : start + self.BLOCK]
-                g = g_flat[start : start + self.BLOCK]
+                stop = min(start + self.BLOCK, flat.size)
+                x, a, b = flat[start:stop], buf_a[: stop - start], buf_b[: stop - start]
+                g = grad.block(start, stop, buf_a) if built else g_flat[start:stop]
                 if (name, start) not in self.state:
                     self.state[name, start] = (np.zeros_like(x), np.zeros_like(x))
                 m, v = self.state[name, start]
                 m *= self.beta1
-                m += (1.0 - self.beta1) * g
+                m += np.multiply(g, 1.0 - self.beta1, out=b)
                 v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+                np.multiply(g, g, out=b)
+                b *= 1.0 - self.beta2
+                v += b
+                # the update (m / c1) / (sqrt(v / c2) + eps) goes into a: g is spent
+                np.sqrt(np.divide(v, c2, out=b), out=b)
+                b += self.eps
+                np.divide(m, c1, out=a)
+                a /= b
                 if self.weight_decay:
-                    update += self.weight_decay * x
-                x -= self.lr * update
+                    a += np.multiply(x, self.weight_decay, out=b)
+                a *= self.lr
+                x -= a
 
 
 @dataclass
@@ -404,12 +440,29 @@ STAGE_HANDLERS = {
 }
 
 
+@contextmanager
+def _span(entry: dict):
+    """Record into a manifest stage ``entry`` what the stage cost, also when
+    it raises: wall ``seconds``, ``peak_rss_mb`` (the process's resident
+    high-water mark after the stage) and the ``minor_faults`` taken during
+    it, from ``resource.getrusage`` of this process."""
+    before, started = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    try:
+        yield
+    finally:
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        entry["seconds"] = time.perf_counter() - started
+        entry["peak_rss_mb"] = after.ru_maxrss / 1024.0  # kilobytes on Linux
+        entry["minor_faults"] = after.ru_minflt - before.ru_minflt
+
+
 def run_pipeline(resolved, out_dir) -> dict:
     """Execute a resolved configuration; returns the run manifest.
 
     Artifacts: ``checkpoints/stageNN-<name>.lrck``, per-compression
     ``reports/stageNN-<method>.json``, ``metrics.jsonl`` and
-    ``manifest.json``.  A failure marks its stage in the manifest, which
+    ``manifest.json``.  Each stage's manifest entry carries its status and
+    its span (``_span``).  A failure marks its stage in the manifest, which
     is written either way, and re-raises.
     """
     out = Path(out_dir)
@@ -428,14 +481,13 @@ def run_pipeline(resolved, out_dir) -> dict:
     run = _Run(resolved, out, metrics_path, *prepare_data(resolved), manifest)
     try:
         for i, stage in enumerate(resolved.stages):
-            STAGE_HANDLERS[stage["stage"]](run, i, stage)
-            manifest["stages"].append(
-                {"index": i, "stage": stage["stage"], "status": "completed"}
-            )
+            entry = {"index": i, "stage": stage["stage"], "status": "failed"}
+            manifest["stages"].append(entry)
+            with _span(entry):
+                STAGE_HANDLERS[stage["stage"]](run, i, stage)
+            entry["status"] = "completed"
     except Exception as exc:
-        manifest["stages"].append(
-            {"index": i, "stage": stage["stage"], "status": "failed", "error": str(exc)}
-        )
+        entry["error"] = str(exc)
         raise
     finally:
         manifest["artifacts"].append("manifest.json")

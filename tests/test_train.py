@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from lowrank_ctr.config import PROFILES, load_config
 from lowrank_ctr.checkpoint import save_checkpoint
 from lowrank_ctr.data import ClickDataset, SynthSpec, split, synth_generate
 from lowrank_ctr.errors import ConfigError, EmptyAccumulatorError, NumericError, ShapeError
-from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, l2_penalty, loss_bce_l2
+from lowrank_ctr.nn import (
+    FeatureBatch, compute_gradients, forward, init_deepfm, l2_penalty, loss_bce_l2,
+)
 from lowrank_ctr.stats import MomentAccumulator, fold
 from lowrank_ctr.train import (
     STAGE_HANDLERS,
@@ -131,8 +134,10 @@ def test_training_steps_are_bit_identical_to_the_formulas():
         for name, p in twin.packed_parameters():
             want = plain[name] + (2.0 * l2) * p
             assert grads[name].tobytes() == want.tobytes(), name
+        # the table gradient reads the parameters, so it is materialised first
+        dense = {name: np.asarray(g) for name, g in grads.items()}
         opt.step(model.packed_parameters(), grads)
-        ref.step(twin.packed_parameters(), grads)
+        ref.step(twin.packed_parameters(), dense)
         assert params_bytes(model) == params_bytes(twin), f"step {step}"
 
 
@@ -152,6 +157,110 @@ def test_adam_equals_the_formulas_across_block_boundaries(dtype):
     for k in params:
         assert params[k].tobytes() == twins[k].tobytes(), k
     assert sorted(s for k, s in opt.state if k == "two") == [0, block, 2 * block]
+
+
+def whole_table_gradient(model, grad, l2_ratio):
+    """The dense table gradient as one whole-table build: every row at the
+    L2 term (+ 0.0, which turns -0.0 into 0.0), then each field's sums
+    added to the rows the batch touched."""
+    g = np.multiply(model.emb_rows, 2.0 * l2_ratio)
+    g += 0.0
+    starts = np.searchsorted(grad.items, [*model.offsets, len(g)])
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        g[grad.items[lo:hi]] += grad.sums[lo:hi]
+    return g
+
+
+def straddling_model(dtype, seed=0):
+    """A two-field model of width 7 whose packed table spans three Adam
+    blocks, and a batch touching the rows that straddle both block
+    boundaries, the rows beside them, and some of them twice.  Returns
+    (model, batch, labels, edges), ``edges`` the straddling rows."""
+    width = 7
+    assert Adam.BLOCK % width
+    vocab = Adam.BLOCK // width + 1000
+    model = init_deepfm([vocab, vocab], width, [5], seed=seed, dtype=dtype, dropout_rate=0.0)
+    edges = [Adam.BLOCK // width, 2 * Adam.BLOCK // width]
+    assert len(model.emb_rows) * width > 2 * Adam.BLOCK
+    for k, e in enumerate(edges, start=1):
+        assert e * width < k * Adam.BLOCK < (e + 1) * width  # row e straddles boundary k
+    first, second = edges[0], edges[1] - vocab  # field 0's and field 1's item
+    idx = [[first - 1, second - 1], [first, second], [first + 1, second + 1],
+           [0, vocab - 1], [first, second], [first + 1, 3]]
+    batch = FeatureBatch(np.array(idx), np.zeros((len(idx), 0), np.float32))
+    labels = np.array([1, 0, 0, 1, 1, 0])
+    return model, batch, labels, edges
+
+
+@pytest.mark.parametrize("l2_ratio", [0.0, 1e-3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_table_gradient_builds_the_whole_table_formula(dtype, l2_ratio):
+    model, batch, labels, (edge, _) = straddling_model(dtype)
+    rows = model.emb_rows
+    rows[edge - 1] = -0.0  # touched
+    rows[edge, 3:] = -0.0  # touched, both sides of the boundary
+    rows[edge + 2] = -0.0  # untouched
+    _, grads, _ = compute_gradients(model, batch, labels, l2_ratio=l2_ratio)
+    grad = grads["emb_rows"]
+    want = whole_table_gradient(model, grad, l2_ratio)
+    assert grad.coef == 2.0 * l2_ratio and grad.shape == rows.shape and grad.dtype == dtype
+    assert np.array_equal(grad.items, np.unique(batch.indices + model.offsets))
+    assert np.asarray(grad).tobytes() == want.tobytes()
+    assert not np.signbit(want[edge + 2]).any()  # the untouched -0.0 row reads +0.0
+    # block by block into a buffer holding stale values, as Adam builds it,
+    # and over stretches that start or stop inside a row
+    buf = np.full(Adam.BLOCK + grad.pad(), np.nan, dtype)
+    flat = want.reshape(-1)
+    stretches = [(s, min(s + Adam.BLOCK, flat.size)) for s in range(0, flat.size, Adam.BLOCK)]
+    w = rows.shape[1]
+    stretches += [(edge * w + 2, edge * w + 5), (edge * w - 3, edge * w + 2 * w + 1), (0, 1)]
+    for start, stop in stretches:
+        assert grad.block(start, stop, buf).tobytes() == flat[start:stop].tobytes(), start
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_multi_block_training_steps_are_bit_identical_to_the_formulas(dtype):
+    model, batch, labels, _ = straddling_model(dtype, seed=1)
+    twin = model.clone()
+    opt, ref = Adam(0.01, weight_decay=0.004), FormulaAdam(0.01, 0.004)
+    rng = np.random.default_rng(5)
+    for step in range(4):
+        if step:  # the straddling batch first, then random rows
+            idx = rng.integers(0, model.vocab, size=(50, 2))
+            batch = FeatureBatch(idx, np.zeros((50, 0), np.float32))
+            labels = rng.integers(0, 2, 50)
+        _, grads, _ = compute_gradients(model, batch, labels, l2_ratio=1e-3)
+        dense = {name: np.asarray(g) for name, g in grads.items()}
+        opt.step(model.packed_parameters(), grads)
+        ref.step(twin.packed_parameters(), dense)
+        assert params_bytes(model) == params_bytes(twin), f"step {step}"
+    assert sorted(s for k, s in opt.state if k == "emb_rows") == [0, Adam.BLOCK, 2 * Adam.BLOCK]
+
+
+def test_a_training_step_holds_no_whole_table_temporary():
+    """tracemalloc counts numpy's allocations: a batch-200 gradient of the
+    synth-sized model peaks below half the table, and once Adam holds its
+    state and buffers a step allocates less than one block."""
+    vocab, n = [10000] * 10, 200
+    model = init_deepfm(vocab, 16, [64, 64, 64], seed=0)
+    rng = np.random.default_rng(0)
+    batch = FeatureBatch(rng.integers(0, vocab, size=(n, 10)), np.zeros((n, 0), np.float32))
+    labels = rng.integers(0, 2, n)
+    opt = Adam(1e-3, weight_decay=1e-3)
+    opt.step(model.packed_parameters(), compute_gradients(model, batch, labels, 1e-5, rng)[1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = compute_gradients(model, batch, labels, 1e-5, rng)[1]
+        grad_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        opt.step(model.packed_parameters(), grads)
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grad_peak < model.emb_rows.nbytes / 2, grad_peak
+    assert step_peak < Adam.BLOCK * model.emb_rows.itemsize, step_peak
 
 
 def test_adam_rejects_a_parameter_that_is_not_c_contiguous():
@@ -564,6 +673,10 @@ def test_pipeline_failure_is_recorded(tmp_path, monkeypatch):
     assert manifest["stages"][-1]["error"] == "compression went wrong"
     assert manifest["stages"][-1]["index"] == 2
     assert manifest["stages"][-1]["stage"] == "compress"
+    for entry in manifest["stages"]:  # completed or failed, each carries its span
+        for key, kind in (("seconds", float), ("peak_rss_mb", float), ("minor_faults", int)):
+            assert type(entry[key]) is kind and entry[key] >= 0, (entry, key)
+        assert entry["peak_rss_mb"] > 0
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
