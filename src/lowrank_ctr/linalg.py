@@ -1,7 +1,7 @@
 """Dense linear algebra kernels.
 
 Everything here runs in float64 regardless of the input dtype, except the
-tensor-train reconstructions, which keep the dtype of their cores; every
+tensor-train row reconstruction, which keeps the dtype of its cores; every
 routine is deterministic: the same input yields bit-identical output (for
 a fixed BLAS thread count).  Matrices are plain 2-D numpy arrays.
 
@@ -233,19 +233,6 @@ def tt_reconstruct_row(tt: TTCores, row_index: int) -> np.ndarray:
         # (columns so far, r) @ (r, n * r_next): a view of the selected slice
         acc = acc.reshape(-1, r) @ core[:, digits.pop()].reshape(r, n * r_next)
     return acc.reshape(-1)
-
-
-def tt_reconstruct_full(tt: TTCores) -> np.ndarray:
-    """Contract all cores back into the padded matrix (test/report helper)."""
-    k = len(tt.cores)
-    acc = tt.cores[0][0]  # (m_0, n_0, r_1)
-    for core in tt.cores[1:]:
-        acc = np.tensordot(acc, core, axes=([acc.ndim - 1], [0]))
-    # acc axes: m_0, n_0, m_1, n_1, ..., m_{k-1}, n_{k-1}, 1
-    acc = acc.reshape(acc.shape[:-1])
-    perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-    acc = acc.transpose(perm)
-    return acc.reshape(prod(tt.row_factors), prod(tt.col_factors))
 
 
 def plan_tt_factors(dim: int, parts: int = 3) -> tuple:

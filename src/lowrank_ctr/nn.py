@@ -48,9 +48,9 @@ an in-place write (``Adam.step``, assigning into a weight) causes;
 assigning new projections drops them at once.  A pass with nothing to
 capture formats no tap names, and the float64 predictions and per-head
 terms of a ``ForwardTrace`` are computed only when read, so serving that
-reads the logits pays for neither.  ``capture`` runs the same gather and
-layers only as far as the last tap, handing each tapped output over as
-it is computed; calibration reads it.
+reads the logits pays for neither.  Every tapped output is handed to a
+``take`` callback as it is computed: ``capture`` stops at the last tap
+(calibration reads it), and ``forward(capture=...)`` keeps a copy of each.
 
 Weights default to float32; gradient checking builds the whole model in
 float64 with ``init_deepfm(dtype=...)``.  All forward/backward code
@@ -358,12 +358,12 @@ class DeepFMModel:
 
 
 class ForwardTrace:
-    """What one forward pass computed: the float64 ``logits``, the tapped
-    ``captured`` outputs, and, computed on first read, the float64
-    ``predictions`` (sigmoid of the logits, in (0, 1)) and the three terms
-    ``first_order_term``, ``pairwise_term`` and ``deep_term`` that the
-    logits sum, from the model-dtype parts the pass kept.  A caller that
-    reads only the logits pays for none of them."""
+    """What one forward pass computed: the float64 ``logits``, a copy of
+    each tapped output in ``captured`` by tap id, and, computed on first
+    read, the float64 ``predictions`` (sigmoid of the logits, in (0, 1))
+    and the three terms ``first_order_term``, ``pairwise_term`` and
+    ``deep_term`` that the logits sum, from the model-dtype parts the pass
+    kept.  A caller that reads only the logits pays for none of them."""
 
     def __init__(self, logits, first_order, pairwise, deep, captured: dict):
         self.logits = logits
@@ -496,24 +496,22 @@ def _projection_terms(weight, bias, dtype) -> tuple:
 
 
 def _run_layers(
-    model, batch, capture, depth, take=None, mode="infer", rng=None, dropout_override=None
+    model, batch, capture, depth, take, mode="infer", rng=None, dropout_override=None
 ):
     """The part of a pass over a validated batch that taps can read: the
     packed row gather, the MLP input and MLP layers 0 .. depth - 1.
 
     The outputs tapped in ``capture`` go to ``take(ids, block)`` as the
     pass computes them (see ``capture``); a block may be overwritten once
-    ``take`` returns, so a tapped layer's relu runs in place.  Without
-    ``take`` they are kept in the ``captured`` dict instead.  Returns
-    ``(rows, emb, proj, cur, captured, layer_cache)``: the batch's packed
-    rows, the gathered (n, fields, dim) block, the projection terms (None
-    without projections) and the output of layer depth - 1.  At depth 0 no
-    MLP input is built, and a pass that stops before the head ends at its
-    last layer's pre-activation; ``cur`` is then meaningless."""
+    ``take`` returns, as every relu runs in place.  Returns
+    ``(rows, emb, proj, cur, layer_cache)``: the batch's packed rows, the
+    gathered (n, fields, dim) block, the projection terms (None without
+    projections) and the output of layer depth - 1.  At depth 0 no MLP
+    input is built, and a pass that stops before the head ends at its last
+    layer's pre-activation; ``cur`` is then meaningless."""
     idx = batch.indices
     n = idx.shape[0]
     dtype = model.mlp[0].weight.dtype
-    captured = {}
 
     rows = idx + model.offsets  # each field's item, as a row of the packed arrays
     if model.emb_rows is not None:
@@ -524,14 +522,12 @@ def _run_layers(
         )
     if capture:
         ids = [f"emb.{i}" if f"emb.{i}" in capture else None for i in range(model.n_fields)]
-        if take is None:
-            captured.update((tid, emb[:, i]) for i, tid in enumerate(ids) if tid)
-        elif any(ids):
+        if any(ids):
             take(ids, emb)
 
     layer_cache = []
     if depth == 0:
-        return rows, emb, None, None, captured, layer_cache
+        return rows, emb, None, None, layer_cache
     proj = None if model.proj_weight is None else model.projection_terms(dtype)
     x = emb.reshape(n, -1)  # the fields' embeddings side by side
     if proj is not None and not model.fused:
@@ -551,17 +547,12 @@ def _run_layers(
             )
         z = cur @ layer.weight.T
         z += layer.bias
-        kept = False
         if capture and f"mlp.{j}" in capture:  # formats no name when capturing none
-            if take is None:
-                captured[f"mlp.{j}"] = z
-                kept = True
-            else:
-                take([f"mlp.{j}"], z[:, None, :])
+            take([f"mlp.{j}"], z[:, None, :])
         if j + 1 == depth < len(model.mlp):
             break
-        # in place unless kept: relu(z) > 0 exactly where z > 0, all backward needs
-        a = np.maximum(z, 0, out=None if kept else z) if layer.activation == "relu" else z
+        # in place: relu(z) > 0 exactly where z > 0, all backward needs
+        a = np.maximum(z, 0, out=z) if layer.activation == "relu" else z
         mask = None
         rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
         if rate > 0.0:
@@ -575,7 +566,7 @@ def _run_layers(
         if mode == "train":
             layer_cache.append((cur, z, mask))
         cur = out
-    return rows, emb, proj, cur, captured, layer_cache
+    return rows, emb, proj, cur, layer_cache
 
 
 def _run_forward(
@@ -592,8 +583,14 @@ def _run_forward(
     if dropout_override is not None and not 0.0 <= dropout_override < 1.0:
         raise ShapeError(f"dropout rate {dropout_override} outside [0, 1)")
     _validate_batch(model, batch)
-    rows, emb, proj, cur, captured, layer_cache = _run_layers(
-        model, batch, set(capture or ()), len(model.mlp), None, mode, rng, dropout_override
+    captured = {}
+
+    def take(ids, block):
+        # copied: the pass may overwrite a block once take returns
+        captured.update((tid, block[:, i].copy()) for i, tid in enumerate(ids) if tid)
+
+    rows, emb, proj, cur, layer_cache = _run_layers(
+        model, batch, set(capture or ()), len(model.mlp), take, mode, rng, dropout_override
     )
     n = len(rows)
     dtype = model.mlp[0].weight.dtype
@@ -646,8 +643,9 @@ def forward(
 
     ``capture`` names tap points: ``"emb.<i>"`` collects the raw table
     output of field i, ``"mlp.<j>"`` the pre-activation output of MLP
-    layer j.  Dropout fires only in train mode; ``dropout_override``
-    replaces the stored rate at dropout sites for this call.
+    layer j; each capture is a copy, taken as the pass computes it.
+    Dropout fires only in train mode; ``dropout_override`` replaces the
+    stored rate at dropout sites for this call.
     """
     return _run_forward(model, batch, mode, capture, rng, dropout_override)[0]
 
@@ -713,15 +711,15 @@ def _scatter_rows(grad_rows: np.ndarray, idx: np.ndarray, vocab: int) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False)
-class TableGradient(np.lib.mixins.NDArrayOperatorsMixin):
+class TableGradient:
     """The gradient of a packed (rows, width) table, kept compact: the L2
     coefficient ``coef`` (2λ), the ``items`` a batch touched, ascending, and
     their summed row gradients ``sums`` (one row per item, in the table's
     dtype).  Its dense value is ``params * coef + 0.0`` with each touched
     row's sum added, read from ``params`` when it is built, so it is valid
     only until the parameters change.  ``block`` builds any flat stretch of
-    it; reading it as an array (``np.asarray``, indexing, arithmetic)
-    builds it whole."""
+    it; reading it as an array (``np.asarray``, indexing) builds it
+    whole."""
 
     params: np.ndarray
     coef: float

@@ -2,7 +2,7 @@
 
 Each test covers one acceptance criterion and prints a single verdict line
 (written past pytest's capture so it shows up in a plain ``pytest -v`` run)
-before asserting.  Criteria 8-10 share one full pipeline run on the
+before asserting.  Criteria 8-11 share one full pipeline run on the
 million-row synthetic benchmark via a module fixture.
 """
 
@@ -22,8 +22,8 @@ from lowrank_ctr.compress import (
     fuse_projection_into_first_fc,
     tt_compress_embedding,
 )
-from lowrank_ctr.config import load_config
-from lowrank_ctr.data import FeatureBatch, SynthSpec, synth_generate
+from lowrank_ctr.config import PROFILES, load_config
+from lowrank_ctr.data import FeatureBatch, SynthSpec, synth_generate, transform_continuous
 from lowrank_ctr.linalg import low_rank_factors_svd
 from lowrank_ctr.metrics import auc, logloss
 from lowrank_ctr.nn import compute_gradients, forward, init_deepfm, loss_bce_l2
@@ -426,6 +426,75 @@ def test_criterion_09_throughput(capsys, seed0_run):
         f"{mlp_ratio:.2f}x baseline {t_base:.0f}/s (>=1.0), pca-embedding "
         f"{t_emb:.0f}/s = {emb_ratio:.1f}x tensor-train {t_tt:.0f}/s (>=5); "
         f"{wall:.0f}s",
+    )
+
+
+# -- criterion 11: the model the pipeline ships is faster than its baseline --
+
+
+def interleaved_rows_per_s(models, batches, warmup=3):
+    """Median rows/s of each model's inference on ``batches``: the models
+    take turns on each batch, in an order that rotates, and the first
+    ``warmup`` batches go untimed."""
+    timings = [[] for _ in models]
+    for j, batch in enumerate(batches):
+        for i in range(len(models)):
+            m = (i + j) % len(models)
+            start = time.perf_counter()
+            forward(models[m], batch, mode="infer")
+            if j >= warmup:
+                timings[m].append(time.perf_counter() - start)
+    return [len(batches[0]) / float(np.median(t)) for t in timings]
+
+
+def criteo_shaped_pair():
+    """An untrained model of the criteo profile's shape (26 fields of 1 000
+    items, 13 continuous inputs) and its copy compressed as that profile's
+    pipeline does: afm-mlp, then afm-emb with the projections fused.  The
+    copy is calibrated on the first 20 000 of 60 000 synthetic rows, and
+    the other 40 000 make four test batches."""
+    profile = PROFILES["criteo"]
+    n_fields, n_cont = profile["n_categorical"], profile["n_continuous"]
+    ds = synth_generate(SynthSpec(n_samples=60000, vocab_sizes=[1000] * n_fields, seed=11))
+    raw = np.random.default_rng(11).exponential(10.0, (len(ds), n_cont))
+    ds.continuous = transform_continuous(raw).astype(np.float32)
+    base = init_deepfm(ds.vocab_sizes, profile["embed_dim"], profile["hidden_dims"],
+                       n_continuous=n_cont, seed=11)
+    small = copy.deepcopy(base)
+    calib = ds.subset(np.arange(20000))
+    compress_mlp(small, profile["mlp_rank"], "afm", calibrate(small, calib, ["mlp.1", "mlp.2"]))
+    emb_ids = [f"emb.{i}" for i in range(n_fields)]
+    taps = calibrate(small, calib, emb_ids)
+    afm_apply_embedding(small, afm_plan_embedding([taps[t] for t in emb_ids], profile["emb_rank"]))
+    fuse_projection_into_first_fc(small)
+    batch_list = [ds.batch(slice(j, j + 10000)) for j in range(20000, 60000, 10000)]
+    return base, small, batch_list
+
+
+def test_criterion_11_compressed_model_throughput(capsys, seed0_run):
+    started = time.perf_counter()
+    out = seed0_run["out"] / "checkpoints"
+    baseline = load_checkpoint(out / "stage00-train_baseline.lrck")
+    final = load_checkpoint(out / "stage06-finetune.lrck")
+    _, test_ds = prepare_data(seed0_run["resolved"])
+    batch_list = [
+        test_ds.batch(slice(j * 10000, (j + 1) * 10000)) for j in range(10)
+    ]
+    # 3 warm-up and 20 timed batches per model, as in criterion 9
+    t_base, t_final = interleaved_rows_per_s((baseline, final), (batch_list * 3)[:23])
+    synth_ratio = t_final / t_base
+
+    c_base, c_small, c_batches = criteo_shaped_pair()
+    tc_base, tc_small = interleaved_rows_per_s((c_base, c_small), (c_batches * 6)[:23])
+    criteo_ratio = tc_small / tc_base
+    wall = time.perf_counter() - started
+    ok = synth_ratio >= 1.1 and criteo_ratio >= 1.5 and wall < 120
+    verdict(
+        capsys, 11, ok,
+        f"batch-10000 median-of-20 throughput: synth final model "
+        f"{t_final:.0f}/s = {synth_ratio:.2f}x baseline {t_base:.0f}/s (>=1.1), "
+        f"criteo-shaped compressed {tc_small:.0f}/s = {criteo_ratio:.2f}x "
+        f"baseline {tc_base:.0f}/s (>=1.5); {wall:.0f}s",
     )
 
 

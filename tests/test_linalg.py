@@ -18,7 +18,6 @@ from lowrank_ctr.linalg import (
     svd_thin,
     sym_eigen,
     tt_decompose_matrix,
-    tt_reconstruct_full,
     tt_reconstruct_row,
 )
 
@@ -221,24 +220,34 @@ def dense_tt_sweep(mat, row_factors, col_factors, max_rank):
         rank = r
         cur = s[:r, None] * vt[:r]
     cores.append(cur.reshape(rank, rf[-1], cf[-1], 1))
+    return contract_tt(cores)
+
+
+def contract_tt(cores):
+    """The padded matrix that tensor-train ``cores`` (each (r, m, n, r_next))
+    reconstruct, by one ``np.tensordot`` per core, in the cores' dtype."""
+    n = len(cores)
     acc = cores[0][0]
     for core in cores[1:]:
         acc = np.tensordot(acc, core, axes=([acc.ndim - 1], [0]))
+    # acc axes: m_0, n_0, m_1, n_1, ..., m_{n-1}, n_{n-1}, 1
     acc = acc.reshape(acc.shape[:-1])
     back = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return acc.transpose(back).reshape(np.prod(rf), np.prod(cf))
+    rows = int(np.prod([c.shape[1] for c in cores]))
+    cols = int(np.prod([c.shape[2] for c in cores]))
+    return acc.transpose(back).reshape(rows, cols)
 
 
 def test_tt_full_rank_identity():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((4, 4))
     tt = tt_decompose_matrix(m, (2, 2), (2, 2))
-    np.testing.assert_allclose(tt_reconstruct_full(tt), m, atol=1e-7)
+    np.testing.assert_allclose(contract_tt(tt.cores), m, atol=1e-7)
 
 
 def test_tt_zero_matrix():
     tt = tt_decompose_matrix(np.zeros((4, 4)), (2, 2), (2, 2))
-    assert not tt_reconstruct_full(tt).any()
+    assert not contract_tt(tt.cores).any()
     # the truncation keeps at least rank 1, so the cores have the given factors
     assert tt.ranks == (1, 1, 1)
     assert tt.row_factors == (2, 2) and tt.col_factors == (2, 2)
@@ -248,7 +257,7 @@ def test_tt_truncation_matches_dense_sweep_oracle():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((6, 6))
     tt = tt_decompose_matrix(m, (2, 4), (2, 4), max_rank=2)
-    recon = tt_reconstruct_full(tt)
+    recon = contract_tt(tt.cores)
     oracle = dense_tt_sweep(m, (2, 4), (2, 4), max_rank=2)
     padded = np.zeros((8, 8))
     padded[:6, :6] = m
@@ -273,7 +282,7 @@ def test_tt_row_lookup_matches_full_reconstruction():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((4, 4))
     tt = tt_decompose_matrix(m, (2, 2), (2, 2), max_rank=2)
-    full = tt_reconstruct_full(tt)
+    full = contract_tt(tt.cores)
     for row in range(4):
         np.testing.assert_allclose(tt_reconstruct_row(tt, row), full[row], atol=1e-7)
     with pytest.raises(IndexError):
@@ -327,7 +336,7 @@ def test_tt_row_kernel_matches_full_reconstruction_with_padding(
     m = np.random.default_rng(43).standard_normal(shape)
     tt = tt_decompose_matrix(m, row_factors, col_factors, max_rank=3)
     assert tt.row_factors == row_factors and tt.col_factors == col_factors
-    full = tt_reconstruct_full(tt)
+    full = contract_tt(tt.cores)
     assert full.shape[0] > shape[0] and full.shape[1] > shape[1]
     for row in range(full.shape[0]):  # padding rows included
         np.testing.assert_allclose(

@@ -22,7 +22,6 @@ from lowrank_ctr.linalg import (
     TTCores,
     plan_tt_factors,
     tt_decompose_matrix,
-    tt_reconstruct_full,
     tt_reconstruct_row,
 )
 from lowrank_ctr.nn import (
@@ -45,6 +44,7 @@ from lowrank_ctr.nn import (
 )
 from lowrank_ctr.stats import ActivationTap
 from lowrank_ctr.train import Adam
+from test_linalg import contract_tt
 
 
 def make_batch(indices, n_continuous=0):
@@ -203,6 +203,25 @@ def test_capture_hands_over_what_forward_captures():
     assert handed == [[None, "emb.1", None]]
     with pytest.raises(ShapeError, match="indices must be"):
         nn.capture(model, make_batch([[0, 0]]), ["emb.0"], handed.append)
+
+
+@pytest.mark.parametrize("mode, rate", [("infer", 0.0), ("train", 0.5)])
+def test_forward_captures_outlive_the_in_place_relu(mode, rate):
+    # every relu overwrites its pre-activation once the tap is handed over,
+    # so a capture that kept the pass's block would lose its negatives
+    model = init_deepfm([5, 7, 6], 4, [8, 8, 8], seed=3, dropout_rate=rate)
+    batch = make_batch(np.arange(60).reshape(20, 3) % 5)
+    relu_taps = ["mlp.0", "mlp.1", "mlp.2"]
+    assert all(model.mlp[j].activation == "relu" for j in range(3))
+
+    def run(capture):
+        return forward(model, batch, mode=mode, capture=capture,
+                       rng=np.random.default_rng(8))
+
+    trace = run(["emb.1", *relu_taps])
+    for tid in relu_taps:
+        assert (trace.captured[tid] < 0).any(), tid
+    assert trace.logits.tobytes() == run(()).logits.tobytes()
 
 
 def test_bce_from_logits_reference_values():
@@ -911,7 +930,7 @@ def test_tt_forward_matches_gather_from_full_reconstruction(dtype, tol):
     idx[1] = np.array(vocab) - 1  # the last real rows, next to the padding
     raw = []
     for i, t in enumerate(model.tables):
-        full = tt_reconstruct_full(t.cores).astype(np.float64)  # padded
+        full = contract_tt(t.cores.cores).astype(np.float64)  # padded
         raw.append(full[: t.vocab, : t.dim][idx[:, i]])
     want, _ = full_width_reference(model, idx, raw)
     got = forward(model, make_batch(idx)).logits
