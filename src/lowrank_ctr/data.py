@@ -7,6 +7,13 @@ number (``nan`` and ``inf`` included) is a DataError.  Categorical tokens map
 through per-field dictionaries where index 0 is reserved for unseen or
 rare tokens and everything at or above the frequency threshold gets a
 stable nonzero index in first-appearance order.
+
+Categorical indices are stored as int32 (``INDEX_DTYPE``) from the loaders
+through ``ClickDataset.subset`` and ``batch`` to the model's gather: half
+the bytes of int64, with every value the same.  ``check_vocab_sizes``
+holds the bound that makes that lossless (every field's vocabulary below
+2^31); both loaders call it before drawing or mapping any row, and a
+``ClickDataset`` checks it again when it is made.
 """
 
 from __future__ import annotations
@@ -34,12 +41,50 @@ class FieldDictionary:
         return self.mapping.get(token, 0)
 
 
+# every stored categorical index; a field's vocabulary must stay below this
+INDEX_DTYPE = np.dtype(np.int32)
+VOCAB_LIMIT = 1 << 31
+
+
+def check_vocab_sizes(vocab_sizes, where: str = "vocab_sizes") -> None:
+    """DataError naming ``where`` unless every vocabulary is below
+    ``VOCAB_LIMIT``, so that each field's indices fit ``INDEX_DTYPE``."""
+    for i, vocab in enumerate(vocab_sizes):
+        if vocab >= VOCAB_LIMIT:
+            raise DataError(
+                f"{where}: field {i} has {vocab} items; indices are "
+                f"{INDEX_DTYPE}, so a field holds fewer than {VOCAB_LIMIT}"
+            )
+
+
 @dataclass
 class ClickDataset:
+    """Labels, categorical indices and continuous values of ``n`` rows.
+
+    ``indices`` is stored as ``INDEX_DTYPE`` (int32): an integer block of
+    another dtype is converted when the dataset is made, and one whose
+    values int32 cannot hold, or a vocabulary of ``VOCAB_LIMIT`` or more,
+    raises DataError.  Values are not checked against ``vocab_sizes``;
+    the model does that for every batch it scores."""
+
     labels: np.ndarray  # (n,) uint8
-    indices: np.ndarray  # (n, fields) int64
+    indices: np.ndarray  # (n, fields) int32
     continuous: np.ndarray  # (n, n_continuous) float32
     vocab_sizes: list
+
+    def __post_init__(self):
+        check_vocab_sizes(self.vocab_sizes)
+        idx = np.asarray(self.indices)
+        if idx.dtype != INDEX_DTYPE:
+            if idx.dtype.kind not in "iu":
+                raise DataError(f"indices must be integers, got {idx.dtype}")
+            info = np.iinfo(INDEX_DTYPE)
+            if idx.size and (idx.min() < info.min or idx.max() > info.max):
+                raise DataError(
+                    f"index range [{idx.min()}, {idx.max()}] does not fit {INDEX_DTYPE}"
+                )
+            idx = idx.astype(INDEX_DTYPE)
+        self.indices = idx
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -121,6 +166,7 @@ def load_tsv(path, n_continuous: int, n_categorical: int, min_count: int = 10) -
     maps every token through them.  Returns (dataset, dictionaries).
     """
     dictionaries = build_dictionaries(path, n_continuous, n_categorical, min_count)
+    check_vocab_sizes([d.vocab for d in dictionaries], str(path))
     labels = []
     cont_rows = []
     cat_rows = []
@@ -145,7 +191,7 @@ def load_tsv(path, n_continuous: int, n_categorical: int, min_count: int = 10) -
     raw_cont = np.asarray(cont_rows, dtype=np.float64).reshape(n, n_continuous)
     dataset = ClickDataset(
         labels=np.asarray(labels, dtype=np.uint8),
-        indices=np.asarray(cat_rows, dtype=np.int64).reshape(n, n_categorical),
+        indices=np.asarray(cat_rows, dtype=INDEX_DTYPE).reshape(n, n_categorical),
         continuous=transform_continuous(raw_cont).astype(np.float32),
         vocab_sizes=[d.vocab for d in dictionaries],
     )
@@ -215,6 +261,7 @@ class SynthSpec:
                 f"data.synth.vocab_sizes: need at least one vocabulary, each "
                 f"of at least 2, got {self.vocab_sizes}"
             )
+        check_vocab_sizes(self.vocab_sizes, "data.synth.vocab_sizes")
         if self.latent_rank < 1:
             raise DataError(f"data.synth.latent_rank: {self.latent_rank} is below 1")
         if not 0.0 <= self.noise < 0.5:
@@ -279,7 +326,7 @@ def synth_generate(spec: SynthSpec) -> ClickDataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     d = len(spec.vocab_sizes)
-    indices = np.empty((n, d), dtype=np.int64)
+    indices = np.empty((n, d), dtype=INDEX_DTYPE)
     z_sum = np.zeros((n, spec.latent_rank))
     sq_sum = np.zeros(n)
     draw_by_vocab = {}

@@ -92,7 +92,9 @@ def bce_from_logits(logits, labels) -> float:
 @dataclass
 class FeatureBatch:
     """One batch of inputs: integer indices (n, fields) and a float block
-    (n, n_continuous) of already-transformed continuous values."""
+    (n, n_continuous) of already-transformed continuous values.  The
+    indices may have any integer dtype (not bool); a ``ClickDataset``
+    hands out int32, and every dtype gives the same bits out."""
 
     indices: np.ndarray
     continuous: np.ndarray
@@ -157,7 +159,8 @@ def _tt_chain(tt: TTCores, idx, dtype):
             f"row index range [{idx.min()}, {idx.max()}] outside [0, {n_rows})"
         )
     n = idx.shape[0]
-    digits = np.unravel_index(idx, tt.row_factors)
+    # in intp, which unravel_index needs, from any integer dtype in range
+    digits = np.unravel_index(idx.astype(np.intp, copy=False), tt.row_factors)
     # slices[j][b] is the (r_j, m_j, r_{j+1}) slice of core j that row b selects
     slices = [
         np.asarray(c, dtype=dtype).transpose(1, 0, 2, 3)[d]
@@ -240,6 +243,7 @@ class DeepFMModel:
         self.vocab = np.array([t.vocab for t in tables], dtype=np.int64)
         self.offsets = np.zeros_like(self.vocab)
         np.cumsum(self.vocab[:-1], out=self.offsets[1:])
+        self._index_tops = {}
         self.emb_rows, self.tt_tables = None, tables
         if any(dense):
             # filled field by field: a concatenation of the (vocab, dim)
@@ -307,6 +311,23 @@ class DeepFMModel:
             self._terms = _projection_terms(self.proj_weight, self.proj_bias, dtype)
             self._terms_source = source
         return self._terms
+
+    def index_tops(self, dtype) -> tuple:
+        """For index arrays of the integer ``dtype``: the unsigned dtype of
+        its width, and each field's largest valid index in that dtype
+        (``vocab - 1``, capped at ``dtype``'s largest value).  A batch's
+        indices are then all valid exactly when their unsigned view is at
+        most these tops, since a negative index reads as at least 2^(bits-1)
+        there.  Derived once per dtype and tables."""
+        tops = self._index_tops.get(dtype)
+        if tops is None:
+            unsigned = f"u{dtype.itemsize}"
+            cap = min(np.iinfo(dtype).max, np.iinfo(self.vocab.dtype).max)
+            top = np.minimum(self.vocab - 1, cap).astype(unsigned)
+            # the view keeps the batch's byte order; ``top`` is native
+            tops = (np.dtype(unsigned).newbyteorder(dtype.byteorder), top)
+            self._index_tops[dtype] = tops
+        return tops
 
     @property
     def n_fields(self) -> int:
@@ -433,7 +454,13 @@ def init_deepfm(
 
 
 def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
+    """Rejects a batch the model cannot score: indices that are not an
+    integer array or not (n, fields), continuous values that are not
+    (n, n_continuous), no rows, or an index outside its field.  The range
+    check reads the indices in their own dtype and makes no wider copy."""
     idx = batch.indices
+    if idx.dtype.kind not in "iu":  # bool is kind "b"
+        raise DataError(f"indices must be an integer array, got dtype {idx.dtype}")
     if idx.ndim != 2 or idx.shape[1] != model.n_fields:
         raise ShapeError(
             f"indices must be (n, {model.n_fields}), got {idx.shape}"
@@ -448,7 +475,8 @@ def _validate_batch(model: DeepFMModel, batch: FeatureBatch) -> None:
         raise ShapeError("indices and continuous blocks disagree on length")
     if idx.shape[0] == 0:
         raise ShapeError("empty batch")
-    bad = (idx < 0) | (idx >= model.vocab)
+    unsigned, tops = model.index_tops(idx.dtype)
+    bad = idx.view(unsigned) > tops  # one comparison, in the batch's own width
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         raise DataError(
@@ -513,7 +541,8 @@ def _run_layers(
     n = idx.shape[0]
     dtype = model.mlp[0].weight.dtype
 
-    rows = idx + model.offsets  # each field's item, as a row of the packed arrays
+    # each field's item as a row of the packed arrays, in intp for any index dtype
+    rows = np.add(idx, model.offsets, dtype=np.intp)
     if model.emb_rows is not None:
         emb = np.take(model.emb_rows, rows, axis=0)  # (n, fields, dim)
     else:

@@ -65,7 +65,10 @@ class Adam:
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-    BLOCK = 1 << 17
+    # x, m, v and the two buffers of a float32 block then take 1.25 MB and
+    # fit a 2 MB per-core L2; on such a Xeon a synth-model step took 7.44 ms
+    # against 7.92 ms at 1 << 17, whose 2.5 MB does not fit
+    BLOCK = 1 << 16
 
     def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         self.lr = float(learning_rate)

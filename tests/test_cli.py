@@ -10,6 +10,7 @@ import pytest
 from lowrank_ctr.checkpoint import MAGIC, load_checkpoint
 from lowrank_ctr.cli import main
 from lowrank_ctr.train import METHODS
+from test_data import HugeDictionary
 
 
 BASE_CONFIG = {
@@ -616,3 +617,36 @@ def test_synth_rejects_a_directory_out_before_generating(tmp_path, capsys, monke
     assert main(["synth", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: --out is a directory: {tmp_path}\n"
+
+
+def test_vocabulary_too_large_for_int32_exits_before_any_data(tmp_path, capsys, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("data was generated")
+
+    monkeypatch.setattr("lowrank_ctr.data.synth_generate", no_rows)
+    monkeypatch.setattr("lowrank_ctr.train.synth_generate", no_rows)
+    cfg = tmp_path / "cfg.json"
+    synth = {**SYNTH, "vocab_sizes": [20, 1 << 31, 20, 20]}
+    cfg.write_text(json.dumps({**BASE_CONFIG, "data": {**BASE_CONFIG["data"], "synth": synth}}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: data.synth.vocab_sizes: field 1 has 2147483648 items; indices "
+                   "are int32, so a field holds fewer than 2147483648\n")
+    assert not out.exists()
+
+
+def test_tsv_vocabulary_too_large_for_int32_exits_3(tmp_path, capsys, monkeypatch):
+    rows = [f"{i % 2}\ta{i % 3}\tb{i % 4}" for i in range(40)]
+    data = tmp_path / "clicks.tsv"
+    data.write_text("\n".join(rows) + "\n")
+    monkeypatch.setattr("lowrank_ctr.data.build_dictionaries", lambda *a, **k: [HugeDictionary()] * 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"path": str(data)},
+        "model": {"n_continuous": 0, "n_categorical": 2, "embed_dim": 4, "hidden_dims": [8, 8, 8]},
+    }))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {data}: field 0 has 2147483648 items")
+    assert not list(out.rglob("*.lrck"))

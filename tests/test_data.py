@@ -5,8 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from lowrank_ctr import data
 from lowrank_ctr.data import (
     _BUCKETS,
+    VOCAB_LIMIT,
     ClickDataset,
     FieldDictionary,
     SynthSpec,
@@ -167,10 +169,14 @@ def test_synth_determinism():
      "032e899b534e834b9d9c23f2effd99cc6cad4203082503f048621fbea31df317"),
 ], ids=["60k", "40k", "20k-vocab-1k", "uniform-on-edges", "skew-4-rank-7"])
 def test_synth_bytes_are_pinned(spec, digest):
-    """A seed's dataset never changes: the labels' and indices' bytes are
-    pinned by their sha256 (the benchmark shapes and two edge cases)."""
+    """A seed's dataset never changes: the labels and the index values are
+    pinned by their sha256 (the benchmark shapes and two edge cases).  The
+    indices are stored as int32 and hashed as int64, the width the digests
+    were first taken at."""
     ds = synth_generate(SynthSpec(**spec))
-    assert hashlib.sha256(ds.labels.tobytes() + ds.indices.tobytes()).hexdigest() == digest
+    assert ds.indices.dtype == np.int32
+    wide = ds.indices.astype(np.int64)
+    assert hashlib.sha256(ds.labels.tobytes() + wide.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("skew", [0.0, 1.1, 4.0])
@@ -224,3 +230,64 @@ def test_synth_noiseless_rank1_is_learnable():
     # labels stay Bernoulli draws even at zero flip noise, so the ceiling
     # sits well below 1; a learned model should still clear 0.93 easily
     assert auc(te.labels, predict(model, te)) >= 0.93
+
+
+def test_loaders_split_and_batch_store_int32_indices(tmp_path):
+    ds = synth_generate(SynthSpec(n_samples=200, vocab_sizes=[5, 300], seed=1))
+    path = tmp_path / "d.tsv"
+    write_tsv(ds, path)
+    loaded, _ = load_tsv(path, 0, 2, min_count=1)
+    tr, te = split(ds, 0.25, 0)
+    for part in (ds, loaded, tr, te, ds.subset(np.array([3, 1]))):
+        assert part.indices.dtype == np.int32
+    assert ds.batch(slice(0, 7)).indices.dtype == np.int32
+    assert ds.batch(np.array([4, 2])).indices.dtype == np.int32
+
+
+def test_click_dataset_converts_integer_indices_to_int32():
+    idx = np.array([[0, 3], [2, 1]], dtype=np.int64)
+    ds = ClickDataset(np.array([0, 1], np.uint8), idx, np.zeros((2, 0), np.float32), [3, 4])
+    assert ds.indices.dtype == np.int32 and ds.indices.tolist() == idx.tolist()
+    same = ClickDataset(ds.labels, ds.indices, ds.continuous, [3, 4])
+    assert same.indices is ds.indices  # already int32: kept, not copied
+
+
+@pytest.mark.parametrize("indices, message", [
+    (np.array([[0.0, 1.0]]), "indices must be integers, got float64"),
+    (np.array([[True, False]]), "indices must be integers, got bool"),
+    (np.array([[0, 1 << 31]]), r"index range \[0, 2147483648\] does not fit int32"),
+    (np.array([[-(1 << 31) - 1, 0]]), "does not fit int32"),
+])
+def test_click_dataset_rejects_indices_int32_cannot_hold(indices, message):
+    with pytest.raises(DataError, match=message):
+        ClickDataset(np.array([1], np.uint8), indices, np.zeros((1, 0), np.float32), [2, 2])
+
+
+def test_vocabulary_too_large_for_int32_is_rejected_where_a_dataset_is_made():
+    assert VOCAB_LIMIT == 1 << 31 == int(np.iinfo(np.int32).max) + 1
+    with pytest.raises(DataError, match="data.synth.vocab_sizes: field 1 has 2147483648 items"):
+        SynthSpec(n_samples=10, vocab_sizes=[4, 1 << 31])
+    SynthSpec(n_samples=10, vocab_sizes=[4, (1 << 31) - 1])  # the largest that fits
+    with pytest.raises(DataError, match="vocab_sizes: field 0 has 2147483648 items"):
+        ClickDataset(np.array([1], np.uint8), np.zeros((1, 1), np.int32),
+                     np.zeros((1, 0), np.float32), [1 << 31])
+
+
+class HugeDictionary:
+    """A field dictionary claiming 2^31 items, which maps no token."""
+
+    vocab = 1 << 31
+
+    def index_of(self, token):
+        raise AssertionError("a row was mapped")
+
+
+def test_load_tsv_rejects_a_vocabulary_too_large_for_int32_before_mapping_rows(
+    tmp_path, monkeypatch
+):
+    path = write_lines(tmp_path / "d.tsv", ["1\ta\tb", "0\tc\td"])
+    monkeypatch.setattr(
+        data, "build_dictionaries", lambda *a, **k: [FieldDictionary({"a": 1}), HugeDictionary()]
+    )
+    with pytest.raises(DataError, match=f"{path}: field 1 has 2147483648 items"):
+        load_tsv(path, 0, 2, min_count=1)

@@ -150,6 +150,63 @@ def test_validate_batch_errors():
         forward(model, make_batch(np.zeros((0, 2), dtype=int)))
 
 
+# int32 is what the loaders store; the others are what a caller may pass
+INDEX_DTYPES = [np.int32, np.int64, np.uint8, np.int16, np.uint64, ">i4"]
+
+
+@pytest.mark.parametrize("kind", ["init", "afm-mlp", "afm-emb", "afm-emb-fused", "tt-emb"])
+def test_index_dtype_does_not_change_logits_or_gradients(kind, tmp_path):
+    model = invariant_model(kind, tmp_path)
+    idx = np.random.default_rng(21).integers(0, [7, 5, 9], size=(30, 3))
+    idx[0] = [6, 4, 8]  # every field's last item
+    labels = np.random.default_rng(22).integers(0, 2, 30)
+    outputs = set()
+    for dtype in INDEX_DTYPES:
+        batch = FeatureBatch(idx.astype(dtype), np.zeros((30, 0), np.float32))
+        logits = forward(model, batch).logits
+        _, grads, _ = compute_gradients(model, batch, labels, l2_ratio=1e-3)
+        outputs.add(logits.tobytes() + b"".join(
+            name.encode() + np.asarray(g).tobytes() for name, g in sorted(grads.items())
+        ))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("dtype", INDEX_DTYPES + [np.int8, np.uint16])
+def test_validate_batch_bounds_in_every_index_dtype(dtype):
+    model = init_deepfm([4, 7, 3], 2, [4], seed=0)
+    for bad in ([-1] if np.dtype(dtype).kind == "i" else []) + [7, 200]:
+        idx = np.array([[3, 6, 2], [0, bad, 1]]).astype(dtype)
+        lo, hi = idx[:, 1].min(), idx[:, 1].max()  # 200 wraps in an 8-bit dtype
+        with pytest.raises(DataError, match=rf"field 1: index range \[{lo}, {hi}\] "
+                                            r"outside vocabulary of size 7"):
+            forward(model, FeatureBatch(idx, np.zeros((2, 0), np.float32)))
+    ok = np.array([[3, 6, 2], [0, 0, 0]]).astype(dtype)  # vocab - 1 in every field
+    forward(model, FeatureBatch(ok, np.zeros((2, 0), np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_vocabulary_beyond_the_index_dtype_caps_the_check(dtype):
+    model = init_deepfm([300, 2], 2, [4], seed=0)
+    info = np.iinfo(dtype)
+    ok = np.array([[info.max, 1], [0, 0]], dtype=dtype)  # every value is an item
+    forward(model, FeatureBatch(ok, np.zeros((2, 0), np.float32)))
+    if info.min < 0:
+        bad = np.array([[info.min, 1]], dtype=dtype)
+        with pytest.raises(DataError, match=r"field 0: index range \[-128, -128\]"):
+            forward(model, FeatureBatch(bad, np.zeros((1, 0), np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+def test_non_integer_indices_are_rejected_naming_the_dtype(dtype):
+    model = init_deepfm([4, 4], 2, [4], seed=0)
+    idx = np.array([[0, 1], [1, 0]]).astype(dtype)
+    batch = FeatureBatch(idx, np.zeros((2, 0), np.float32))
+    with pytest.raises(DataError, match=f"integer array, got dtype {np.dtype(dtype)}"):
+        forward(model, batch)
+    with pytest.raises(DataError, match="integer array"):
+        compute_gradients(model, batch, np.array([0, 1]))
+
+
 def test_dropout_train_vs_infer():
     model = init_deepfm([8], 4, [64], seed=5, dropout_rate=0.5)
     idx = np.zeros((200, 1), dtype=np.int64)
