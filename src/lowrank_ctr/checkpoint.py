@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import struct
 
@@ -116,7 +115,8 @@ def save_checkpoint(model: DeepFMModel, path) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, arr in model.named_parameters():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            # a contiguous array is written as it is, a strided view from one copy
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _skeleton(topo: dict, stored: list, payload_bytes: int) -> DeepFMModel:
@@ -244,9 +244,13 @@ def load_checkpoint(path) -> DeepFMModel:
 
     The stored tensor table must equal ``manifest_for`` of that model entry
     for entry, in canonical order, and end where the payload ends; a
-    difference, a non-finite value or a topology that contradicts itself
-    raises DataError naming the first tensor or field concerned.  The
-    payload is mapped, and each tensor is copied from it once."""
+    difference, a non-finite value, a read that comes back short or a
+    topology that contradicts itself raises DataError naming the first
+    tensor or field concerned.  All of that is checked before any tensor
+    gets memory.  Each tensor is then read from the file into one float32
+    buffer, sized to the largest tensor and reused by every one, checked
+    there and copied into the model's array, so a load holds the model and
+    one tensor, not the payload as well."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -263,36 +267,39 @@ def load_checkpoint(path) -> DeepFMModel:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise DataError(f"{path}: corrupt manifest ({exc})") from exc
-        # unmapped once the last array viewing it is gone
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        payload = memoryview(mapped)[fh.tell() :]
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: corrupt manifest (not an object)")
+        if not isinstance(manifest, dict):
+            raise DataError(f"{path}: corrupt manifest (not an object)")
 
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported format version {manifest.get('format_version')}"
-        )
-    try:
-        model = _skeleton(manifest["topology"], manifest["tensors"], len(payload))
-        expected = manifest_for(model)["tensors"]
-        _check_table(manifest["tensors"], expected)
-        end = expected[-1]["offset"] + expected[-1]["nbytes"]
-        if end != len(payload):  # a truncated payload, or bytes after the last tensor
-            raise DataError(f"the tensors end at byte {end} of a {len(payload)}-byte payload")
-        # the payload holds every tensor, so the MLP and the cores get memory now
-        for layer in model.mlp:
-            layer.weight, layer.bias = np.empty_like(layer.weight), np.empty_like(layer.bias)
-        for table in model.tt_tables:
-            table.cores = TTCores(tuple(map(np.empty_like, table.cores.cores)))
-        for (name, arr), entry in zip(model.named_parameters(), expected):
-            stored = np.frombuffer(payload, "<f4", count=arr.size, offset=entry["offset"])
-            if not np.isfinite(stored).all():
-                raise DataError(f"tensor {name} holds non-finite values")
-            arr[...] = stored.reshape(arr.shape)
-        return model
-    except (DataError, ShapeError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    except (LookupError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: corrupt manifest ({exc!r})") from exc
+        if manifest.get("format_version") != _FORMAT_VERSION:
+            raise DataError(
+                f"{path}: unsupported format version {manifest.get('format_version')}"
+            )
+        try:
+            model = _skeleton(manifest["topology"], manifest["tensors"], payload_bytes)
+            expected = manifest_for(model)["tensors"]
+            _check_table(manifest["tensors"], expected)
+            end = expected[-1]["offset"] + expected[-1]["nbytes"]
+            if end != payload_bytes:  # a truncated payload, or bytes after the last tensor
+                raise DataError(f"the tensors end at byte {end} of a {payload_bytes}-byte payload")
+            # the payload holds every tensor, so the MLP and the cores get memory now
+            for layer in model.mlp:
+                layer.weight, layer.bias = np.empty_like(layer.weight), np.empty_like(layer.bias)
+            for table in model.tt_tables:
+                table.cores = TTCores(tuple(map(np.empty_like, table.cores.cores)))
+            params = model.named_parameters()
+            buf = np.empty(max(arr.size for _, arr in params), "<f4")
+            for (name, arr), entry in zip(params, expected):
+                stored = buf[: arr.size]
+                got = fh.readinto(stored)
+                if got != entry["nbytes"]:
+                    raise DataError(f"tensor {name}: read {got} of its {entry['nbytes']} bytes")
+                if not np.isfinite(stored).all():
+                    raise DataError(f"tensor {name} holds non-finite values")
+                arr[...] = stored.reshape(arr.shape)
+            return model
+        except (DataError, ShapeError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        except (LookupError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: corrupt manifest ({exc!r})") from exc

@@ -51,6 +51,11 @@ terms of a ``ForwardTrace`` are computed only when read, so serving that
 reads the logits pays for neither.  Every tapped output is handed to a
 ``take`` callback as it is computed: ``capture`` stops at the last tap
 (calibration reads it), and ``forward(capture=...)`` keeps a copy of each.
+A pass holds little more than it is about to read: the first-order and
+pairwise terms are computed right after the gather, so the MLP is the
+last reader of the packed rows and the gathered block, and outside train
+mode the walk drops those, and each layer's input, as soon as the product
+that reads them returns.  Train mode keeps what backward reads.
 
 Weights default to float32; gradient checking builds the whole model in
 float64 with ``init_deepfm(dtype=...)``.  All forward/backward code
@@ -523,23 +528,60 @@ def _projection_terms(weight, bias, dtype) -> tuple:
     return w, b, p_cat, gram, pb, b.sum(axis=0), (b * b).sum()
 
 
+def _fm_terms(model, rows, emb, proj, dtype) -> tuple:
+    """The first-order and pairwise terms of a batch (zeros without the FM
+    term) from its packed ``rows``, gathered (n, fields, dim) block and
+    projection terms, with the ``s`` and ``gc`` (the reduced path's
+    ``flat @ gram``, else None) that backward reads."""
+    n = len(rows)
+    flat = emb.reshape(n, -1)
+    fo = np.zeros(n, dtype=dtype)
+    pairwise = np.zeros(n, dtype=dtype)
+    s = gc = None
+    if model.fm_enabled:
+        fo = np.take(model.fo_rows, rows) @ model.ones
+        if proj is None:
+            # s = sum_i e_i as one matmul with stacked identities
+            s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
+            sq = np.einsum("ij,ij->i", flat, flat)
+        else:
+            # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone
+            _, _, p_cat, gram, pb, b_sum, b_sq = proj
+            s = flat @ p_cat.T + b_sum
+            gc = flat @ gram
+            sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + b_sq
+        pairwise = 0.5 * (np.einsum("ij,ij->i", s, s) - sq)
+    return fo, pairwise, s, gc
+
+
 def _run_layers(
     model, batch, capture, depth, take, mode="infer", rng=None, dropout_override=None
 ):
-    """The part of a pass over a validated batch that taps can read: the
-    packed row gather, the MLP input and MLP layers 0 .. depth - 1.
+    """The walk of a pass over a validated batch: the packed row gather,
+    the first-order and pairwise terms when the walk runs the head (depth
+    ``len(model.mlp)``), then the MLP input and MLP layers 0 .. depth - 1.
 
     The outputs tapped in ``capture`` go to ``take(ids, block)`` as the
     pass computes them (see ``capture``); a block may be overwritten once
-    ``take`` returns, as every relu runs in place.  Returns
-    ``(rows, emb, proj, cur, layer_cache)``: the batch's packed rows, the
-    gathered (n, fields, dim) block, the projection terms (None without
-    projections) and the output of layer depth - 1.  At depth 0 no MLP
-    input is built, and a pass that stops before the head ends at its last
+    ``take`` returns, as every relu runs in place.  The walk holds only
+    what is still to be read: outside train mode the packed rows and the
+    gathered block go once the terms and the first layer's product have
+    read them, and each layer's input once its product returns, so past
+    the first layer a pass holds two layer outputs at most.  In train mode
+    the returned cache keeps what backward reads: ``rows``, ``emb``,
+    ``proj`` (the first five projection terms, or None), ``fm_sum`` and
+    ``gc`` (see ``_fm_terms``) and each layer's ``(input, pre-activation,
+    dropout mask)`` in ``layers``.
+
+    Returns ``(cur, terms, cache)``: the output of layer depth - 1, the
+    ``(first_order, pairwise)`` terms when the walk runs the head (else
+    None) and the cache (None outside train mode).  At depth 0 no MLP
+    input is built, and a walk that stops before the head ends at its last
     layer's pre-activation; ``cur`` is then meaningless."""
     idx = batch.indices
     n = idx.shape[0]
     dtype = model.mlp[0].weight.dtype
+    train = mode == "train"
 
     # each field's item as a row of the packed arrays, in intp for any index dtype
     rows = np.add(idx, model.offsets, dtype=np.intp)
@@ -553,21 +595,30 @@ def _run_layers(
         ids = [f"emb.{i}" if f"emb.{i}" in capture else None for i in range(model.n_fields)]
         if any(ids):
             take(ids, emb)
-
-    layer_cache = []
     if depth == 0:
-        return rows, emb, None, None, layer_cache
+        return None, None, None
+
     proj = None if model.proj_weight is None else model.projection_terms(dtype)
+    terms = cache = None
+    if depth == len(model.mlp):
+        fo, pairwise, s, gc = _fm_terms(model, rows, emb, proj, dtype)
+        terms = fo, pairwise
+        if train:
+            cache = {"rows": rows, "emb": emb, "proj": None if proj is None else proj[:5],
+                     "fm_sum": s, "gc": gc, "layers": []}
+        del s, gc
     x = emb.reshape(n, -1)  # the fields' embeddings side by side
     if proj is not None and not model.fused:
         w, b = proj[:2]
         full = np.matmul(emb.transpose(1, 0, 2), w.transpose(0, 2, 1))
         full += b[:, None, :]
         x = full.transpose(1, 0, 2).reshape(n, -1)
+        del full
     if model.n_continuous:
         x = np.concatenate([x, batch.continuous], axis=1, dtype=dtype)
-
     cur = x
+    del rows, emb, x  # the cache keeps them in train mode; ``cur`` holds the MLP input
+
     for j, layer in enumerate(model.mlp[:depth]):
         if cur.shape[1] != layer.weight.shape[1]:
             raise ShapeError(
@@ -575,27 +626,26 @@ def _run_layers(
                 f"got {cur.shape[1]}"
             )
         z = cur @ layer.weight.T
+        x_in, cur = (cur if train else None), z  # outside train mode, read no more
         z += layer.bias
         if capture and f"mlp.{j}" in capture:  # formats no name when capturing none
             take([f"mlp.{j}"], z[:, None, :])
         if j + 1 == depth < len(model.mlp):
             break
         # in place: relu(z) > 0 exactly where z > 0, all backward needs
-        a = np.maximum(z, 0, out=z) if layer.activation == "relu" else z
+        if layer.activation == "relu":
+            np.maximum(z, 0, out=z)
         mask = None
-        rate = _effective_dropout(layer, dropout_override) if mode == "train" else 0.0
+        rate = _effective_dropout(layer, dropout_override) if train else 0.0
         if rate > 0.0:
             if rng is None:
                 raise ShapeError("training forward with dropout needs an rng")
             inv = dtype.type(1) / dtype.type(1.0 - rate)
-            mask = (rng.random(a.shape) >= rate) * inv
-            out = a * mask
-        else:
-            out = a
-        if mode == "train":
-            layer_cache.append((cur, z, mask))
-        cur = out
-    return rows, emb, proj, cur, layer_cache
+            mask = (rng.random(z.shape) >= rate) * inv
+            cur = z * mask
+        if train:
+            cache["layers"].append((x_in, z, mask))
+    return cur, terms, cache
 
 
 def _run_forward(
@@ -618,46 +668,14 @@ def _run_forward(
         # copied: the pass may overwrite a block once take returns
         captured.update((tid, block[:, i].copy()) for i, tid in enumerate(ids) if tid)
 
-    rows, emb, proj, cur, layer_cache = _run_layers(
+    cur, (fo, pairwise), cache = _run_layers(
         model, batch, set(capture or ()), len(model.mlp), take, mode, rng, dropout_override
     )
-    n = len(rows)
-    dtype = model.mlp[0].weight.dtype
-    flat = emb.reshape(n, -1)
-
-    fo = np.zeros(n, dtype=dtype)
-    pairwise = np.zeros(n, dtype=dtype)
-    s = gc = None
-    if model.fm_enabled:
-        fo = np.take(model.fo_rows, rows) @ model.ones
-        if proj is None:
-            # s = sum_i e_i as one matmul with stacked identities
-            s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
-            sq = np.einsum("ij,ij->i", flat, flat)
-        else:
-            # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone
-            _, _, p_cat, gram, pb, b_sum, b_sq = proj
-            s = flat @ p_cat.T + b_sum
-            gc = flat @ gram
-            sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + b_sq
-        pairwise = 0.5 * (np.einsum("ij,ij->i", s, s) - sq)
-
     deep = cur[:, 0]
     logits = (fo + pairwise + deep).astype(np.float64)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
-    trace = ForwardTrace(logits, fo, pairwise, deep, captured)
-    cache = None
-    if mode == "train":
-        cache = {
-            "rows": rows,
-            "emb": emb,
-            "proj": None if proj is None else proj[:5],
-            "fm_sum": s,
-            "gc": gc,
-            "layers": layer_cache,
-        }
-    return trace, cache
+    return ForwardTrace(logits, fo, pairwise, deep, captured), cache
 
 
 def forward(
@@ -683,7 +701,8 @@ def capture(model: DeepFMModel, batch: FeatureBatch, tap_ids, take) -> None:
     """Hand the outputs at ``tap_ids`` (named as for ``forward``) of one
     inference pass to ``take(ids, block)`` as the pass computes them, and
     run the pass only as far as its last tap: with only ``emb.*`` taps no
-    dense layer runs, and the first-order, pairwise and head terms never do.
+    dense layer runs, and the first-order and pairwise terms run only when
+    the head layer is tapped.
 
     When any ``emb.*`` tap is listed, ``take`` first gets the gathered
     (n, fields, dim) block, with ``ids`` naming each field's tap or None;

@@ -475,6 +475,27 @@ def test_calibrate_is_byte_identical_to_a_full_forward_per_tap(batch_size):
                 assert acc.sum_outer.tobytes() == ref.sum_outer.tobytes(), where
 
 
+def test_calibrate_holds_one_block_one_layer_output_and_the_fold_buffer():
+    """tracemalloc counts numpy's allocations: a batch-10 000 calibration of
+    a 10-field, 96-wide model at its MLP and embedding taps peaks below the
+    float64 fold buffer, the gathered (rows, fields, dim) block and one
+    layer output, plus 1 MB, because the walk drops the block and each
+    layer's input once the product that reads them returns."""
+    vocab, n, dim, width = [1000] * 10, 10000, 16, 96
+    ds = synth_generate(SynthSpec(n_samples=2 * n, vocab_sizes=vocab, seed=1))
+    model = init_deepfm(vocab, dim, [width] * 3, seed=0)
+    tap_ids = ["mlp.1", "mlp.2"] + [f"emb.{i}" for i in range(len(vocab))]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        calibrate(model, ds, tap_ids, batch_size=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    fold_buffer, block, layer = n * width * 8, n * len(vocab) * dim * 4, n * width * 4
+    assert peak <= fold_buffer + block + layer + (1 << 20), peak
+
+
 class LayerSpy:
     """A dense layer that records its index whenever its bias is read,
     which only the layer step does."""
@@ -680,13 +701,45 @@ def test_pipeline_failure_is_recorded(tmp_path, monkeypatch):
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
-    resolved = tiny_pipeline_config(tmp_path, IDENTITY_STAGES, n_samples=1000)
+    """Two runs of one config write the same run directory, apart from
+    what they measure: ``wall_seconds`` in the metrics rows and the span
+    fields ``seconds``, ``peak_rss_mb`` and ``minor_faults`` of each
+    manifest stage."""
+    stages = [
+        {"stage": "train_baseline", "epochs": 1, "learning_rate": 1e-3},
+        {"stage": "calibrate"},
+        {"stage": "compress", "method": "afm-mlp", "rank": 4},
+        {"stage": "finetune"},
+        {"stage": "calibrate"},
+        {"stage": "compress", "method": "afm-emb", "rank": 2},
+        {"stage": "finetune", "dropout": 0.2},
+        {"stage": "eval"},
+    ]
+    resolved = tiny_pipeline_config(tmp_path, stages, n_samples=1000)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_pipeline(resolved, out_a)
     run_pipeline(resolved, out_b)
-    for rel in ("checkpoints/stage00-train_baseline.lrck",
-                "checkpoints/stage04-finetune.lrck"):
-        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+    def files(out):
+        return sorted(p.relative_to(out) for d in ("checkpoints", "reports")
+                      for p in (out / d).iterdir())
+
+    assert files(out_a) == files(out_b) and len(files(out_a)) == 7
+    for rel in files(out_a):
+        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+    def unmeasured(out):
+        rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert any("wall_seconds" in row for row in rows)
+        for row in rows:
+            row.pop("wall_seconds", None)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["stages"]:
+            for key in ("seconds", "peak_rss_mb", "minor_faults"):
+                del entry[key]
+        return rows, manifest
+
+    assert unmeasured(out_a) == unmeasured(out_b)
 
 
 def test_evaluate_model_matches_direct_metrics():
