@@ -57,6 +57,25 @@ last reader of the packed rows and the gathered block, and outside train
 mode the walk drops those, and each layer's input, as soon as the product
 that reads them returns.  Train mode keeps what backward reads.
 
+After the gather the pairwise term shares no work with the MLP, so an
+inference pass of ``LANE_MIN_ROWS`` rows or more runs on two lanes: one
+persistent worker thread computes the term while the calling thread runs
+the MLP, and the walk joins it before the logits are summed.  It does so
+only where a CPU would otherwise sit idle: the process may use two or more
+CPUs and BLAS is confined to one thread (the first of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` set
+to a positive count, the one OpenBLAS obeys, says 1); ``runtime()``
+reports the conditions.  Train mode, ``capture`` and batches below the
+threshold run on one lane.  The bits cannot change: each lane runs the
+operations of a one-lane pass on the same operands, and only their
+schedule differs.  The worker runs in a copy of the caller's context, so
+``np.errstate`` holds there; hands an error back to the caller as it was
+raised; writes into arrays the caller allocated, so its thread keeps no
+batch-sized heap of its own; and lets the gathered block go after its
+last read of it.  The first-order term stays with the caller, so that the
+packed rows are not held beside the first layer's output.  A forked child
+starts its own worker.
+
 Weights default to float32; gradient checking builds the whole model in
 float64 with ``init_deepfm(dtype=...)``.  All forward/backward code
 preserves the model dtype, except predictions and loss terms, which are
@@ -65,9 +84,13 @@ float64.
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import prod
 from typing import Optional
 
@@ -513,8 +536,8 @@ def _projection_terms(weight, bias, dtype) -> tuple:
     arrays themselves when they already are), ``p_cat`` = [P_0 | P_1 | ...]
     (dim, fields * k), the block-diagonal ``gram`` of the P_i^T P_i
     (fields * k, fields * k), ``pb``, the concatenated P_i^T b_i
-    (fields * k,), ``b_sum`` = sum_i b_i (dim,) and ``b_sq`` = sum_i
-    ||b_i||^2."""
+    (fields * k,), ``b_sum`` = sum_i b_i (dim,), ``b_sq`` = sum_i
+    ||b_i||^2 and ``2 * pb``."""
     w = weight.astype(dtype, copy=False)
     b = bias.astype(dtype, copy=False)
     n_fields, dim, k = w.shape
@@ -525,41 +548,157 @@ def _projection_terms(weight, bias, dtype) -> tuple:
     gram[diag, :, diag, :] = np.matmul(wt, w)
     pb = np.matmul(wt, b[:, :, None]).reshape(-1)
     gram = gram.reshape(n_fields * k, n_fields * k)
-    return w, b, p_cat, gram, pb, b.sum(axis=0), (b * b).sum()
+    return w, b, p_cat, gram, pb, b.sum(axis=0), (b * b).sum(), 2 * pb
 
 
-def _fm_terms(model, rows, emb, proj, dtype) -> tuple:
-    """The first-order and pairwise terms of a batch (zeros without the FM
-    term) from its packed ``rows``, gathered (n, fields, dim) block and
-    projection terms, with the ``s`` and ``gc`` (the reduced path's
-    ``flat @ gram``, else None) that backward reads."""
-    n = len(rows)
-    flat = emb.reshape(n, -1)
-    fo = np.zeros(n, dtype=dtype)
-    pairwise = np.zeros(n, dtype=dtype)
-    s = gc = None
-    if model.fm_enabled:
-        fo = np.take(model.fo_rows, rows) @ model.ones
-        if proj is None:
-            # s = sum_i e_i as one matmul with stacked identities
-            s = flat @ _stacked_identity(model.n_fields, emb.shape[2], flat.dtype)
-            sq = np.einsum("ij,ij->i", flat, flat)
-        else:
-            # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone
-            _, _, p_cat, gram, pb, b_sum, b_sq = proj
-            s = flat @ p_cat.T + b_sum
-            gc = flat @ gram
-            sq = np.einsum("ij,ij->i", gc + 2 * pb, flat) + b_sq
-        pairwise = 0.5 * (np.einsum("ij,ij->i", s, s) - sq)
-    return fo, pairwise, s, gc
+def _pairwise_outputs(emb, proj, dtype) -> tuple:
+    """Empty arrays for ``_pairwise_term`` to write the term of a gathered
+    block ``emb`` into, in the dtypes its operations produce:
+    ``(pairwise, s, gc, sq, gcb)``, with ``gc`` and ``gcb`` None without
+    projections.  ``gcb`` is ``gc`` itself, so only an inference pass,
+    which reads no ``gc`` afterwards, may use them."""
+    n, n_fields, k = emb.shape
+    if proj is None:
+        return np.empty(n, emb.dtype), np.empty((n, k), emb.dtype), None, np.empty(n, emb.dtype), None
+    ft = np.result_type(emb, dtype)
+    gc = np.empty((n, n_fields * k), ft)
+    return np.empty(n, ft), np.empty((n, proj[2].shape[0]), ft), gc, np.empty(n, ft), gc
+
+
+def _pairwise_term(held, proj, out=(None,) * 5) -> tuple:
+    """The pairwise term of the gathered (n, fields, dim) block that the
+    one-item list ``held`` holds, with the ``s`` and ``gc`` (the reduced
+    path's ``flat @ gram``, else None) that backward reads: ``(pairwise,
+    s, gc)``.  The term takes the block out of ``held`` and lets it go
+    after its last read, so a lane's worker holds it no longer than that.
+    Each operation writes into its array of ``out`` (``_pairwise_outputs``),
+    or into a new one where that is None, so the bits are the same either
+    way; a lane's worker gets ``out``, so that it allocates no array of
+    batch size, and a one-lane pass does not, since at a few rows an
+    operation that writes over an input costs more than one that
+    allocates."""
+    pairwise, s, gc, sq, gcb = out
+    emb = held.pop()
+    flat = emb.reshape(emb.shape[0], -1)
+    if proj is None:
+        # s = sum_i e_i as one matmul with stacked identities
+        s = np.matmul(flat, _stacked_identity(emb.shape[1], emb.shape[2], flat.dtype), s)
+        sq = np.einsum("ij,ij->i", flat, flat, out=sq)
+    else:
+        # sum_i ||P_i c_i + b_i||^2 from the reduced c_i alone
+        _, _, p_cat, gram, _, b_sum, b_sq, pb2 = proj
+        s = np.add(np.matmul(flat, p_cat.T, s), b_sum, s)
+        gc = np.matmul(flat, gram, gc)
+        sq = np.add(np.einsum("ij,ij->i", np.add(gc, pb2, gcb), flat, out=sq), b_sq, sq)
+    del flat, emb
+    ss_sq = np.subtract(np.einsum("ij,ij->i", s, s, out=pairwise), sq, pairwise)
+    return np.multiply(0.5, ss_sq, pairwise), s, gc
+
+
+# A two-lane pass hands the pairwise term to a worker thread, which costs
+# about 0.1 ms, so it gains only on larger batches.  Lane over serial
+# time, medians of interleaved passes on the `serve` benchmark's base and
+# afm models at one BLAS thread on 2 CPUs, three runs: base 1.03-1.04x at
+# 384 rows, 0.94-0.95x at 512, 0.91-0.93x at 640 and 0.91-0.95x at 768;
+# afm 1.06-1.29x, 1.01-1.09x, 0.96-1.01x and 0.91-0.98x.
+LANE_MIN_ROWS = 768
+# the variables OpenBLAS takes its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class _Job:
+    """One call handed to the lane.  The worker drops the call, and with
+    it the operands, before it wakes the caller; ``join`` waits for the
+    call and raises what it raised."""
+
+    __slots__ = ("call", "error", "done")
+
+    def __init__(self, call):
+        self.call, self.error, self.done = call, None, threading.Lock()
+        self.done.acquire()
+
+    def run(self) -> None:
+        try:
+            self.call()
+        except BaseException as exc:  # re-raised by join
+            self.error = exc
+        self.call = None
+        self.done.release()
+
+    def join(self) -> None:
+        self.done.acquire()
+        if self.error is not None:
+            raise self.error
+
+
+def _serve_lane(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _new_lane() -> None:
+    """Forget the lane's worker; the next two-lane pass starts one.  A
+    forked child runs this, as it has no copy of its parent's thread."""
+    global _jobs, _worker, _worker_lock
+    _jobs, _worker, _worker_lock = queue.SimpleQueue(), None, threading.Lock()
+
+
+_new_lane()
+os.register_at_fork(after_in_child=_new_lane)
+
+
+def _to_lane(call) -> _Job:
+    """Hand ``call`` to the lane's one worker thread, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = threading.Thread(
+                target=_serve_lane, args=(_jobs,), name="lowrank_ctr.fm", daemon=True
+            )
+            _worker.start()
+    job = _Job(call)
+    _jobs.put(job)
+    return job
+
+
+def _blas_threads() -> tuple:
+    """``(name, count)`` of the first of ``_BLAS_THREAD_VARS`` set to a
+    positive count, the one OpenBLAS obeys, or ``(None, None)``."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return var, int(value)
+    return None, None
+
+
+def _two_lanes() -> bool:
+    """Whether the host leaves a CPU idle for a second lane: the process
+    may use two or more CPUs and BLAS is confined to one thread (with
+    more, BLAS already spreads a product over the CPUs)."""
+    return _blas_threads()[1] == 1 and len(os.sched_getaffinity(0)) >= 2
+
+
+def runtime() -> dict:
+    """How this process computes a pass: the numpy version, the BLAS
+    thread setting that ``_two_lanes`` reads (``"NAME=count"``, or None
+    when no variable sets it), the CPUs the process may use and whether an
+    inference pass of ``LANE_MIN_ROWS`` rows or more runs on two lanes."""
+    var, count = _blas_threads()
+    return {"numpy": np.__version__, "blas_threads": var and f"{var}={count}",
+            "cpus": len(os.sched_getaffinity(0)), "two_lanes": _two_lanes()}
 
 
 def _run_layers(
-    model, batch, capture, depth, take, mode="infer", rng=None, dropout_override=None
+    model, batch, capture, depth, take, mode="infer", rng=None, dropout_override=None,
+    lane=False,
 ):
     """The walk of a pass over a validated batch: the packed row gather,
     the first-order and pairwise terms when the walk runs the head (depth
     ``len(model.mlp)``), then the MLP input and MLP layers 0 .. depth - 1.
+    With ``lane`` set, the pairwise term is computed on the lane's worker
+    thread while this thread runs the MLP, and the walk joins it before
+    returning, also when a layer raises; an error of the term's comes out
+    as it was raised.
 
     The outputs tapped in ``capture`` go to ``take(ids, block)`` as the
     pass computes them (see ``capture``); a block may be overwritten once
@@ -570,7 +709,7 @@ def _run_layers(
     the first layer a pass holds two layer outputs at most.  In train mode
     the returned cache keeps what backward reads: ``rows``, ``emb``,
     ``proj`` (the first five projection terms, or None), ``fm_sum`` and
-    ``gc`` (see ``_fm_terms``) and each layer's ``(input, pre-activation,
+    ``gc`` (see ``_pairwise_term``) and each layer's ``(input, pre-activation,
     dropout mask)`` in ``layers``.
 
     Returns ``(cur, terms, cache)``: the output of layer depth - 1, the
@@ -599,9 +738,22 @@ def _run_layers(
         return None, None, None
 
     proj = None if model.proj_weight is None else model.projection_terms(dtype)
-    terms = cache = None
+    terms = cache = pending = None
     if depth == len(model.mlp):
-        fo, pairwise, s, gc = _fm_terms(model, rows, emb, proj, dtype)
+        if model.fm_enabled:
+            fo = np.take(model.fo_rows, rows) @ model.ones
+            if lane:
+                out = _pairwise_outputs(emb, proj, dtype)
+                # in a copy of this thread's context, so np.errstate holds there too
+                pending = _to_lane(
+                    partial(contextvars.copy_context().run, _pairwise_term, [emb], proj, out)
+                )
+                pairwise, s, gc = out[:3]
+                del out
+            else:
+                pairwise, s, gc = _pairwise_term([emb], proj)
+        else:
+            fo, pairwise, s, gc = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype), None, None
         terms = fo, pairwise
         if train:
             cache = {"rows": rows, "emb": emb, "proj": None if proj is None else proj[:5],
@@ -619,32 +771,36 @@ def _run_layers(
     cur = x
     del rows, emb, x  # the cache keeps them in train mode; ``cur`` holds the MLP input
 
-    for j, layer in enumerate(model.mlp[:depth]):
-        if cur.shape[1] != layer.weight.shape[1]:
-            raise ShapeError(
-                f"mlp.{j} expects input width {layer.weight.shape[1]}, "
-                f"got {cur.shape[1]}"
-            )
-        z = cur @ layer.weight.T
-        x_in, cur = (cur if train else None), z  # outside train mode, read no more
-        z += layer.bias
-        if capture and f"mlp.{j}" in capture:  # formats no name when capturing none
-            take([f"mlp.{j}"], z[:, None, :])
-        if j + 1 == depth < len(model.mlp):
-            break
-        # in place: relu(z) > 0 exactly where z > 0, all backward needs
-        if layer.activation == "relu":
-            np.maximum(z, 0, out=z)
-        mask = None
-        rate = _effective_dropout(layer, dropout_override) if train else 0.0
-        if rate > 0.0:
-            if rng is None:
-                raise ShapeError("training forward with dropout needs an rng")
-            inv = dtype.type(1) / dtype.type(1.0 - rate)
-            mask = (rng.random(z.shape) >= rate) * inv
-            cur = z * mask
-        if train:
-            cache["layers"].append((x_in, z, mask))
+    try:
+        for j, layer in enumerate(model.mlp[:depth]):
+            if cur.shape[1] != layer.weight.shape[1]:
+                raise ShapeError(
+                    f"mlp.{j} expects input width {layer.weight.shape[1]}, "
+                    f"got {cur.shape[1]}"
+                )
+            z = cur @ layer.weight.T
+            x_in, cur = (cur if train else None), z  # outside train mode, read no more
+            z += layer.bias
+            if capture and f"mlp.{j}" in capture:  # formats no name when capturing none
+                take([f"mlp.{j}"], z[:, None, :])
+            if j + 1 == depth < len(model.mlp):
+                break
+            # in place: relu(z) > 0 exactly where z > 0, all backward needs
+            if layer.activation == "relu":
+                np.maximum(z, 0, out=z)
+            mask = None
+            rate = _effective_dropout(layer, dropout_override) if train else 0.0
+            if rate > 0.0:
+                if rng is None:
+                    raise ShapeError("training forward with dropout needs an rng")
+                inv = dtype.type(1) / dtype.type(1.0 - rate)
+                mask = (rng.random(z.shape) >= rate) * inv
+                cur = z * mask
+            if train:
+                cache["layers"].append((x_in, z, mask))
+    finally:
+        if pending is not None:
+            pending.join()  # raises what the pairwise term raised
     return cur, terms, cache
 
 
@@ -663,13 +819,17 @@ def _run_forward(
         raise ShapeError(f"dropout rate {dropout_override} outside [0, 1)")
     _validate_batch(model, batch)
     captured = {}
+    take = None
+    if capture:
+        capture = set(capture)
 
-    def take(ids, block):
-        # copied: the pass may overwrite a block once take returns
-        captured.update((tid, block[:, i].copy()) for i, tid in enumerate(ids) if tid)
+        def take(ids, block):
+            # copied: the pass may overwrite a block once take returns
+            captured.update((tid, block[:, i].copy()) for i, tid in enumerate(ids) if tid)
 
+    lane = mode == "infer" and batch.indices.shape[0] >= LANE_MIN_ROWS and _two_lanes()
     cur, (fo, pairwise), cache = _run_layers(
-        model, batch, set(capture or ()), len(model.mlp), take, mode, rng, dropout_override
+        model, batch, capture, len(model.mlp), take, mode, rng, dropout_override, lane
     )
     deep = cur[:, 0]
     logits = (fo + pairwise + deep).astype(np.float64)

@@ -22,8 +22,11 @@ hold.  Adam runs its formula one ``out=`` operation at a time through two
 buffers per dtype that it keeps from step to step.
 
 A pipeline is a stage list that ``config.load_config`` has checked and
-filled; ``STAGE_HANDLERS`` holds the handler of each stage kind, and each
-stage's manifest entry records its wall time, peak RSS and minor faults.
+filled; ``STAGE_HANDLERS`` holds the handler of each stage kind, each
+stage's manifest entry records its wall time, peak RSS and minor faults,
+and the manifest's ``runtime`` record the numpy version, BLAS thread
+setting and CPU count the run saw, and whether its large inference
+passes ran on two lanes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .errors import ConfigError, DataError, ShapeError, convert_fields
 from .metrics import MetricReport, auc, evaluate_scores, logloss
 from .nn import (
     DeepFMModel, TableGradient, capture, compute_gradients, forward, init_deepfm, param_count,
+    runtime,
 )
 from .stats import ActivationTap, fold
 
@@ -464,8 +468,9 @@ def run_pipeline(resolved, out_dir) -> dict:
 
     Artifacts: ``checkpoints/stageNN-<name>.lrck``, per-compression
     ``reports/stageNN-<method>.json``, ``metrics.jsonl`` and
-    ``manifest.json``.  Each stage's manifest entry carries its status and
-    its span (``_span``).  A failure marks its stage in the manifest, which
+    ``manifest.json``.  The manifest's ``runtime`` record says how the run
+    computed (``nn.runtime``), and each stage's entry carries its status
+    and its span (``_span``).  A failure marks its stage in the manifest, which
     is written either way, and re-raises.
     """
     out = Path(out_dir)
@@ -478,6 +483,7 @@ def run_pipeline(resolved, out_dir) -> dict:
         "config_hash": resolved.config_hash,
         "seed": resolved.seed,
         "profile": resolved.profile,
+        "runtime": runtime(),
         "artifacts": ["metrics.jsonl"],
         "stages": [],
     }

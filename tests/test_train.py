@@ -702,9 +702,9 @@ def test_pipeline_failure_is_recorded(tmp_path, monkeypatch):
 
 def test_pipeline_reruns_byte_identical(tmp_path):
     """Two runs of one config write the same run directory, apart from
-    what they measure: ``wall_seconds`` in the metrics rows and the span
+    what they measure: ``wall_seconds`` in the metrics rows, the span
     fields ``seconds``, ``peak_rss_mb`` and ``minor_faults`` of each
-    manifest stage."""
+    manifest stage, and the manifest's ``runtime`` record."""
     stages = [
         {"stage": "train_baseline", "epochs": 1, "learning_rate": 1e-3},
         {"stage": "calibrate"},
@@ -734,6 +734,7 @@ def test_pipeline_reruns_byte_identical(tmp_path):
         for row in rows:
             row.pop("wall_seconds", None)
         manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["runtime"]
         for entry in manifest["stages"]:
             for key in ("seconds", "peak_rss_mb", "minor_faults"):
                 del entry[key]
